@@ -363,6 +363,24 @@ def initial_data(params: MapParams) -> tuple[SpatialField, SpatialField]:
     return f, g
 
 
+def _gradient(f: np.ndarray, spacing: float, axis: int) -> np.ndarray:
+    """``np.gradient(f, spacing, axis=axis, edge_order=2)``, bit for bit, but
+    the interior difference goes straight into the result instead of through
+    a temporary the size of ``f``."""
+    if f.shape[axis] < 3:
+        raise ValueError("Shape of array too small to calculate a numerical "
+                         "gradient, at least (edge_order + 1) elements are "
+                         "required.")
+    out = np.empty_like(f)
+    a, o = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(a[2:], a[:-2], out=o[1:-1])
+    o[1:-1] /= 2.0 * spacing
+    # three-point one-sided formulas at the two ends
+    o[0] = -1.5 / spacing * a[0] + 2.0 / spacing * a[1] - 0.5 / spacing * a[2]
+    o[-1] = 0.5 / spacing * a[-3] - 2.0 / spacing * a[-2] + 1.5 / spacing * a[-1]
+    return out
+
+
 class GridField(FieldEvaluator):
     """Uniform space-time slab of R^3-valued samples with jet interpolation.
 
@@ -397,7 +415,7 @@ class GridField(FieldEvaluator):
         if self._derivs is None:
             axes = []
             for ax, sp in ((0, self.dt), (1, self.h), (2, self.h), (3, self.h)):
-                g = np.gradient(self.data, sp, axis=ax, edge_order=2)
+                g = _gradient(self.data, sp, ax)
                 g.setflags(write=False)
                 axes.append(g)
             self._derivs = axes

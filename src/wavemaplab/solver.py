@@ -9,11 +9,24 @@ sphere), and domain-of-dependence guards.
 The grid is cell-centered so data derived from the singular analytic maps are
 never sampled at their singular point; the effective smoothing scale of such
 data is the grid spacing h.
+
+Buffers.  One in-place kernel, ``_accel``, forms Lap(u) - n^2 (|u|^2 - 1) u
+with the arithmetic of the plain formula, so every level is bit-identical to
+it.  ``step(state, cfg, u0, out=, work=)`` writes the new level into ``out``
+and its scratch into ``work`` (a ``_Work``), and writes nothing else: it only
+reads ``state.u_prev``, ``state.u_curr`` and ``u0``, so ``out`` and ``work``
+must alias none of them.  Without ``out`` or ``work`` it allocates fresh
+ones.  After a step (or ``init_from_data``), ``work.constraint`` holds
+|u|^2 - 1 of the level it advanced, which the ledger reuses.  ``run``
+preallocates everything: the stored levels in one (n_levels, N, N, N, 3)
+array, three time levels that rotate through ``out``, and one ``_Work``.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,45 +134,94 @@ def _sample_spatial(fld: SpatialField, xs: np.ndarray) -> np.ndarray:
     return np.stack([fld(x) for x in xs])
 
 
-def _sample_on_grid(fld: SpatialField, cfg: SolverConfig) -> np.ndarray:
+def _sample_on_grid(fld: SpatialField | np.ndarray,
+                    cfg: SolverConfig) -> np.ndarray:
+    """Samples of ``fld`` at the cell centres, shape (N, N, N, 3); an array of
+    that shape is taken as already sampled and returned as it is."""
     n = cfg.n_cells
+    if isinstance(fld, np.ndarray):
+        if fld.shape != (n, n, n, 3):
+            raise ValueError(f"sampled data has shape {fld.shape}, "
+                             f"the grid needs {(n, n, n, 3)}")
+        return fld
     c = cfg.cell_centers_1d()
     X, Y, Z = np.meshgrid(c, c, c, indexing="ij")
     xs = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
     return _sample_spatial(fld, xs).reshape(n, n, n, 3)
 
 
-def _laplacian(u: np.ndarray, h: float, boundary: str) -> np.ndarray:
-    if boundary == "periodic":
-        out = -6.0 * u
+class _Work:
+    """Scratch arrays for one grid, reused by every step of a run."""
+
+    def __init__(self, shape):
+        # zeros: the cells the clamped stencil skips must hold finite values
+        self.accel = np.zeros(shape)
+        self.tmp = np.empty(shape)
+        self.constraint = np.empty(shape[:-1])  # |u|^2 - 1
+        self.scalar = np.empty(shape[:-1])
+
+
+def _accel(u: np.ndarray, cfg: SolverConfig, work: _Work) -> np.ndarray:
+    """Lap(u) - n^2 (|u|^2 - 1) u into ``work.accel``, operation for
+    operation as the textbook formula; also sets ``work.constraint``."""
+    a, t = work.accel, work.tmp
+    if cfg.boundary == "periodic":
+        # -6u + (u[i-1] + u[i+1]) per axis, the order of the np.roll form
+        np.multiply(u, -6.0, out=a)
         for ax in range(3):
-            out += np.roll(u, 1, axis=ax) + np.roll(u, -1, axis=ax)
-        return out / h**2
-    out = np.zeros_like(u)
-    out[1:-1, 1:-1, 1:-1] = (
-        u[2:, 1:-1, 1:-1] + u[:-2, 1:-1, 1:-1]
-        + u[1:-1, 2:, 1:-1] + u[1:-1, :-2, 1:-1]
-        + u[1:-1, 1:-1, 2:] + u[1:-1, 1:-1, :-2]
-        - 6.0 * u[1:-1, 1:-1, 1:-1]) / h**2
-    return out
+            src, dst = np.moveaxis(u, ax, 0), np.moveaxis(t, ax, 0)
+            np.add(src[:-2], src[2:], out=dst[1:-1])
+            np.add(src[-1], src[1], out=dst[0])
+            np.add(src[-2], src[0], out=dst[-1])
+            a += t
+        a /= cfg.h**2
+    else:
+        # The six neighbours of flat index p sit at p +- 3N^2, 3N, 3, so each
+        # term is one contiguous slice.  Cells on the box faces get
+        # wrapped-around sums; the clamp overwrites them.
+        n = u.shape[0]
+        v, o, s = u.reshape(-1), a.reshape(-1), t.reshape(-1)
+        d0, d1, d2 = 3 * n * n, 3 * n, 3
+        lo, hi = d0, v.size - d0  # all cells but the first and last x-planes
+        o_in = o[lo:hi]
+        np.add(v[lo + d0:hi + d0], v[lo - d0:hi - d0], out=o_in)
+        o_in += v[lo + d1:hi + d1]
+        o_in += v[lo - d1:hi - d1]
+        o_in += v[lo + d2:hi + d2]
+        o_in += v[lo - d2:hi - d2]
+        np.multiply(v[lo:hi], 6.0, out=s[lo:hi])
+        o_in -= s[lo:hi]
+        o_in /= cfg.h**2
+    c, w = work.constraint, work.scalar
+    np.multiply(u[..., 0], u[..., 0], out=c)
+    np.multiply(u[..., 1], u[..., 1], out=w)
+    c += w
+    np.multiply(u[..., 2], u[..., 2], out=w)
+    c += w
+    c -= 1.0
+    if cfg.penalty_n != 0.0:
+        np.multiply(c, cfg.penalty_n**2, out=w)
+        np.multiply(w[..., None], u, out=t)
+        a -= t
+    return a
 
 
-def _penalty_force(u: np.ndarray, n: float) -> np.ndarray:
-    if n == 0.0:
-        return np.zeros_like(u)
-    return n**2 * (np.sum(u**2, axis=-1, keepdims=True) - 1.0) * u
+def init_from_data(f: SpatialField | np.ndarray, g: SpatialField | np.ndarray,
+                   cfg: SolverConfig, work: _Work | None = None) -> StateSlab:
+    """Second-order start: u^1 = u^0 + dt g + (dt^2/2)(Lap u^0 - penalty).
 
-
-def init_from_data(f: SpatialField, g: SpatialField,
-                   cfg: SolverConfig) -> StateSlab:
-    """Second-order start: u^1 = u^0 + dt g + (dt^2/2)(Lap u^0 - penalty)."""
+    ``f`` and ``g`` are SpatialFields or their samples at the cell centres;
+    the returned state holds ``u_prev`` = those samples of ``f``."""
     dt = cfg.dt_effective
     u0 = _sample_on_grid(f, cfg)
     g0 = _sample_on_grid(g, cfg)
     if not np.all(np.isfinite(u0)):
         raise ValueError("initial data not finite at some cell center")
-    accel = _laplacian(u0, cfg.h, cfg.boundary) - _penalty_force(u0, cfg.penalty_n)
-    u1 = u0 + dt * g0 + 0.5 * dt**2 * accel
+    a = _accel(u0, cfg, work if work is not None else _Work(u0.shape))
+    a *= 0.5 * dt**2
+    u1 = np.multiply(g0, dt)
+    u1 += u0
+    u1 += a
     if cfg.boundary == "clamped":
         u1 = _apply_clamp(u1, u0)
     return StateSlab(u_prev=u0, u_curr=u1, step=1, time=dt)
@@ -172,14 +234,21 @@ def _apply_clamp(u: np.ndarray, u0: np.ndarray) -> np.ndarray:
     return u
 
 
-def step(state: StateSlab, cfg: SolverConfig,
-         u0: np.ndarray | None = None) -> StateSlab:
+def step(state: StateSlab, cfg: SolverConfig, u0: np.ndarray | None = None,
+         out: np.ndarray | None = None,
+         work: _Work | None = None) -> StateSlab:
     """One leapfrog step; ``u0`` supplies the clamped boundary values (the
-    initial level) and defaults to the oldest level held by the state."""
+    initial level) and defaults to the oldest level held by the state.
+
+    The new level is written into ``out`` and the scratch into ``work``;
+    each is allocated when not given (see the module docstring)."""
     dt = cfg.dt_effective
     u = state.u_curr
-    accel = _laplacian(u, cfg.h, cfg.boundary) - _penalty_force(u, cfg.penalty_n)
-    unew = 2.0 * u - state.u_prev + dt**2 * accel
+    a = _accel(u, cfg, work if work is not None else _Work(u.shape))
+    a *= dt**2
+    unew = np.multiply(u, 2.0, out=out)
+    unew -= state.u_prev
+    unew += a
     if cfg.boundary == "clamped":
         unew = _apply_clamp(unew, u0 if u0 is not None else state.u_prev)
     if not np.all(np.isfinite(unew)):
@@ -190,59 +259,102 @@ def step(state: StateSlab, cfg: SolverConfig,
                      time=state.time + dt)
 
 
-def _grad_energy(u: np.ndarray, cfg: SolverConfig) -> float:
+def _sumsq(a: np.ndarray) -> float:
+    # einsum's own loop: np.dot would wake a second BLAS thread for no gain
+    flat = a.reshape(-1)
+    return float(np.einsum("i,i->", flat, flat))
+
+
+def _grad_energy(u: np.ndarray, cfg: SolverConfig,
+                 scratch: np.ndarray) -> float:
+    """One-sided differences along each axis, wrapping when periodic."""
+    n = u.shape[0]
+    v, s = u.reshape(-1), scratch.reshape(-1)
     total = 0.0
-    if cfg.boundary == "periodic":
-        for ax in range(3):
-            d = np.roll(u, -1, axis=ax) - u
-            total += float(np.sum(d**2))
-    else:
-        for ax in range(3):
-            d = np.diff(u, axis=ax)
-            total += float(np.sum(d**2))
+    for ax, d in enumerate((3 * n * n, 3 * n, 3)):
+        # Flat neighbours d apart are neighbours along ``ax`` except where
+        # they wrap across the last face; that face of ``scratch`` holds
+        # exactly those pairs plus the tail the subtraction leaves unset.
+        np.subtract(v[d:], v[:-d], out=s[:-d])
+        last = (slice(None),) * ax + (-1,)
+        if cfg.boundary == "periodic":
+            first = (slice(None),) * ax + (0,)
+            np.subtract(u[first], u[last], out=scratch[last])
+        else:
+            scratch[last] = 0.0
+        total += _sumsq(s)
     return 0.5 * total * cfg.h  # (h^3 cells) * (1/h^2 differences)
 
 
-def run(cfg: SolverConfig, data: tuple[SpatialField, SpatialField]):
-    """Integrate to T_end; returns the (possibly strided) space-time slab and
-    the energy ledger."""
-    f, g = data
-    dt = cfg.dt_effective
+def _penalty_energy(work: _Work, cfg: SolverConfig) -> float:
+    return cfg.penalty_n**2 * 0.25 * _sumsq(work.constraint) * cfg.h**3
+
+
+def _physical_memory() -> int | None:
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf here
+        return None
+
+
+def _store_plan(cfg: SolverConfig) -> tuple[int, int]:
+    """Stored-level stride and level count; raises ValueError when the
+    stored slab alone would exceed physical memory."""
     n_steps = cfg.n_steps
     # stride must divide n_steps so stored levels stay uniform in time
     stride = cfg.store_stride or max(1, int(np.ceil(n_steps / 12)))
     while n_steps % stride:
         stride -= 1
+    n_levels = n_steps // stride + 1
+    nbytes = n_levels * cfg.n_cells**3 * 3 * 8
+    ram = _physical_memory()
+    if ram is not None and nbytes > ram:
+        raise ValueError(
+            f"the stored slab would need {nbytes / 2**30:.1f} GiB "
+            f"({n_levels} levels of {cfg.n_cells}^3 cells, stride {stride} "
+            f"over {n_steps} steps), more than the {ram / 2**30:.1f} GiB of "
+            "physical memory")
+    return stride, n_levels
+
+
+def run(cfg: SolverConfig, data):
+    """Integrate to T_end; returns the (possibly strided) space-time slab and
+    the energy ledger.  ``data`` is the Cauchy pair (f, g), each a
+    SpatialField or its samples at the cell centres, which are not written."""
+    stride, n_levels = _store_plan(cfg)
+    dt = cfg.dt_effective
+    n_steps = cfg.n_steps
     cell_vol = cfg.h**3
 
-    cur = init_from_data(f, g, cfg)
-    u0 = cur.u_prev
-    levels = [u0.copy()]
+    u0, g0 = (_sample_on_grid(fld, cfg) for fld in data)
+    work = _Work(u0.shape)
+    cur = init_from_data(u0, g0, cfg, work)
+    levels = np.empty((n_levels,) + u0.shape)
+    levels[0] = u0
     ledger = EnergyLedger()
+    ledger.add(0, 0.0, 0.5 * _sumsq(g0) * cell_vol,
+               _grad_energy(u0, cfg, work.tmp), _penalty_energy(work, cfg))
 
-    g0 = _sample_on_grid(g, cfg)
-    pen0 = cfg.penalty_n**2 * 0.25 * float(
-        np.sum((np.sum(u0**2, axis=-1) - 1.0)**2)) * cell_vol
-    ledger.add(0, 0.0, 0.5 * float(np.sum(g0**2)) * cell_vol,
-               _grad_energy(u0, cfg), pen0)
-
+    # level k lives in bufs[k % 3] (k >= 1); u0 is never written
+    bufs = [np.empty_like(u0), cur.u_curr, np.empty_like(u0)]
     for k in range(1, n_steps + 1):
         # cur.u_curr is level k at time k * dt
         if k % stride == 0:
-            levels.append(cur.u_curr.copy())
+            levels[k // stride] = cur.u_curr
         if k == n_steps:
             break
-        nxt = step(cur, cfg, u0=u0)
-        # midpoint kinetic energy collocated with level k
-        vel = (nxt.u_curr - cur.u_prev) / (2.0 * dt)
-        pen = cfg.penalty_n**2 * 0.25 * float(
-            np.sum((np.sum(cur.u_curr**2, axis=-1) - 1.0)**2)) * cell_vol
-        ledger.add(k, cur.time, 0.5 * float(np.sum(vel**2)) * cell_vol,
-                   _grad_energy(cur.u_curr, cfg), pen)
+        nxt = step(cur, cfg, u0=u0, out=bufs[(k + 1) % 3], work=work)
+        # midpoint kinetic energy collocated with level k, summed before the
+        # gradient term reuses work.tmp; work.constraint still holds level k
+        vel = np.subtract(nxt.u_curr, cur.u_prev, out=work.tmp)
+        vel /= 2.0 * dt
+        kin = 0.5 * _sumsq(vel) * cell_vol
+        ledger.add(k, cur.time, kin, _grad_energy(cur.u_curr, cfg, work.tmp),
+                   _penalty_energy(work, cfg))
         cur = nxt
 
     slab = GridField(t0=0.0, dt=stride * dt, origin=cfg.origin, h=cfg.h,
-                     data=np.stack(levels))
+                     data=levels)
     return slab, ledger
 
 
@@ -278,26 +390,29 @@ def penalization_sweep(schedule, data, cfg_template: SolverConfig,
     """Run the solver for each penalty strength on a shared spatial grid (dt
     adapted per n); report constraint violations at the sample times and
     pairwise in-cone L2 distances between consecutive runs."""
-    import dataclasses
-
+    cfgs = [dataclasses.replace(cfg_template, penalty_n=float(n), dt=None)
+            for n in schedule]
+    for cfg in cfgs:
+        _store_plan(cfg)  # fail on an oversized slab before any sampling
+    # the Cauchy data is the same for every penalty: sample it once
+    data = tuple(_sample_on_grid(fld, cfg_template) for fld in data)
     violations = np.zeros((len(schedule), len(sample_times)))
     dists = np.zeros(max(0, len(schedule) - 1))
     t_ref = sample_times[-1]
     mask = _cone_mask(cfg_template, cone, t_ref, margin=2.0 * cfg_template.h)
-    prev = None
-    slab = None
-    for i, n in enumerate(schedule):
-        cfg = dataclasses.replace(cfg_template, penalty_n=float(n), dt=None)
+    ref = slab = None
+    for i, cfg in enumerate(cfgs):
+        del slab  # the previous slab goes before this run stores its own
         slab, _ = run(cfg, data)
         nearest = [int(round((t - slab.t0) / slab.dt)) for t in sample_times]
         for j, lvl in enumerate(nearest):
             violations[i, j] = constraint_violation(slab.data[lvl], cfg)
-        if prev is not None:
-            la = int(round((t_ref - prev.t0) / prev.dt))
-            lb = int(round((t_ref - slab.t0) / slab.dt))
-            diff = prev.data[la][mask] - slab.data[lb][mask]
+        # only the in-cone cells of the level at t_ref carry over
+        cur = slab.data[int(round((t_ref - slab.t0) / slab.dt))][mask]
+        if ref is not None:
+            diff = ref - cur
             dists[i - 1] = float(np.sqrt(np.sum(diff**2) * cfg_template.h**3))
-        prev = slab
+        ref = cur
     return SweepReport(list(schedule), list(sample_times), violations, dists,
                        final_slab=slab)
 

@@ -9,6 +9,7 @@ from wavemaplab.fields import (ANALYTIC_EXCLUSION, BoostedHarmonicMap,
                                grid_jet, harmonic_v, harmonic_v_jet,
                                harmonic_v_jet_batch, initial_data, s_lambda,
                                stereographic, stereographic_inv)
+from wavemaplab.fields import _gradient
 from wavemaplab.manufactured import GeodesicPlaneWave
 from wavemaplab.quadrature import SphereRule
 from wavemaplab.spacetime import SpacetimePoint
@@ -293,6 +294,14 @@ def test_grid_field_batch_matches_scalar():
         assert np.allclose(values[k], jet.value, atol=1e-12)
         assert np.allclose(dts[k], jet.dt, atol=1e-12)
         assert np.allclose(grads[k], jet.grad, atol=1e-12)
+
+
+@pytest.mark.parametrize("axis", range(5))
+def test_grid_gradient_matches_numpy(axis):
+    # the derivative grids must stay bit-identical to np.gradient's
+    data = np.random.default_rng(axis).normal(size=(5, 4, 6, 7, 3))
+    assert np.array_equal(_gradient(data, 0.3, axis),
+                          np.gradient(data, 0.3, axis=axis, edge_order=2))
 
 
 def test_grid_field_domain_checks():

@@ -5,6 +5,7 @@ import pytest
 
 from wavemaplab.fields import MapParams, SpatialField, constant_spatial_field, initial_data
 from wavemaplab.manufactured import GeodesicPlaneWave, bump_value
+from wavemaplab import solver
 from wavemaplab.solver import (EnergyLedger, SolverConfig, constraint_violation,
                                init_from_data, penalization_sweep, run, step,
                                trusted_region)
@@ -168,6 +169,140 @@ def test_slab_metadata():
 
 
 # ---------------------------------------------------------------------------
+# in-place kernel against the allocating leapfrog it replaced
+
+
+def _ref_accel(u, cfg):
+    h, n = cfg.h, cfg.penalty_n
+    if cfg.boundary == "periodic":
+        lap = -6.0 * u
+        for ax in range(3):
+            lap += np.roll(u, 1, axis=ax) + np.roll(u, -1, axis=ax)
+        lap = lap / h**2
+    else:
+        lap = np.zeros_like(u)
+        lap[1:-1, 1:-1, 1:-1] = (
+            u[2:, 1:-1, 1:-1] + u[:-2, 1:-1, 1:-1]
+            + u[1:-1, 2:, 1:-1] + u[1:-1, :-2, 1:-1]
+            + u[1:-1, 1:-1, 2:] + u[1:-1, 1:-1, :-2]
+            - 6.0 * u[1:-1, 1:-1, 1:-1]) / h**2
+    if n == 0.0:
+        return lap - np.zeros_like(u)
+    return lap - n**2 * (np.sum(u**2, axis=-1, keepdims=True) - 1.0) * u
+
+
+def _ref_clamp(u, u0, cfg):
+    if cfg.boundary == "clamped":
+        u[0], u[-1] = u0[0], u0[-1]
+        u[:, 0], u[:, -1] = u0[:, 0], u0[:, -1]
+        u[:, :, 0], u[:, :, -1] = u0[:, :, 0], u0[:, :, -1]
+    return u
+
+
+def _ref_grad_energy(u, cfg):
+    total = 0.0
+    for ax in range(3):
+        if cfg.boundary == "periodic":
+            d = np.roll(u, -1, axis=ax) - u
+        else:
+            d = np.diff(u, axis=ax)
+        total += float(np.sum(d**2))
+    return 0.5 * total * cfg.h
+
+
+def _ref_run(cfg, u0, g0):
+    """Every level and every ledger row of the allocating formulas."""
+    dt, vol, n = cfg.dt_effective, cfg.h**3, cfg.penalty_n
+
+    def pen(u):
+        return n**2 * 0.25 * float(
+            np.sum((np.sum(u**2, axis=-1) - 1.0)**2)) * vol
+
+    levels = [u0, _ref_clamp(u0 + dt * g0 + 0.5 * dt**2 * _ref_accel(u0, cfg),
+                             u0, cfg)]
+    rows = [(0, 0.0, 0.5 * float(np.sum(g0**2)) * vol,
+             _ref_grad_energy(u0, cfg), pen(u0))]
+    t = dt
+    for k in range(1, cfg.n_steps):
+        u_prev, u = levels[-2], levels[-1]
+        unew = _ref_clamp(2.0 * u - u_prev + dt**2 * _ref_accel(u, cfg),
+                          u0, cfg)
+        vel = (unew - u_prev) / (2.0 * dt)
+        rows.append((k, t, 0.5 * float(np.sum(vel**2)) * vol,
+                     _ref_grad_energy(u, cfg), pen(u)))
+        levels.append(unew)
+        t += dt
+    return np.stack(levels), np.asarray(rows)
+
+
+def off_sphere_data():
+    """Smooth periodic data with |f| != 1, so the penalty force is active."""
+    def f(xs):
+        x, y, z = (2.0 * np.pi * xs[:, i] for i in range(3))
+        return np.stack([np.sin(x), 0.5 * np.cos(y), 1.0 + 0.3 * np.sin(z)],
+                        axis=1)
+
+    def g(xs):
+        x, z = 2.0 * np.pi * xs[:, 0], 2.0 * np.pi * xs[:, 2]
+        return np.stack([0.1 * np.cos(z), 0.0 * x, 0.2 * np.sin(x)], axis=1)
+
+    return (SpatialField(lambda x: f(x[None])[0], batch_fn=f),
+            SpatialField(lambda x: g(x[None])[0], batch_fn=g))
+
+
+KERNEL_CASES = [(b, n) for b in ("clamped", "periodic") for n in (0.0, 16.0)]
+
+
+@pytest.mark.parametrize("boundary,n", KERNEL_CASES)
+def test_step_bit_identical_to_reference(boundary, n):
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.2, penalty_n=n,
+                       boundary=boundary)
+    f, g = off_sphere_data()
+    state = init_from_data(f, g, cfg)
+    ref, _ = _ref_run(cfg, state.u_prev, solver._sample_on_grid(g, cfg))
+    assert np.array_equal(state.u_curr, ref[1])
+    u0 = state.u_prev
+    for k in range(2, 5):
+        state = step(state, cfg, u0=u0)
+        assert np.array_equal(state.u_curr, ref[k])
+
+
+@pytest.mark.parametrize("boundary,n", KERNEL_CASES)
+def test_run_bit_identical_to_reference(boundary, n):
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.2, penalty_n=n,
+                       boundary=boundary, store_stride=1)
+    f, g = off_sphere_data()
+    u0 = solver._sample_on_grid(f, cfg)
+    g0 = solver._sample_on_grid(g, cfg)
+    ref_levels, ref_rows = _ref_run(cfg, u0, g0)
+    slab, ledger = run(cfg, (f, g))
+    assert np.array_equal(slab.data, ref_levels)
+    # the reductions run in another order: a few ulps, not bit-identical
+    rows = np.asarray(ledger.rows)
+    assert rows.shape == ref_rows.shape
+    assert np.all(np.abs(rows - ref_rows) <= 1e-13 * np.abs(ref_rows))
+    # pre-sampled data gives the same run and is left unwritten
+    u0_copy = u0.copy()
+    slab2, _ = run(cfg, (u0, g0))
+    assert np.array_equal(slab2.data, ref_levels)
+    assert np.array_equal(u0, u0_copy)
+
+
+def test_oversized_slab_fails_before_sampling(monkeypatch):
+    def never(xs):
+        raise AssertionError("data sampled before the slab-size check")
+
+    fld = SpatialField(lambda x: np.zeros(3), batch_fn=never)
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 32, T_end=0.1)
+    monkeypatch.setattr(solver, "_physical_memory", lambda: 2**20)
+    with pytest.raises(ValueError, match=r"GiB .*stride"):
+        run(cfg, (fld, fld))
+    cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
+    with pytest.raises(ValueError, match=r"GiB .*stride"):
+        penalization_sweep((4.0, 8.0), (fld, fld), cfg, cone, [0.1])
+
+
+# ---------------------------------------------------------------------------
 # ledger
 
 
@@ -200,6 +335,34 @@ def test_penalization_sweep_trends():
     assert np.all(sweep.pair_distances > 0.0)
     assert sweep.final_slab is not None
     assert sweep.final_slab.t_max == pytest.approx(0.1)
+
+
+def test_penalization_sweep_samples_data_once():
+    f, g = initial_data(MapParams(2.0, 0.6))
+    calls = {"f": 0, "g": 0}
+
+    def counted(fld, key):
+        def batch(xs):
+            calls[key] += 1
+            return fld.batch(xs)
+        return SpatialField(fld, batch_fn=batch)
+
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 16, T_end=0.1)
+    cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
+    penalties = (4.0, 8.0, 16.0)
+    sweep = penalization_sweep(penalties, (counted(f, "f"), counted(g, "g")),
+                               cfg, cone, sample_times=[0.05, 0.1])
+    assert calls == {"f": 1, "g": 1}
+    # distances equal those of whole slabs from independent runs
+    mask = solver._cone_mask(cfg, cone, 0.1, margin=2.0 * cfg.h)
+    last = []
+    for n in penalties:
+        slab, _ = run(dataclasses.replace(cfg, penalty_n=n), (f, g))
+        last.append(slab.data[-1][mask])
+    for i in range(2):
+        d = last[i] - last[i + 1]
+        assert sweep.pair_distances[i] == float(np.sqrt(np.sum(d**2)
+                                                        * cfg.h**3))
 
 
 def test_constraint_violation_zero_on_sphere_data():
