@@ -415,8 +415,7 @@ def cmd_nonuniq_demo(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentRe
     tol = smoothing_tolerance(cfg, inner, params, n_max)
     pen_rep = energy_balance(slab, cone, inner.s, inner.t, cfg.ball_rule(),
                              cfg.cone_rule(), penalty_n=n_max)
-    unpen_rep = energy_balance(slab, cone, inner.s, inner.t, cfg.ball_rule(),
-                               cfg.cone_rule())
+    unpen_rep = pen_rep.unpenalized
     report.results["solver_penalized"] = _balance_dict(pen_rep)
     report.results["solver_unpenalized"] = _balance_dict(unpen_rep)
     report.results["smoothing_tolerance"] = tol

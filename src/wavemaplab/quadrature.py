@@ -11,6 +11,7 @@ normalization this makes the flux equal to
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,13 +105,17 @@ class ProductRule:
 
 @dataclass(frozen=True)
 class BalanceReport:
-    """E(base) - E(top) - Flux with a two-level quadrature error estimate."""
+    """E(base) - E(top) - Flux with a two-level quadrature error estimate.
+
+    A penalized report may carry ``unpenalized``: the same balance on the same
+    nodes with the penalty terms dropped, i.e. the local energy inequality."""
 
     e_base: float
     e_top: float
     flux: float
     balance: float
     error_estimate: float
+    unpenalized: BalanceReport | None = None
 
     @staticmethod
     def build(e_base, e_top, flux, error_estimate) -> "BalanceReport":
@@ -147,16 +152,25 @@ def _disk_nodes(disk: DiskSpec, rule: BallRule, singular_center=None):
     return xs.reshape(-1, 3), w.reshape(-1)
 
 
+def _disk_energies(field: FieldEvaluator, disk: DiskSpec, rule: BallRule,
+                   singular_center, penalties) -> list[float]:
+    """``energy_on_disk`` for each penalty in ``penalties`` (None: no
+    penalty), all from one evaluation of the nodes."""
+    xs, w = _disk_nodes(disk, rule, singular_center)
+    values, dts, grads = field.jets_at(np.full(len(xs), disk.time), xs)
+    dens0 = 0.5 * (np.sum(dts**2, axis=1) + np.sum(grads**2, axis=(1, 2)))
+    out = []
+    for n in penalties:
+        dens = dens0 if n is None else dens0 + _penalty_density(values, n)
+        out.append(float(np.dot(w, dens)))
+    return out
+
+
 def energy_on_disk(field: FieldEvaluator, disk: DiskSpec, rule: BallRule,
                    singular_center=None, penalty_n: float | None = None) -> float:
     """(1/2) int (|u_t|^2 + |grad u|^2) over the ball, optionally plus the
     penalty density n^2 F(u), F = (|u|^2 - 1)^2 / 4."""
-    xs, w = _disk_nodes(disk, rule, singular_center)
-    values, dts, grads = field.jets_at(np.full(len(xs), disk.time), xs)
-    dens = 0.5 * (np.sum(dts**2, axis=1) + np.sum(grads**2, axis=(1, 2)))
-    if penalty_n is not None:
-        dens = dens + _penalty_density(values, penalty_n)
-    return float(np.dot(w, dens))
+    return _disk_energies(field, disk, rule, singular_center, (penalty_n,))[0]
 
 
 def penalized_energy_on_disk(field: FieldEvaluator, disk: DiskSpec,
@@ -164,12 +178,10 @@ def penalized_energy_on_disk(field: FieldEvaluator, disk: DiskSpec,
     return energy_on_disk(field, disk, rule, penalty_n=n)
 
 
-def flux_on_cone(field: FieldEvaluator, cone: ConeSpec, interval,
-                 rule: ConeSurfaceRule, penalty_n: float | None = None) -> float:
-    """(1/(2 sqrt 2)) int |grad u - n u_t|^2 dsigma over the lateral surface
-    between the two interval times; with a penalty, the density 2 n^2 F(u) is
-    added under the same measure so that the penalized local balance is exact
-    for solutions of the penalized equation."""
+def _cone_fluxes(field: FieldEvaluator, cone: ConeSpec, interval,
+                 rule: ConeSurfaceRule, penalties) -> list[float]:
+    """``flux_on_cone`` for each penalty in ``penalties`` (None: no penalty),
+    all from one evaluation of the nodes."""
     s, t = interval
     if not (cone.t_min - 1e-12 <= s < t <= cone.t_max + 1e-12):
         raise ValueError("interval outside the cone truncation")
@@ -178,17 +190,27 @@ def flux_on_cone(field: FieldEvaluator, cone: ConeSpec, interval,
     wtau = 0.5 * (t - s) * wt
     sph = rule.sphere
 
-    total = 0.0
+    totals = [0.0] * len(penalties)
     for tau, wk in zip(taus, wtau):
         r = cone.radius(tau)
         xs = cone.apex.x[None, :] + r * sph.nodes
         values, dts, grads = field.jets_at(np.full(len(xs), tau), xs)
         diff = grads - sph.nodes[:, :, None] * dts[:, None, :]
-        dens = np.sum(diff**2, axis=(1, 2))
-        if penalty_n is not None:
-            dens = dens + 2.0 * _penalty_density(values, penalty_n)
-        total += wk * r**2 * 0.5 * float(np.dot(sph.weights, dens))
-    return total
+        dens0 = np.sum(diff**2, axis=(1, 2))
+        for k, n in enumerate(penalties):
+            dens = dens0 if n is None else \
+                dens0 + 2.0 * _penalty_density(values, n)
+            totals[k] += wk * r**2 * 0.5 * float(np.dot(sph.weights, dens))
+    return totals
+
+
+def flux_on_cone(field: FieldEvaluator, cone: ConeSpec, interval,
+                 rule: ConeSurfaceRule, penalty_n: float | None = None) -> float:
+    """(1/(2 sqrt 2)) int |grad u - n u_t|^2 dsigma over the lateral surface
+    between the two interval times; with a penalty, the density 2 n^2 F(u) is
+    added under the same measure so that the penalized local balance is exact
+    for solutions of the penalized equation."""
+    return _cone_fluxes(field, cone, interval, rule, (penalty_n,))[0]
 
 
 def energy_balance(field: FieldEvaluator, cone: ConeSpec, s: float, t: float,
@@ -198,9 +220,14 @@ def energy_balance(field: FieldEvaluator, cone: ConeSpec, s: float, t: float,
     """BalanceReport for E(D_s) - E(D_t) - Flux(M_s^t), with the error
     estimate taken as the difference between the given rules and one
     refinement.  ``singular_point``, if given, maps a time to the field's
-    singular location so disk quadratures can grade toward it."""
+    singular location so disk quadratures can grade toward it.
+
+    With ``penalty_n`` the report is the penalized balance, and its
+    ``unpenalized`` field holds the balance without the penalty terms, taken
+    from the same evaluation of every node."""
     if not s < t:
         raise ValueError("need s < t")
+    penalties = (None,) if penalty_n is None else (penalty_n, None)
 
     def center(at):
         if singular_point is None:
@@ -211,18 +238,24 @@ def energy_balance(field: FieldEvaluator, cone: ConeSpec, s: float, t: float,
         return c
 
     def compute(br: BallRule, cr: ConeSurfaceRule):
-        e_base = energy_on_disk(field, DiskSpec(s, cone.apex.x, cone.radius(s)),
-                                br, center(s), penalty_n)
-        e_top = energy_on_disk(field, DiskSpec(t, cone.apex.x, cone.radius(t)),
-                               br, center(t), penalty_n)
-        fl = flux_on_cone(field, cone, (s, t), cr, penalty_n)
-        return e_base, e_top, fl
+        """(e_base, e_top, flux) for each of ``penalties``."""
+        e_base = _disk_energies(field, DiskSpec(s, cone.apex.x, cone.radius(s)),
+                                br, center(s), penalties)
+        e_top = _disk_energies(field, DiskSpec(t, cone.apex.x, cone.radius(t)),
+                               br, center(t), penalties)
+        fl = _cone_fluxes(field, cone, (s, t), cr, penalties)
+        return list(zip(e_base, e_top, fl))
 
     coarse = compute(ball_rule, cone_rule)
     fine = compute(ball_rule.refine(), cone_rule.refine())
-    bal_coarse = coarse[0] - coarse[1] - coarse[2]
-    bal_fine = fine[0] - fine[1] - fine[2]
-    return BalanceReport.build(*fine, abs(bal_fine - bal_coarse))
+    reports = []
+    for c, f in zip(coarse, fine):
+        bal_coarse = c[0] - c[1] - c[2]
+        bal_fine = f[0] - f[1] - f[2]
+        reports.append(BalanceReport.build(*f, abs(bal_fine - bal_coarse)))
+    if penalty_n is None:
+        return reports[0]
+    return dataclasses.replace(reports[0], unpenalized=reports[1])
 
 
 def mollified_flux(field: FieldEvaluator, base_center, base_radius: float,

@@ -77,8 +77,7 @@ def default_sweep_analysis():
         inner = solver_cone_interval(cfg, req)
         pen = energy_balance(sweep.final_slab, req.build(), inner.s, inner.t,
                              cfg.ball_rule(), cfg.cone_rule(), penalty_n=n_max)
-        unp = energy_balance(sweep.final_slab, req.build(), inner.s, inner.t,
-                             cfg.ball_rule(), cfg.cone_rule())
+        unp = pen.unpenalized
         smoothing = smoothing_tolerance(cfg, inner, params, n_max)
         # combined tolerance: unresolved-core energy + quadrature error +
         # trilinear/linear-time interpolation allowance O(h^2) * energy scale

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,11 @@ from wavemaplab.fields import (ANALYTIC_EXCLUSION, BoostedHarmonicMap,
                                grid_jet, harmonic_v, harmonic_v_jet,
                                harmonic_v_jet_batch, initial_data, s_lambda,
                                stereographic, stereographic_inv)
+from wavemaplab import fields
 from wavemaplab.fields import _gradient
 from wavemaplab.manufactured import GeodesicPlaneWave
 from wavemaplab.quadrature import SphereRule
+from wavemaplab.solver import SolverConfig, init_from_data
 from wavemaplab.spacetime import SpacetimePoint
 
 
@@ -248,6 +252,44 @@ def test_initial_data_properties():
         assert np.allclose(g(x), fd_time_derivative(value, 0.0, x), atol=1e-7)
 
 
+def test_initial_data_samples_f_and_g_with_one_jet_call(monkeypatch):
+    p = MapParams(2.0, 0.6)
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.1)
+    c = cfg.cell_centers_1d()
+    X, Y, Z = np.meshgrid(c, c, c, indexing="ij")
+    xs = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
+    # each batch function alone, from its own pair: no samples handed over
+    f_alone = initial_data(p)[0].batch(xs)
+    g_alone = initial_data(p)[1].batch(xs)
+
+    calls = []
+    real = fields.harmonic_v_jet_batch
+
+    def counting(params, pts):
+        calls.append(len(pts))
+        return real(params, pts)
+
+    monkeypatch.setattr(fields, "harmonic_v_jet_batch", counting)
+    f, g = initial_data(p)
+    state = init_from_data(f, g, cfg)
+    assert calls == [len(xs)]
+    assert np.array_equal(state.u_prev.reshape(-1, 3), f_alone)
+    ref = init_from_data(f_alone.reshape(state.u_prev.shape),
+                         g_alone.reshape(state.u_prev.shape), cfg)
+    assert np.array_equal(state.u_curr, ref.u_curr)
+
+    # g takes the handed-over samples once, and only for the same points
+    f, g = initial_data(p)
+    f.batch(xs)
+    assert np.array_equal(g.batch(xs), g_alone)
+    assert len(calls) == 2
+    assert np.array_equal(g.batch(xs), g_alone)
+    assert len(calls) == 3
+    f.batch(xs)
+    assert np.array_equal(g.batch(xs[::-1]), g_alone[::-1])
+    assert len(calls) == 5
+
+
 def test_constant_spatial_field():
     c = constant_spatial_field((0.0, 0.0, 1.0))
     assert np.allclose(c(np.array([1.0, 2.0, 3.0])), [0.0, 0.0, 1.0])
@@ -283,6 +325,50 @@ def test_grid_field_interpolation_accuracy():
         assert np.allclose(jet.grad, exact.grad, atol=5e-2)
 
 
+def _interp_reference(arr, idx, w):
+    # the 4-index, 16-corner form the flat-row kernel replaced
+    out = np.zeros((len(idx), 3))
+    for corner in range(16):
+        bits = [(corner >> b) & 1 for b in range(4)]
+        wgt = np.ones(len(idx))
+        for ax, bit in enumerate(bits):
+            wgt *= w[:, ax] if bit else (1.0 - w[:, ax])
+        out += wgt[:, None] * arr[idx[:, 0] + bits[0], idx[:, 1] + bits[1],
+                                  idx[:, 2] + bits[2], idx[:, 3] + bits[3]]
+    return out
+
+
+def _jets_reference(grid, ts, xs):
+    dims = np.array(grid.shape)
+    fr = np.empty((len(ts), 4))
+    fr[:, 0] = (ts - grid.t0) / grid.dt
+    fr[:, 1:] = (xs - grid.origin) / grid.h
+    idx = np.clip(np.floor(fr).astype(int), 0, dims - 2)
+    w = fr - idx
+    d = grid._deriv_grids()
+    grads = np.stack([_interp_reference(d[1 + i], idx, w) for i in range(3)],
+                     axis=1)
+    return (_interp_reference(grid.data, idx, w),
+            _interp_reference(d[0], idx, w), grads)
+
+
+def test_grid_field_jets_bit_identical_to_reference():
+    _, grid = _plane_wave_slab(nt=5, n=9, h=1.0 / 8.0)
+    rng = np.random.default_rng(8)
+    t_max, lo = grid.t_max, grid.origin[0]
+    hi = lo + (grid.shape[1] - 1) * grid.h
+    ts = rng.uniform(0.0, t_max, 200)
+    xs = rng.uniform(lo, hi, (200, 3))
+    # nodes on the upper faces take the last cell with weight 1 on its top
+    ts[:40] = t_max
+    for ax in range(3):
+        xs[40 * (ax + 1):40 * (ax + 2), ax] = hi
+    xs[-10:] = hi
+    ts[-10:] = t_max
+    for got, want in zip(grid.jets_at(ts, xs), _jets_reference(grid, ts, xs)):
+        assert np.array_equal(got, want)
+
+
 def test_grid_field_batch_matches_scalar():
     _, grid = _plane_wave_slab(nt=3, n=9, h=1.0 / 8.0)
     rng = np.random.default_rng(7)
@@ -309,8 +395,10 @@ def test_grid_field_domain_checks():
     assert grid.in_domain(SpacetimePoint(0.01, np.zeros(3)))
     assert not grid.in_domain(SpacetimePoint(-0.5, np.zeros(3)))
     assert not grid.in_domain(SpacetimePoint(0.01, np.array([2.0, 0.0, 0.0])))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside the grid slab"):
         grid.jet(SpacetimePoint(0.01, np.array([2.0, 0.0, 0.0])))
+    pt = SpacetimePoint(0.01, np.array([0.1, -0.2, 0.3]))
+    assert np.array_equal(grid.value(pt), grid.jet(pt).value)
 
 
 def test_grid_field_save_load_round_trip(tmp_path):
@@ -321,6 +409,18 @@ def test_grid_field_save_load_round_trip(tmp_path):
     assert back.t0 == grid.t0 and back.dt == grid.dt and back.h == grid.h
     assert np.array_equal(back.origin, grid.origin)
     assert np.array_equal(back.data, grid.data)  # bit-exact
+
+
+def test_grid_field_save_bytes_match_one_shot_layout(tmp_path):
+    _, grid = _plane_wave_slab(nt=3, n=9, h=1.0 / 8.0)
+    path = tmp_path / "slab.wmgf"
+    grid.save(path)
+    # the whole-slab formula the per-level writer replaced
+    payload = np.ascontiguousarray(
+        grid.data.transpose(0, 4, 3, 2, 1)).astype("<f8").tobytes()
+    raw = path.read_bytes()
+    assert raw[len(raw) - len(payload):] == payload
+    assert len(raw) == 4 + struct.calcsize("<I4Q6d") + len(payload)
 
 
 def test_grid_field_load_rejects_garbage(tmp_path):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from wavemaplab.fields import (BoostedHarmonicMap, JetSample, MapParams,
-                               s_lambda)
+from wavemaplab.fields import (BoostedHarmonicMap, GridField, JetSample,
+                               MapParams, s_lambda)
 from wavemaplab.manufactured import GeodesicPlaneWave
 from wavemaplab.quadrature import (BallRule, BalanceReport, ConeSurfaceRule,
                                    ProductRule, SphereRule, _disk_nodes,
@@ -195,6 +195,86 @@ def test_penalized_flux_coefficient_consistency():
     fl_plain = flux_on_cone(fld, cone, (0.0, 0.25), ConeSurfaceRule(12, 12))
     halved = fl_plain + 0.5 * (fl_pen - fl_plain)
     assert abs(e_base - e_top - halved) > 1e-3
+
+
+def _sampled_slab(fld, h=1.0 / 16.0, n=17, dt=1.0 / 32.0, nt=9):
+    origin = np.full(3, -0.5)
+    c = origin[0] + h * np.arange(n)
+    X, Y, Z = np.meshgrid(c, c, c, indexing="ij")
+    xs = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
+    levels = [fld.jets_at(np.full(len(xs), t), xs)[0].reshape(n, n, n, 3)
+              for t in dt * np.arange(nt)]
+    return GridField(t0=0.0, dt=dt, origin=origin, h=h, data=np.stack(levels))
+
+
+def _reference_balance(field, cone, s, t, br, cr, n):
+    # the single-penalty balance, each density summed on its own nodes
+    def disk(at, rule):
+        xs, w = _disk_nodes(DiskSpec(at, cone.apex.x, cone.radius(at)), rule)
+        values, dts, grads = field.jets_at(np.full(len(xs), at), xs)
+        dens = 0.5 * (np.sum(dts**2, axis=1) + np.sum(grads**2, axis=(1, 2)))
+        if n is not None:
+            dens = dens + n**2 * 0.25 * (np.sum(values**2, axis=1) - 1.0)**2
+        return float(np.dot(w, dens))
+
+    def flux(rule):
+        xt, wt = np.polynomial.legendre.leggauss(rule.n_time)
+        sph = rule.sphere
+        total = 0.0
+        for tau, wk in zip(s + 0.5 * (t - s) * (xt + 1.0),
+                           0.5 * (t - s) * wt):
+            r = cone.radius(tau)
+            xs = cone.apex.x[None, :] + r * sph.nodes
+            values, dts, grads = field.jets_at(np.full(len(xs), tau), xs)
+            diff = grads - sph.nodes[:, :, None] * dts[:, None, :]
+            dens = np.sum(diff**2, axis=(1, 2))
+            if n is not None:
+                dens = dens + 2.0 * (n**2 * 0.25
+                                     * (np.sum(values**2, axis=1) - 1.0)**2)
+            total += wk * r**2 * 0.5 * float(np.dot(sph.weights, dens))
+        return total
+
+    def parts(b, c):
+        return disk(s, b), disk(t, b), flux(c)
+
+    coarse, fine = parts(br, cr), parts(br.refine(), cr.refine())
+    err = abs((fine[0] - fine[1] - fine[2])
+              - (coarse[0] - coarse[1] - coarse[2]))
+    return BalanceReport.build(*fine, err)
+
+
+class CountingGrid(GridField):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.queries = []
+
+    def jets_at(self, ts, xs):
+        self.queries.append(np.column_stack([ts, xs]))
+        return super().jets_at(ts, xs)
+
+
+def test_penalized_balance_carries_unpenalized_from_one_evaluation():
+    n = 3.0
+    slab = _sampled_slab(ScaledWave(1.05, np.array([2.0, 1.0, 0.0]), n))
+    grid = CountingGrid(slab.t0, slab.dt, slab.origin, slab.h, slab.data)
+    cone = ConeSpec.from_base(np.array([0.05, -0.05, 0.0]), 0.4, 0.0, 0.25)
+    args = (cone, 0.02, 0.2, BallRule(6, 6), ConeSurfaceRule(6, 6))
+    pair = energy_balance(grid, *args, penalty_n=n)
+    pair_queries = grid.queries
+    grid.queries = []
+    plain = energy_balance(grid, *args)
+    assert plain.unpenalized is None
+    # the pair reads every node once: exactly the queries of one balance
+    assert len(pair_queries) == len(grid.queries)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(pair_queries, grid.queries))
+    # and both reports are those of separate single-penalty evaluations
+    assert pair.unpenalized == plain
+    assert pair.unpenalized == _reference_balance(slab, *args, None)
+    assert pair == BalanceReport(**{**vars(_reference_balance(slab, *args, n)),
+                                    "unpenalized": plain})
+    assert pair == energy_balance(slab, *args, penalty_n=n)
+    assert abs(pair.balance - pair.unpenalized.balance) > 1e-6
 
 
 def test_energy_balance_validation():
