@@ -5,18 +5,18 @@ light-cone energy accounting."""
 __version__ = "0.1.0"
 
 from .spacetime import (ConeSpec, DiskSpec, LorentzBoost, SpacetimePoint,
-                        apply_boost, boost_matrix, disk_at, minkowski_dot)
+                        apply_boost, disk_at, minkowski_dot)
 from .fields import (BoostedHarmonicMap, FieldEvaluator, GridField, JetSample,
-                     MapParams, SpatialField, boosted_phi_jet, grid_jet,
-                     harmonic_v, harmonic_v_jet, initial_data, s_lambda,
-                     stereographic, stereographic_inv)
+                     MapParams, SpatialField, boosted_phi_jet, harmonic_v,
+                     harmonic_v_jet, initial_data, s_lambda, stereographic,
+                     stereographic_inv)
 from .stress_energy import (BumpTest, StressTensor, comp_identity_check,
                             divergence_T, energy_density, flux_density,
                             flux_form_Q, recover_point_charge, stress_tensor,
                             transformation_check, weak_residual)
 from .quadrature import (BallRule, BalanceReport, ConeSurfaceRule, ProductRule,
                          SphereRule, energy_balance, energy_on_disk,
-                         flux_on_cone, mollified_flux, penalized_energy_on_disk)
+                         flux_on_cone, mollified_flux)
 from .solver import (EnergyLedger, SolverConfig, StateSlab, SweepReport,
                      init_from_data, penalization_sweep, run, step,
                      trusted_region)

@@ -25,8 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fields import BoostedHarmonicMap, GridField, MapParams, initial_data, s_lambda
-from .manufactured import (ComposedWithBoost, GeodesicPlaneWave,
+from .fields import (BoostedHarmonicMap, GridField, MapParams, _slab_corners,
+                     _weighted_sum, initial_data, s_lambda)
+from .manufactured import (ComposedWithBoost, ConstantMap, GeodesicPlaneWave,
                            QuadraticNullField, TimeSquaredBump)
 from .quadrature import (BallRule, ConeSurfaceRule, ProductRule, energy_balance,
                          energy_on_disk)
@@ -470,24 +471,25 @@ def _incone_distance(cfg: ExperimentConfig, slab: GridField, params: MapParams,
     dist = float(np.sqrt(np.dot(w, np.sum((u_vals - a_vals)**2, axis=1))))
 
     # estimate: distance between the analytic map and its own sampled-and-
-    # interpolated version on the same grid (pure discretization effect)
-    interp = _resampled(cfg, fld, t_ref)
-    i_vals = interp.jets_at(ts, xs)[0]
-    est = float(np.sqrt(np.dot(w, np.sum((i_vals - a_vals)**2, axis=1))))
-    return dist, est
-
-
-def _resampled(cfg: ExperimentConfig, fld, t_ref: float) -> GridField:
+    # interpolated version on the same grid (pure discretization effect).
+    # The samples sit at the solver's cell centres on the three levels
+    # t_ref - h, t_ref, t_ref + h; only the corners the nodes read are sampled.
     scfg = cfg.solver_config()
     c = scfg.cell_centers_1d()
-    X, Y, Z = np.meshgrid(c, c, c, indexing="ij")
-    xs = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
-    levels = []
-    for t in (t_ref - cfg.h, t_ref, t_ref + cfg.h):
-        vals = fld.jets_at(np.full(len(xs), t), xs)[0]
-        levels.append(vals.reshape(len(c), len(c), len(c), 3))
-    return GridField(t0=t_ref - cfg.h, dt=cfg.h, origin=scfg.origin, h=cfg.h,
-                     data=np.stack(levels))
+    shape = (3, len(c), len(c), len(c))
+    _, rows, weights = _slab_corners(shape, t_ref - cfg.h, cfg.h, scfg.origin,
+                                     cfg.h, ts, xs)
+    used, inverse = np.unique(rows, return_inverse=True)
+    level, cell = np.divmod(used, len(c)**3)
+    samples = np.empty((len(used), 3))
+    for k, t in enumerate((t_ref - cfg.h, t_ref, t_ref + cfg.h)):
+        on = level == k
+        ix, iy, iz = np.unravel_index(cell[on], shape[1:])
+        pts = np.stack([c[ix], c[iy], c[iz]], axis=1)
+        samples[on] = fld.jets_at(np.full(len(pts), t), pts)[0]
+    i_vals = _weighted_sum(samples[inverse.reshape(rows.shape)], weights)
+    est = float(np.sqrt(np.dot(w, np.sum((i_vals - a_vals)**2, axis=1))))
+    return dist, est
 
 
 def cmd_stationary_demo(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentReport:
@@ -589,7 +591,8 @@ def cmd_identity_checks(cfg: ExperimentConfig, raw: str, out: Path) -> Experimen
 
     # cone identity: exact-zero and refinement cases
     zero = comp_identity_check(GeodesicPlaneWave(np.array([1.0, 0.0, 0.0])),
-                               _ZeroField(), 1.0, 0.5, cfg.product_rule())
+                               ConstantMap((0.0, 0.0, 0.0)), 1.0, 0.5,
+                               cfg.product_rule())
     report.results["identity_zero"] = dataclasses.asdict(zero)
     report.add(Verdict.at_most("identity_w_zero_exact",
                                abs(zero.lhs) + abs(zero.rhs), 1e-12))
@@ -609,21 +612,6 @@ def cmd_identity_checks(cfg: ExperimentConfig, raw: str, out: Path) -> Experimen
                                              "observed_order": order}
     report.add(Verdict.at_least("identity_order", order, 1.9))
     return report
-
-
-class _ZeroField:
-    """w == 0 evaluator for the trivial identity case."""
-
-    def jets_at(self, ts, xs):
-        n = len(ts)
-        return np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((n, 3, 3))
-
-    def box_at(self, ts, xs):
-        return np.zeros((len(ts), 3))
-
-    def jet(self, pt):
-        from .fields import JetSample
-        return JetSample.zero()
 
 
 def cmd_penalized_run(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentReport:

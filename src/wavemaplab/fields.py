@@ -380,21 +380,70 @@ def initial_data(params: MapParams) -> tuple[SpatialField, SpatialField]:
     return f, g
 
 
-def _gradient(f: np.ndarray, spacing: float, axis: int) -> np.ndarray:
-    """``np.gradient(f, spacing, axis=axis, edge_order=2)``, bit for bit, but
-    the interior difference goes straight into the result instead of through
-    a temporary the size of ``f``."""
-    if f.shape[axis] < 3:
-        raise ValueError("Shape of array too small to calculate a numerical "
-                         "gradient, at least (edge_order + 1) elements are "
-                         "required.")
-    out = np.empty_like(f)
-    a, o = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(a[2:], a[:-2], out=o[1:-1])
-    o[1:-1] /= 2.0 * spacing
-    # three-point one-sided formulas at the two ends
-    o[0] = -1.5 / spacing * a[0] + 2.0 / spacing * a[1] - 0.5 / spacing * a[2]
-    o[-1] = 0.5 / spacing * a[-3] - 2.0 / spacing * a[-2] + 1.5 / spacing * a[-1]
+# np.gradient(edge_order=2) writes its interior difference as
+# (f[k+1] - f[k-1]) / (2 sp) and its two ends as these three-point formulas
+_FACE_LO = (-1.5, 2.0, -0.5)   # d f[0] from f[0], f[1], f[2]
+_FACE_HI = (0.5, -2.0, 1.5)    # d f[-1] from f[-3], f[-2], f[-1]
+# GridField.jets_at works through its nodes in blocks of this many
+_BLOCK = 2048
+# bit b of corner c: its offset along axis b (0 = time)
+_CORNER_BITS = (np.arange(16)[:, None] >> np.arange(4)) & 1
+
+
+def _slab_corners(shape, t0: float, dt: float, origin, h: float, ts, xs):
+    """Locate nodes in a uniform slab of ``shape`` (nt, nx, ny, nz).
+
+    Returns the cell of each node (N, 4), the flat row of each of its 16
+    corners in ``data.reshape(-1, 3)`` (16, N) and the 16 corner weights,
+    repeated for the 3 components (16, N, 3), in the order and arithmetic of
+    the ``GridField`` docstring.
+    """
+    dims = np.array(shape)
+    fr = np.empty((len(ts), 4))
+    fr[:, 0] = (np.asarray(ts, float) - float(t0)) / float(dt)
+    fr[:, 1:] = (np.asarray(xs, float) - np.asarray(origin, float)) / float(h)
+    if np.any(fr < -1e-9) or np.any(fr > dims - 1 + 1e-9):
+        raise ValueError("point outside the grid slab (with margin)")
+    idx = np.clip(np.floor(fr).astype(np.intp), 0, dims - 2)
+    w = fr - idx
+    strides = _strides(dims)
+    rows = (idx @ strides)[None, :] + (_CORNER_BITS @ strides)[:, None]
+    f = np.stack([1.0 - w.T, w.T])  # f[bit, axis]: factor of that offset
+    wgt = f[:, 0]
+    for ax in range(1, 4):  # axis ax is index 3 - ax of (b3, b2, b1, b0)
+        wgt = f[(slice(None),) + (None,) * ax + (ax,)] * wgt
+    # one copy per component, so that weight * corner runs over whole rows
+    weights = np.empty((16, len(fr), 3))
+    for k in range(3):
+        weights[:, :, k] = wgt.reshape(16, -1)
+    return idx, rows, weights
+
+
+def _strides(dims) -> np.ndarray:
+    return np.array([dims[1] * dims[2] * dims[3], dims[2] * dims[3],
+                     dims[3], 1])
+
+
+def _row_table(arr: np.ndarray) -> np.ndarray:
+    """A C-contiguous (..., 3) float array as one 24-byte item per row, so
+    that a gather copies whole rows."""
+    return arr.reshape(-1, 3).view(np.dtype((np.void, 24))).reshape(-1)
+
+
+def _gather(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows of ``table`` (``_row_table``) at ``rows``, shape rows + (3,)."""
+    return np.take(table, rows).view(float).reshape(rows.shape + (3,))
+
+
+def _weighted_sum(corners: np.ndarray, weights: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Sum of ``weight * corner`` over the 16 corners (16, N, 3), added in
+    corner order to zeros."""
+    if out is None:
+        out = np.empty(corners.shape[1:])
+    out[...] = 0.0
+    for term in corners * weights:
+        out += term
     return out
 
 
@@ -402,10 +451,12 @@ class GridField(FieldEvaluator):
     """Uniform space-time slab of R^3-valued samples with jet interpolation.
 
     Values are interpolated trilinearly in space and linearly in time.
-    Derivatives are formed by central differences on the stored grids and then
+    Derivatives are formed at the corners from the stored levels, with the
+    arithmetic of ``np.gradient(edge_order=2)``: central differences inside
+    the slab and three-point one-sided formulas on its faces.  They are then
     interpolated the same way, which is second order in h and in the stored
-    time spacing on smooth fields.  Write-once: filled by the solver, then
-    read-only.
+    time spacing on smooth fields.  No derivative grid is stored, so the field
+    holds only its samples.  Write-once: filled by the solver, then read-only.
 
     Every query goes through one batch kernel.  A node at fractional grid
     coordinates (ft, fx, fy, fz) reads the 16 corners of its cell, corner c
@@ -414,7 +465,10 @@ class GridField(FieldEvaluator):
     multiplied in that order, with w = 1 - frac for offset 0 and frac for
     offset 1; each interpolated array is the sum of ``weight * corner`` over
     c = 0..15, added in that order to zeros.  The weights are formed once per
-    query and shared by the values and the four derivative grids.
+    node and shared by the values and the four derivatives.  For each axis
+    the derivatives also read the samples one step below and one step above
+    the cell.  A query works through its nodes in blocks of ``_BLOCK``, so
+    its scratch memory does not grow with the number of nodes.
     """
 
     def __init__(self, t0: float, dt: float, origin, h: float, data: np.ndarray):
@@ -428,7 +482,6 @@ class GridField(FieldEvaluator):
         self.h = float(h)
         self.data = data
         self.data.setflags(write=False)
-        self._derivs = None
 
     @property
     def shape(self):
@@ -438,63 +491,74 @@ class GridField(FieldEvaluator):
     def t_max(self) -> float:
         return self.t0 + (self.data.shape[0] - 1) * self.dt
 
-    def _deriv_grids(self):
-        if self._derivs is None:
-            axes = []
-            for ax, sp in ((0, self.dt), (1, self.h), (2, self.h), (3, self.h)):
-                g = _gradient(self.data, sp, ax)
-                g.setflags(write=False)
-                axes.append(g)
-            self._derivs = axes
-        return self._derivs
-
     def _corners(self, ts, xs):
-        """Flat row of each of the 16 corners of every node's cell in
-        ``arr.reshape(-1, 3)``, and the 16 corner weights (class docstring)."""
-        dims = np.array(self.shape)
-        fr = np.empty((len(ts), 4))
-        fr[:, 0] = (np.asarray(ts, float) - self.t0) / self.dt
-        fr[:, 1:] = (np.asarray(xs, float) - self.origin) / self.h
-        if np.any(fr < -1e-9) or np.any(fr > dims - 1 + 1e-9):
-            raise ValueError("point outside the grid slab (with margin)")
-        idx = np.clip(np.floor(fr).astype(np.intp), 0, dims - 2)
-        w = fr - idx
-        strides = np.array([dims[1] * dims[2] * dims[3], dims[2] * dims[3],
-                            dims[3], 1])
-        flat = idx @ strides
-        lo_hi = [(1.0 - w[:, ax], w[:, ax]) for ax in range(4)]
-        rows, weights = [], []
-        for corner in range(16):
-            bits = [(corner >> b) & 1 for b in range(4)]
-            wgt = np.ones(len(fr))
-            for ax, bit in enumerate(bits):
-                wgt *= lo_hi[ax][bit]
-            rows.append(flat + int(np.dot(bits, strides)))
-            weights.append(wgt[:, None])
-        return rows, weights
-
-    @staticmethod
-    def _interp(arr, rows, weights, out):
-        """Into ``out`` (N, 3): the weighted sum of the corners of ``arr``."""
-        flat = arr.reshape(-1, 3)
-        out[...] = 0.0
-        buf = np.empty(out.shape)
-        for row, wgt in zip(rows, weights):
-            np.take(flat, row, axis=0, out=buf)
-            buf *= wgt
-            out += buf
-        return out
+        return _slab_corners(self.shape, self.t0, self.dt, self.origin,
+                             self.h, ts, xs)
 
     def jets_at(self, ts, xs):
-        rows, weights = self._corners(ts, xs)
-        n = len(rows[0])
-        values = self._interp(self.data, rows, weights, np.empty((n, 3)))
-        dgrids = self._deriv_grids()
-        dts = self._interp(dgrids[0], rows, weights, np.empty((n, 3)))
+        ts = np.asarray(ts, dtype=float)
+        xs = np.asarray(xs, dtype=float)
+        n = len(ts)
+        values, dts = np.empty((n, 3)), np.empty((n, 3))
         grads = np.empty((n, 3, 3))
-        for i in range(3):
-            self._interp(dgrids[1 + i], rows, weights, grads[:, i, :])
+        for lo in range(0, max(n, 1), _BLOCK):
+            part = slice(lo, lo + _BLOCK)
+            self._jets_block(ts[part], xs[part], values[part], dts[part],
+                             grads[part])
         return values, dts, grads
+
+    def _jets_block(self, ts, xs, values, dts, grads):
+        idx, rows, weights = self._corners(ts, xs)
+        if min(self.shape) < 3:
+            raise ValueError("Shape of array too small to calculate a numerical "
+                             "gradient, at least (edge_order + 1) elements are "
+                             "required.")
+        table = _row_table(self.data)
+        corners = _gather(table, rows)
+        _weighted_sum(corners, weights, values)
+        strides = _strides(self.shape)
+        for ax, sp in enumerate((self.dt, self.h, self.h, self.h)):
+            d = self._corner_derivs(table, rows, corners, idx[:, ax] == 0,
+                                    idx[:, ax] == self.shape[ax] - 2,
+                                    strides[ax], ax, sp)
+            if ax == 0:
+                _weighted_sum(d, weights, dts)
+            else:  # summed contiguously: adds into a strided view are slow
+                grads[:, ax - 1, :] = _weighted_sum(d, weights)
+
+    @staticmethod
+    def _corner_derivs(table, rows, corners, first, last, stride, ax, sp):
+        """Derivative along axis ``ax`` at each of the 16 corners (16, N, 3),
+        as ``np.gradient(edge_order=2)`` forms it at that grid point.
+        ``first`` / ``last`` mark the nodes whose cell is the first / last
+        along the axis."""
+        def split(a):
+            # (corners with offset 0 along ax, those with offset 1), as views
+            v = np.moveaxis(a.reshape((2, 2, 2, 2) + a.shape[1:]), 3 - ax, 0)
+            return v[0], v[1]
+
+        rows_lo, rows_hi = split(rows)
+        f_lo, f_hi = split(corners)
+        # one step below / above the cell; on a face any row of the slab
+        # does, since the one-sided formula replaces the difference there
+        below = _gather(table, rows_lo - stride * ~first)
+        above = _gather(table, rows_hi + stride * ~last)
+        out = np.empty_like(corners)
+        d_lo, d_hi = split(out)
+        np.subtract(f_hi, below, out=d_lo)
+        np.subtract(above, f_lo, out=d_hi)
+        out /= 2.0 * sp
+        if first.any():
+            a, b, c = (k / sp for k in _FACE_LO)
+            d_lo[..., first, :] = (a * f_lo[..., first, :]
+                                   + b * f_hi[..., first, :]
+                                   + c * above[..., first, :])
+        if last.any():
+            a, b, c = (k / sp for k in _FACE_HI)
+            d_hi[..., last, :] = (a * below[..., last, :]
+                                  + b * f_lo[..., last, :]
+                                  + c * f_hi[..., last, :])
+        return out
 
     def in_domain(self, pt: SpacetimePoint) -> bool:
         try:
@@ -504,8 +568,8 @@ class GridField(FieldEvaluator):
         return True
 
     def value(self, pt: SpacetimePoint) -> np.ndarray:
-        rows, weights = self._corners([pt.t], [pt.x])
-        return self._interp(self.data, rows, weights, np.empty((1, 3)))[0]
+        _, rows, weights = self._corners([pt.t], [pt.x])
+        return _weighted_sum(_gather(_row_table(self.data), rows), weights)[0]
 
     def jet(self, pt: SpacetimePoint) -> JetSample:
         values, dts, grads = self.jets_at([pt.t], [pt.x])
@@ -541,9 +605,3 @@ class GridField(FieldEvaluator):
             raw = np.frombuffer(fh.read(), dtype="<f8")
         data = raw.reshape(nt, 3, nz, ny, nx).transpose(0, 4, 3, 2, 1)
         return cls(t0, dt, (ox, oy, oz), h, np.ascontiguousarray(data))
-
-
-def grid_jet(field: GridField, pt: SpacetimePoint) -> JetSample:
-    """Interpolated jet of a grid field; raises outside the stored slab.
-    Derivatives fall back to one-sided differences on the slab faces."""
-    return field.jet(pt)

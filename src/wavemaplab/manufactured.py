@@ -24,6 +24,9 @@ class ConstantMap(FieldEvaluator):
     def box(self, pt: SpacetimePoint) -> np.ndarray:
         return np.zeros(3)
 
+    def box_at(self, ts, xs) -> np.ndarray:
+        return np.zeros((len(ts), 3))
+
 
 class GeodesicPlaneWave(FieldEvaluator):
     """u = (cos(w*t + k.x + c), sin(w*t + k.x + c), 0): an exact sphere-valued

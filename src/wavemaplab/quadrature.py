@@ -173,11 +173,6 @@ def energy_on_disk(field: FieldEvaluator, disk: DiskSpec, rule: BallRule,
     return _disk_energies(field, disk, rule, singular_center, (penalty_n,))[0]
 
 
-def penalized_energy_on_disk(field: FieldEvaluator, disk: DiskSpec,
-                             rule: BallRule, n: float) -> float:
-    return energy_on_disk(field, disk, rule, penalty_n=n)
-
-
 def _cone_fluxes(field: FieldEvaluator, cone: ConeSpec, interval,
                  rule: ConeSurfaceRule, penalties) -> list[float]:
     """``flux_on_cone`` for each penalty in ``penalties`` (None: no penalty),

@@ -66,11 +66,6 @@ class LorentzBoost:
         return LorentzBoost(-self.nu)
 
 
-def boost_matrix(nu: float) -> LorentzBoost:
-    """Boost along x3 with speed nu; raises for |nu| >= 1."""
-    return LorentzBoost(nu)
-
-
 def apply_boost(b: LorentzBoost, pt: SpacetimePoint) -> SpacetimePoint:
     return SpacetimePoint.from_vector(b.matrix @ pt.as_vector())
 

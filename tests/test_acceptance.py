@@ -20,8 +20,8 @@ from wavemaplab.cli import (ExperimentConfig, cmd_identity_checks,
                             cmd_stationary_demo, expected_defect,
                             smoothing_tolerance, solver_cone_interval,
                             _incone_distance)
-from wavemaplab.fields import (BoostedHarmonicMap, GridField, MapParams,
-                               SpatialField, initial_data, s_lambda)
+from wavemaplab.fields import (BoostedHarmonicMap, MapParams, SpatialField,
+                               initial_data, s_lambda)
 from wavemaplab.manufactured import ConstantMap, GeodesicPlaneWave
 from wavemaplab.quadrature import (BallRule, ConeSurfaceRule, ProductRule,
                                    energy_balance, energy_on_disk,
@@ -245,8 +245,8 @@ def test_criterion_6_nonuniqueness_demo(default_sweep_analysis):
                     f"{expected_defect(params.lam, params.nu, req.t - req.s):.5f}"))
 
     t_ref = c0["inner"].t
-    dist, est = _incone_distance(cfg, _around(a["sweep"].final_slab, t_ref),
-                                 params, cone, t_ref)
+    dist, est = _incone_distance(cfg, a["sweep"].final_slab, params, cone,
+                                 t_ref)
     clauses.append(("in-cone L2 distance > 10x discretization estimate",
                     dist >= 10.0 * est, f"dist={dist:.4f}, est={est:.4f}"))
 
@@ -256,23 +256,14 @@ def test_criterion_6_nonuniqueness_demo(default_sweep_analysis):
     fine_scfg = dataclasses.replace(fine.solver_config(penalty_n=64.0),
                                     dt=fine.T_end / 60.0, store_stride=12)
     fine_slab, _ = run(fine_scfg, initial_data(params))
-    fine_dist, fine_est = _incone_distance(fine, _around(fine_slab, t_ref),
-                                           params, cone, t_ref)
+    fine_dist, fine_est = _incone_distance(fine, fine_slab, params, cone,
+                                           t_ref)
     clauses.append(("distance does not shrink under refinement",
                     fine_dist >= 0.8 * dist and fine_dist >= 10.0 * fine_est,
                     f"refined dist={fine_dist:.4f} (est {fine_est:.4f})"))
     clauses.append(("runtime <= 900 s", time.time() - t0 <= 900.0,
                     f"{time.time() - t0:.1f} s"))
     _report(6, "non-uniqueness: penalization limit vs boosted map", clauses)
-
-
-def _around(slab, t_ref):
-    """Three-level sub-slab around t_ref: value comparisons then only build
-    derivative grids for those levels."""
-    lvl = int(round((t_ref - slab.t0) / slab.dt))
-    lo, hi = max(0, lvl - 1), min(slab.data.shape[0], lvl + 2)
-    return GridField(t0=slab.t0 + lo * slab.dt, dt=slab.dt, origin=slab.origin,
-                     h=slab.h, data=slab.data[lo:hi])
 
 
 def test_criterion_7_stationary_vs_nonstationary(tmp_path):

@@ -3,11 +3,16 @@ import json
 import numpy as np
 import pytest
 
+from wavemaplab import fields
 from wavemaplab.cli import (ConeRequest, ConfigError, ExperimentConfig,
-                            Verdict, _crossing_interval, _parse_cone,
-                            expected_defect, load_config, main,
+                            Verdict, _crossing_interval, _incone_distance,
+                            _parse_cone, expected_defect, load_config, main,
                             solver_cone_interval)
-from wavemaplab.fields import s_lambda
+from wavemaplab.fields import (BoostedHarmonicMap, GridField, initial_data,
+                               s_lambda)
+from wavemaplab.quadrature import _disk_nodes
+from wavemaplab.solver import run
+from wavemaplab.spacetime import DiskSpec
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +121,56 @@ def test_solver_cone_interval_margins():
     assert inner.t == pytest.approx(0.18)
     with pytest.raises(ConfigError):
         solver_cone_interval(cfg, ConeRequest((0, 0, 0), 0.5, 0.0, 0.015))
+
+
+def _incone_reference(cfg, slab, params, cone, t_ref):
+    # the in-cone distance with its estimate as first written: the analytic
+    # map sampled on the whole solver grid at three levels, as a GridField
+    sing = np.array([0.0, 0.0, params.nu * t_ref])
+    disk = DiskSpec(t_ref, cone.apex.x, cone.radius(t_ref) - 2.0 * cfg.h)
+    center = sing if np.linalg.norm(sing - disk.center) < disk.radius else None
+    xs, w = _disk_nodes(disk, cfg.ball_rule(), center)
+    ts = np.full(len(xs), t_ref)
+    u_vals = slab.jets_at(ts, xs)[0]
+    fld = BoostedHarmonicMap(params)
+    a_vals = fld.jets_at(ts, xs)[0]
+    dist = float(np.sqrt(np.dot(w, np.sum((u_vals - a_vals)**2, axis=1))))
+
+    scfg = cfg.solver_config()
+    c = scfg.cell_centers_1d()
+    X, Y, Z = np.meshgrid(c, c, c, indexing="ij")
+    grid_xs = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
+    levels = []
+    for t in (t_ref - cfg.h, t_ref, t_ref + cfg.h):
+        vals = fld.jets_at(np.full(len(grid_xs), t), grid_xs)[0]
+        levels.append(vals.reshape(len(c), len(c), len(c), 3))
+    interp = GridField(t0=t_ref - cfg.h, dt=cfg.h, origin=scfg.origin, h=cfg.h,
+                       data=np.stack(levels))
+    i_vals = interp.jets_at(ts, xs)[0]
+    est = float(np.sqrt(np.dot(w, np.sum((i_vals - a_vals)**2, axis=1))))
+    return dist, est
+
+
+def test_incone_distance_samples_only_the_corners_it_reads(monkeypatch):
+    cfg = ExperimentConfig(h=1.0 / 32.0, n_radial=8, n_polar=8,
+                           penalties=(16.0,))
+    params = cfg.params
+    req = cfg.cones[0]
+    cone = req.build()
+    t_ref = solver_cone_interval(cfg, req).t
+    slab, _ = run(cfg.solver_config(penalty_n=16.0), initial_data(params))
+    want = _incone_reference(cfg, slab, params, cone, t_ref)
+
+    nodes = []
+    batch = fields.harmonic_v_jet_batch
+
+    def counted(p, xs):
+        nodes.append(len(xs))
+        return batch(p, xs)
+
+    monkeypatch.setattr(fields, "harmonic_v_jet_batch", counted)
+    assert _incone_distance(cfg, slab, params, cone, t_ref) == want
+    assert 0 < sum(nodes) < cfg.solver_config().n_cells ** 3
 
 
 # ---------------------------------------------------------------------------

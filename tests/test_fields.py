@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,10 @@ from hypothesis import strategies as st
 from wavemaplab.fields import (ANALYTIC_EXCLUSION, BoostedHarmonicMap,
                                GridField, JetSample, MapParams,
                                boosted_phi_jet, constant_spatial_field,
-                               grid_jet, harmonic_v, harmonic_v_jet,
+                               harmonic_v, harmonic_v_jet,
                                harmonic_v_jet_batch, initial_data, s_lambda,
                                stereographic, stereographic_inv)
 from wavemaplab import fields
-from wavemaplab.fields import _gradient
 from wavemaplab.manufactured import GeodesicPlaneWave
 from wavemaplab.quadrature import SphereRule
 from wavemaplab.solver import SolverConfig, init_from_data
@@ -319,7 +319,7 @@ def test_grid_field_interpolation_accuracy():
         pt = SpacetimePoint(rng.uniform(0.02, 0.1),
                             rng.uniform(-0.4, 0.4, 3))
         exact = pw.jet(pt)
-        jet = grid_jet(grid, pt)
+        jet = grid.jet(pt)
         assert np.allclose(jet.value, exact.value, atol=5e-3)
         assert np.allclose(jet.dt, exact.dt, atol=5e-2)
         assert np.allclose(jet.grad, exact.grad, atol=5e-2)
@@ -345,7 +345,8 @@ def _jets_reference(grid, ts, xs):
     fr[:, 1:] = (xs - grid.origin) / grid.h
     idx = np.clip(np.floor(fr).astype(int), 0, dims - 2)
     w = fr - idx
-    d = grid._deriv_grids()
+    d = [np.gradient(grid.data, sp, axis=ax, edge_order=2)
+         for ax, sp in enumerate((grid.dt, grid.h, grid.h, grid.h))]
     grads = np.stack([_interp_reference(d[1 + i], idx, w) for i in range(3)],
                      axis=1)
     return (_interp_reference(grid.data, idx, w),
@@ -369,6 +370,18 @@ def test_grid_field_jets_bit_identical_to_reference():
         assert np.array_equal(got, want)
 
 
+def test_grid_field_jets_blocks_join_exactly(monkeypatch):
+    # jets_at works through its nodes in blocks; the seams change no bit
+    _, grid = _plane_wave_slab(nt=5, n=9, h=1.0 / 8.0)
+    rng = np.random.default_rng(13)
+    ts = rng.uniform(0.0, grid.t_max, 100)
+    xs = rng.uniform(-0.5, 0.5, (100, 3))
+    whole = grid.jets_at(ts, xs)
+    monkeypatch.setattr(fields, "_BLOCK", 7)
+    for got, want in zip(grid.jets_at(ts, xs), whole):
+        assert np.array_equal(got, want)
+
+
 def test_grid_field_batch_matches_scalar():
     _, grid = _plane_wave_slab(nt=3, n=9, h=1.0 / 8.0)
     rng = np.random.default_rng(7)
@@ -382,12 +395,51 @@ def test_grid_field_batch_matches_scalar():
         assert np.allclose(grads[k], jet.grad, atol=1e-12)
 
 
-@pytest.mark.parametrize("axis", range(5))
+@pytest.mark.parametrize("axis", range(4))
 def test_grid_gradient_matches_numpy(axis):
-    # the derivative grids must stay bit-identical to np.gradient's
-    data = np.random.default_rng(axis).normal(size=(5, 4, 6, 7, 3))
-    assert np.array_equal(_gradient(data, 0.3, axis),
-                          np.gradient(data, 0.3, axis=axis, edge_order=2))
+    # at a grid point the derivatives are np.gradient's, bit for bit, with
+    # the one-sided formulas on both faces; spacings and origin are dyadic so
+    # that the nodes sit exactly on the grid
+    shape = (5, 4, 6, 7)
+    data = np.random.default_rng(axis).normal(size=shape + (3,))
+    grid = GridField(t0=0.5, dt=0.25, origin=(-1.0, 0.5, 0.0), h=0.125,
+                     data=data)
+    rng = np.random.default_rng(10 + axis)
+    k = rng.integers(0, shape, (3 * shape[axis], 4))
+    k[:, axis] = np.tile(np.arange(shape[axis]), 3)  # every point, both faces
+    ts = grid.t0 + grid.dt * k[:, 0]
+    xs = grid.origin + grid.h * k[:, 1:]
+    _, dts, grads = grid.jets_at(ts, xs)
+    at = tuple(k.T)
+    assert np.array_equal(dts, np.gradient(data, grid.dt, axis=0,
+                                           edge_order=2)[at])
+    for i in range(3):
+        assert np.array_equal(grads[:, i, :], np.gradient(
+            data, grid.h, axis=1 + i, edge_order=2)[at])
+
+
+def test_grid_field_jets_allocate_no_derivative_grid():
+    # a query allocates per node, not per cell of the slab
+    _, grid = _plane_wave_slab(nt=6)
+    rng = np.random.default_rng(11)
+    ts = rng.uniform(0.0, grid.t_max, 200)
+    xs = rng.uniform(-0.4, 0.2, (200, 3))
+    tracemalloc.start()
+    try:
+        grid.jets_at(ts, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * grid.data.nbytes
+
+
+def test_grid_field_short_axis_raises_on_jets_only():
+    data = np.random.default_rng(12).normal(size=(2, 4, 4, 4, 3))
+    grid = GridField(t0=0.0, dt=0.25, origin=np.zeros(3), h=0.125, data=data)
+    pt = SpacetimePoint(0.1, np.full(3, 0.2))
+    assert np.all(np.isfinite(grid.value(pt)))
+    with pytest.raises(ValueError, match="too small to calculate a numerical"):
+        grid.jets_at([pt.t], [pt.x])
 
 
 def test_grid_field_domain_checks():

@@ -7,8 +7,7 @@ from wavemaplab.manufactured import GeodesicPlaneWave
 from wavemaplab.quadrature import (BallRule, BalanceReport, ConeSurfaceRule,
                                    ProductRule, SphereRule, _disk_nodes,
                                    energy_balance, energy_on_disk,
-                                   flux_on_cone, mollified_flux,
-                                   penalized_energy_on_disk)
+                                   flux_on_cone, mollified_flux)
 from wavemaplab.spacetime import ConeSpec, DiskSpec
 
 
@@ -87,7 +86,7 @@ def test_penalized_energy_reduces_to_plain_on_sphere_values():
     fld = BoostedHarmonicMap(MapParams(2.0, 0.6))
     disk = DiskSpec(0.0, np.array([0.3, 0.3, 0.0]), 0.2)
     plain = energy_on_disk(fld, disk, BallRule(16, 12))
-    pen = penalized_energy_on_disk(fld, disk, BallRule(16, 12), n=32.0)
+    pen = energy_on_disk(fld, disk, BallRule(16, 12), penalty_n=32.0)
     assert pen == pytest.approx(plain, rel=1e-12)  # |u| = 1 so F(u) = 0
 
 
@@ -186,10 +185,12 @@ def test_penalized_flux_coefficient_consistency():
     assert abs(rep.balance) <= 1e-12
     # with the lateral penalty halved the cancellation breaks: reconstruct
     # the balance from its pieces with coefficient n^2 F instead of 2 n^2 F
-    e_base = penalized_energy_on_disk(
-        fld, DiskSpec(0.0, cone.apex.x, cone.radius(0.0)), BallRule(16, 12), n)
-    e_top = penalized_energy_on_disk(
-        fld, DiskSpec(0.25, cone.apex.x, cone.radius(0.25)), BallRule(16, 12), n)
+    e_base = energy_on_disk(
+        fld, DiskSpec(0.0, cone.apex.x, cone.radius(0.0)), BallRule(16, 12),
+        penalty_n=n)
+    e_top = energy_on_disk(
+        fld, DiskSpec(0.25, cone.apex.x, cone.radius(0.25)), BallRule(16, 12),
+        penalty_n=n)
     fl_pen = flux_on_cone(fld, cone, (0.0, 0.25), ConeSurfaceRule(12, 12),
                           penalty_n=n)
     fl_plain = flux_on_cone(fld, cone, (0.0, 0.25), ConeSurfaceRule(12, 12))

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavemaplab.spacetime import (ETA, ConeSpec, DiskSpec, LorentzBoost,
-                                  SpacetimePoint, apply_boost, boost_matrix,
-                                  disk_at, minkowski_dot)
+                                  SpacetimePoint, apply_boost, disk_at,
+                                  minkowski_dot)
 
 speeds = st.floats(min_value=-0.95, max_value=0.95)
 coords = st.floats(min_value=-5.0, max_value=5.0)
@@ -59,7 +59,7 @@ def test_boost_theta():
 def test_boost_moves_singular_line_to_rest():
     # a point on the line x3 = nu t maps to x3' = 0
     nu = 0.6
-    b = boost_matrix(nu)
+    b = LorentzBoost(nu)
     pt = SpacetimePoint(0.7, np.array([0.0, 0.0, nu * 0.7]))
     img = apply_boost(b, pt)
     assert img.x[2] == pytest.approx(0.0, abs=1e-14)
