@@ -7,9 +7,8 @@ __version__ = "0.1.0"
 from .spacetime import (ConeSpec, DiskSpec, LorentzBoost, SpacetimePoint,
                         apply_boost, disk_at, minkowski_dot)
 from .fields import (BoostedHarmonicMap, FieldEvaluator, GridField, JetSample,
-                     MapParams, SpatialField, boosted_phi_jet, harmonic_v,
-                     harmonic_v_jet, initial_data, s_lambda, stereographic,
-                     stereographic_inv)
+                     MapParams, SpatialField, harmonic_v, initial_data,
+                     s_lambda, stereographic, stereographic_inv)
 from .stress_energy import (BumpTest, StressTensor, comp_identity_check,
                             divergence_T, energy_density, flux_density,
                             flux_form_Q, recover_point_charge, stress_tensor,

@@ -29,8 +29,8 @@ from .fields import (BoostedHarmonicMap, GridField, MapParams, _slab_corners,
                      _weighted_sum, initial_data, s_lambda)
 from .manufactured import (ComposedWithBoost, ConstantMap, GeodesicPlaneWave,
                            QuadraticNullField, TimeSquaredBump)
-from .quadrature import (BallRule, ConeSurfaceRule, ProductRule, energy_balance,
-                         energy_on_disk)
+from .quadrature import (BallRule, ConeSurfaceRule, ProductRule, _disk_nodes,
+                         energy_balance, energy_on_disk)
 from .solver import SolverConfig, penalization_sweep, run, trusted_region
 from .spacetime import ConeSpec, DiskSpec, LorentzBoost, SpacetimePoint
 from .stress_energy import (BumpTest, comp_identity_check, recover_point_charge,
@@ -460,12 +460,10 @@ def _incone_distance(cfg: ExperimentConfig, slab: GridField, params: MapParams,
     core the grid cannot carry)."""
     sing = np.array([0.0, 0.0, params.nu * t_ref])
     disk = DiskSpec(t_ref, cone.apex.x, cone.radius(t_ref) - 2.0 * cfg.h)
-    from .quadrature import _disk_nodes
-
     center = sing if np.linalg.norm(sing - disk.center) < disk.radius else None
     xs, w = _disk_nodes(disk, cfg.ball_rule(), center)
     ts = np.full(len(xs), t_ref)
-    u_vals = slab.jets_at(ts, xs)[0]
+    u_vals = slab.values_at(ts, xs)
     fld = BoostedHarmonicMap(params)
     a_vals = fld.jets_at(ts, xs)[0]
     dist = float(np.sqrt(np.dot(w, np.sum((u_vals - a_vals)**2, axis=1))))

@@ -36,65 +36,33 @@ class JetSample:
         object.__setattr__(self, "dt", np.asarray(self.dt, dtype=float))
         object.__setattr__(self, "grad", np.asarray(self.grad, dtype=float))
 
-    @staticmethod
-    def zero() -> "JetSample":
-        return JetSample(np.zeros(3), np.zeros(3), np.zeros((3, 3)))
-
 
 class FieldEvaluator(ABC):
     """A field on (a subdomain of) spacetime, evaluable to first-order jets.
 
-    Evaluators are immutable after construction and safe to share across
-    threads.
+    An evaluator implements ``jets_at`` and, when it has a closed-form
+    d'Alembertian, ``box_at``; both take times ``ts`` (N,) and positions
+    ``xs`` (N, 3).  ``jet`` and ``box`` are their 1-point forms.  Evaluators
+    are immutable after construction and safe to share across threads.
     """
 
     @abstractmethod
-    def jet(self, pt: SpacetimePoint) -> JetSample:
-        ...
-
     def jets_at(self, ts: np.ndarray, xs: np.ndarray):
-        """Batch jets: (values (N,3), dts (N,3), grads (N,3,3)).
+        """Batch jets: (values (N,3), dts (N,3), grads (N,3,3))."""
 
-        The default loops over ``jet``; hot evaluators override with a
-        vectorized version.
-        """
-        ts = np.asarray(ts, dtype=float)
-        xs = np.asarray(xs, dtype=float)
-        n = len(ts)
-        values = np.empty((n, 3))
-        dts = np.empty((n, 3))
-        grads = np.empty((n, 3, 3))
-        for i in range(n):
-            j = self.jet(SpacetimePoint(ts[i], xs[i]))
-            values[i], dts[i], grads[i] = j.value, j.dt, j.grad
-        return values, dts, grads
+    def box_at(self, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """d'Alembertian u_tt - Lap(u) at each node, shape (N, 3)."""
+        raise NotImplementedError(f"{type(self).__name__} has no box_at")
 
     def in_domain(self, pt: SpacetimePoint) -> bool:
         return True
 
+    def jet(self, pt: SpacetimePoint) -> JetSample:
+        values, dts, grads = self.jets_at(np.array([pt.t]), pt.x[None, :])
+        return JetSample(values[0], dts[0], grads[0])
+
     def box(self, pt: SpacetimePoint) -> np.ndarray:
-        """d'Alembertian u_tt - Lap(u).
-
-        The default is a second-order central second difference of the field
-        value with step 1e-4; evaluators with closed-form second derivatives
-        override it.
-        """
-        h = 1e-4
-        c = self.jet(pt).value
-        out = (self.jet(SpacetimePoint(pt.t + h, pt.x)).value - 2.0 * c
-               + self.jet(SpacetimePoint(pt.t - h, pt.x)).value) / h**2
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = h
-            out -= (self.jet(SpacetimePoint(pt.t, pt.x + e)).value - 2.0 * c
-                    + self.jet(SpacetimePoint(pt.t, pt.x - e)).value) / h**2
-        return out
-
-    def box_at(self, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        xs = np.asarray(xs, dtype=float)
-        return np.stack([self.box(SpacetimePoint(t, x))
-                         for t, x in zip(ts, xs)])
+        return self.box_at(np.array([pt.t]), pt.x[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -149,43 +117,6 @@ def harmonic_v(params: MapParams, x) -> np.ndarray:
     return stereographic_inv(params.lam * stereographic(w))
 
 
-def harmonic_v_jet(params: MapParams, x) -> JetSample:
-    """Value and analytic spatial gradient of the dilated hedgehog; dt = 0
-    (the map is used as a stationary wave map)."""
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    _check_off_singularity(r)
-    w = x / r
-    if 1.0 + w[2] <= 0.0:
-        raise ValueError("jet undefined on the south-pole ray")
-
-    # x -> w = x/|x|:  J_w[i, b] = d w_b / d x_i
-    J_w = (np.eye(3) - np.outer(w, w)) / r
-
-    # w -> y = sigma(w):  J_s[b, a] = d y_a / d w_b
-    d = 1.0 + w[2]
-    J_s = np.zeros((3, 2))
-    J_s[0, 0] = 1.0 / d
-    J_s[1, 1] = 1.0 / d
-    J_s[2, 0] = -w[0] / d**2
-    J_s[2, 1] = -w[1] / d**2
-
-    # z = lam * y -> u = sigma^{-1}(z):  J_i[a, j] = d u_j / d z_a
-    z = params.lam * (w[:2] / d)
-    s = float(np.dot(z, z))
-    dd = 1.0 + s
-    J_i = np.array([
-        [2.0 / dd - 4.0 * z[0]**2 / dd**2, -4.0 * z[0] * z[1] / dd**2,
-         -4.0 * z[0] / dd**2],
-        [-4.0 * z[0] * z[1] / dd**2, 2.0 / dd - 4.0 * z[1]**2 / dd**2,
-         -4.0 * z[1] / dd**2],
-    ])
-
-    grad = J_w @ (params.lam * J_s) @ J_i
-    value = stereographic_inv(z)
-    return JetSample(value, np.zeros(3), grad)
-
-
 def harmonic_v_jet_batch(params: MapParams, xs: np.ndarray):
     """Vectorized values and gradients of the dilated hedgehog at xs (N, 3).
 
@@ -238,23 +169,6 @@ def harmonic_v_jet_batch(params: MapParams, xs: np.ndarray):
     return values, grads
 
 
-def boosted_phi_jet(params: MapParams, pt: SpacetimePoint) -> JetSample:
-    """Jet of the boosted map phi(t, x) = v(x1, x2, Theta*(x3 - nu*t)).
-
-    Singular on the moving line x1 = x2 = 0, x3 = nu*t; evaluation within the
-    exclusion radius of that line raises.
-    """
-    th, nu = params.theta, params.nu
-    xi = np.array([pt.x[0], pt.x[1], th * (pt.x[2] - nu * pt.t)])
-    base = harmonic_v_jet(params, xi)
-    grad = np.empty((3, 3))
-    grad[0] = base.grad[0]
-    grad[1] = base.grad[1]
-    grad[2] = th * base.grad[2]
-    dt = -th * nu * base.grad[2]
-    return JetSample(base.value, dt, grad)
-
-
 # Taylor coefficients of s(1 + eps) in eps; used when the closed form would
 # divide the eps^3-small numerator by the eps^2-small (lam^2-1)^2.
 _S_TAYLOR = (-16.0 * np.pi / 3.0, 8.0 * np.pi / 3.0,
@@ -282,18 +196,15 @@ class BoostedHarmonicMap(FieldEvaluator):
         self.params = params
         self.exclusion = exclusion
 
-    def _xi_norm(self, pt: SpacetimePoint) -> float:
-        th, nu = self.params.theta, self.params.nu
-        return float(np.sqrt(pt.x[0]**2 + pt.x[1]**2
-                             + (th * (pt.x[2] - nu * pt.t))**2))
-
     def in_domain(self, pt: SpacetimePoint) -> bool:
-        return self._xi_norm(pt) >= self.exclusion
+        th, nu = self.params.theta, self.params.nu
+        r2 = pt.x[0]**2 + pt.x[1]**2 + (th * (pt.x[2] - nu * pt.t))**2
+        return bool(np.sqrt(r2) >= self.exclusion)
 
     def jet(self, pt: SpacetimePoint) -> JetSample:
         if not self.in_domain(pt):
             raise ValueError("point too close to the singular line")
-        return boosted_phi_jet(self.params, pt)
+        return super().jet(pt)
 
     def jets_at(self, ts, xs):
         ts = np.asarray(ts, dtype=float)
@@ -309,47 +220,34 @@ class BoostedHarmonicMap(FieldEvaluator):
 
 
 class SpatialField:
-    """Time-slice data: a map R^3 -> R^3 with an optional Jacobian and an
-    optional vectorized evaluator (``batch``, xs of shape (N, 3))."""
+    """Time-slice data, a map R^3 -> R^3.  The batch function is the field:
+    ``batch(xs)`` maps positions (N, 3) to values (N, 3), and ``f(x)`` is its
+    1-point form."""
 
-    def __init__(self, value_fn, jacobian_fn=None, batch_fn=None):
-        self._value = value_fn
-        self._jac = jacobian_fn
-        self._batch = batch_fn
+    def __init__(self, batch):
+        self.batch = batch
 
     def __call__(self, x) -> np.ndarray:
-        return self._value(np.asarray(x, dtype=float))
-
-    def jacobian(self, x) -> np.ndarray:
-        if self._jac is None:
-            raise NotImplementedError
-        return self._jac(np.asarray(x, dtype=float))
-
-    @property
-    def batch(self):
-        return self._batch
+        return self.batch(np.asarray(x, dtype=float)[None, :])[0]
 
 
 def constant_spatial_field(value) -> SpatialField:
     value = np.asarray(value, dtype=float)
-    return SpatialField(lambda x: value.copy(),
-                        jacobian_fn=lambda x: np.zeros((3, 3)),
-                        batch_fn=lambda xs: np.tile(value, (len(xs), 1)))
+    return SpatialField(lambda xs: np.tile(value, (len(xs), 1)))
 
 
 def initial_data(params: MapParams) -> tuple[SpatialField, SpatialField]:
     """Cauchy data of the boosted map at t = 0:
     f(x) = v(x1, x2, Theta*x3),  g(x) = -Theta*nu*(d3 v)(x1, x2, Theta*x3).
 
-    |f| = 1 and f.g = 0 wherever defined; evaluation at the origin raises.
+    |f| = 1 and f.g = 0 wherever defined; at the origin, and on the ray the
+    hedgehog sends to the south pole, both take the limiting values of
+    ``harmonic_v_jet_batch``.
 
     Both batch functions need the same jets, so ``f``'s batch leaves its
     samples of ``g`` for ``g``'s next batch call, which takes them (and so
     frees them) and uses them if its points are the same.
     """
-    def jet_at(x):
-        return boosted_phi_jet(params, SpacetimePoint(0.0, x))
-
     def scaled(xs):
         xi = np.array(xs, dtype=float)
         xi[:, 2] = params.theta * xi[:, 2]
@@ -374,10 +272,7 @@ def initial_data(params: MapParams) -> tuple[SpatialField, SpatialField]:
             return left[1]
         return jets(xi)[1]
 
-    f = SpatialField(lambda x: jet_at(x).value, lambda x: jet_at(x).grad,
-                     batch_fn=f_batch)
-    g = SpatialField(lambda x: jet_at(x).dt, batch_fn=g_batch)
-    return f, g
+    return SpatialField(f_batch), SpatialField(g_batch)
 
 
 # np.gradient(edge_order=2) writes its interior difference as
@@ -458,7 +353,8 @@ class GridField(FieldEvaluator):
     time spacing on smooth fields.  No derivative grid is stored, so the field
     holds only its samples.  Write-once: filled by the solver, then read-only.
 
-    Every query goes through one batch kernel.  A node at fractional grid
+    Every query goes through one batch kernel, ``jets_at`` or, for values
+    alone, ``values_at``.  A node at fractional grid
     coordinates (ft, fx, fy, fz) reads the 16 corners of its cell, corner c
     taking bit b of c as its offset along axis b (bit 0 is time, so time
     varies fastest).  Corner c has the weight ``1 * w_t * w_x * w_y * w_z``,
@@ -506,6 +402,20 @@ class GridField(FieldEvaluator):
             self._jets_block(ts[part], xs[part], values[part], dts[part],
                              grads[part])
         return values, dts, grads
+
+    def values_at(self, ts, xs) -> np.ndarray:
+        """Interpolated values (N, 3), with the rows, weights and order of
+        ``jets_at``; unlike the jets they need no third point along any
+        axis."""
+        ts = np.asarray(ts, dtype=float)
+        xs = np.asarray(xs, dtype=float)
+        values = np.empty((len(ts), 3))
+        table = _row_table(self.data)
+        for lo in range(0, len(ts), _BLOCK):
+            part = slice(lo, lo + _BLOCK)
+            _, rows, weights = self._corners(ts[part], xs[part])
+            _weighted_sum(_gather(table, rows), weights, values[part])
+        return values
 
     def _jets_block(self, ts, xs, values, dts, grads):
         idx, rows, weights = self._corners(ts, xs)
@@ -566,14 +476,6 @@ class GridField(FieldEvaluator):
         except ValueError:
             return False
         return True
-
-    def value(self, pt: SpacetimePoint) -> np.ndarray:
-        _, rows, weights = self._corners([pt.t], [pt.x])
-        return _weighted_sum(_gather(_row_table(self.data), rows), weights)[0]
-
-    def jet(self, pt: SpacetimePoint) -> JetSample:
-        values, dts, grads = self.jets_at([pt.t], [pt.x])
-        return JetSample(values[0], dts[0], grads[0])
 
     # Binary container: magic, version, dims (4 x u64), h, dt, t0, origin (3),
     # then the payload as little-endian float64, level-major, within each level

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldEvaluator
-from .manufactured import bump_profile
+from .manufactured import _bump_norm, bump_profile
 from .spacetime import ConeSpec, DiskSpec
-from .stress_energy import _bump_norm
 
 SQRT2 = np.sqrt(2.0)
 
@@ -69,10 +68,6 @@ class BallRule:
     def radial_reference(self):
         x, w = np.polynomial.legendre.leggauss(self.n_radial)
         return 0.5 * (x + 1.0), 0.5 * w
-
-    def scaled(self, radius: float):
-        u, w = self.radial_reference()
-        return list(zip(radius * u, radius * w))
 
 
 @dataclass(frozen=True)
@@ -264,12 +259,11 @@ def mollified_flux(field: FieldEvaluator, base_center, base_radius: float,
     xd, wd = np.polynomial.legendre.leggauss(n_delta)
     deltas = eps * xd
     wdelta = eps * wd
-    psi_norm = _bump_norm(1)
+    psis = _bump_norm(1) * bump_profile((deltas / eps)**2)
 
     total = 0.0
     base_center = np.asarray(base_center, dtype=float)
-    for delta, wk in zip(deltas, wdelta):
-        psi = psi_norm * bump_profile((delta / eps)**2)
+    for delta, wk, psi in zip(deltas, wdelta, psis):
         cone = ConeSpec.from_base(base_center, base_radius + delta, 0.0, t)
         raw = 2.0 * SQRT2 * flux_on_cone(field, cone, (0.0, t), rule)
         total += wk / eps * psi * raw

@@ -127,11 +127,12 @@ class EnergyLedger:
                 wr.writerow([step, time, kin, grad, pen, kin + grad + pen])
 
 
-def _sample_spatial(fld: SpatialField, xs: np.ndarray) -> np.ndarray:
-    batch = getattr(fld, "batch", None)
-    if batch is not None:
-        return batch(xs)
-    return np.stack([fld(x) for x in xs])
+def _cell_centres(cfg: SolverConfig) -> np.ndarray:
+    """The cell centres of the grid, shape (N**3, 3), in C order of the
+    (N, N, N) cells."""
+    c = cfg.cell_centers_1d()
+    X, Y, Z = np.meshgrid(c, c, c, indexing="ij")
+    return np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
 
 
 def _sample_on_grid(fld: SpatialField | np.ndarray,
@@ -144,10 +145,7 @@ def _sample_on_grid(fld: SpatialField | np.ndarray,
             raise ValueError(f"sampled data has shape {fld.shape}, "
                              f"the grid needs {(n, n, n, 3)}")
         return fld
-    c = cfg.cell_centers_1d()
-    X, Y, Z = np.meshgrid(c, c, c, indexing="ij")
-    xs = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
-    return _sample_spatial(fld, xs).reshape(n, n, n, 3)
+    return fld.batch(_cell_centres(cfg)).reshape(n, n, n, 3)
 
 
 class _Work:
@@ -378,11 +376,9 @@ def constraint_violation(slab_or_state, cfg: SolverConfig) -> float:
 
 def _cone_mask(cfg: SolverConfig, cone: ConeSpec, t: float,
                margin: float) -> np.ndarray:
-    c = cfg.cell_centers_1d()
-    X, Y, Z = np.meshgrid(c, c, c, indexing="ij")
-    r = np.sqrt((X - cone.apex.x[0])**2 + (Y - cone.apex.x[1])**2
-                + (Z - cone.apex.x[2])**2)
-    return r <= cone.radius(t) - margin
+    d = _cell_centres(cfg) - cone.apex.x
+    r = np.sqrt(d[:, 0]**2 + d[:, 1]**2 + d[:, 2]**2)
+    return (r <= cone.radius(t) - margin).reshape((cfg.n_cells,) * 3)
 
 
 def penalization_sweep(schedule, data, cfg_template: SolverConfig,

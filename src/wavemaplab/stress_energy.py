@@ -14,9 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldEvaluator, JetSample, MapParams
-from .manufactured import ComposedWithBoost, bump_gradient, bump_profile, bump_value
-from .spacetime import ETA, LorentzBoost, SpacetimePoint
+from .fields import FieldEvaluator, JetSample, MapParams, harmonic_v_jet_batch
+from .manufactured import (ComposedWithBoost, _bump_norm, bump_profile,
+                           bump_profile_ds)
+from .quadrature import BallRule, SphereRule, _disk_nodes
+from .spacetime import ETA, DiskSpec, LorentzBoost, SpacetimePoint
 
 SQRT2 = np.sqrt(2.0)
 
@@ -57,19 +59,19 @@ def stress_tensor(jet: JetSample) -> StressTensor:
 
 
 def divergence_T(field: FieldEvaluator, pt: SpacetimePoint, h: float) -> np.ndarray:
-    """d^a T_ab by second-order central differences; the caller guarantees
-    smoothness of the field in an h-neighborhood."""
-    def tensor(dt, dx):
-        p = SpacetimePoint(pt.t + dt, pt.x + dx)
-        return stress_tensor(field.jet(p)).components
-
-    zero = np.zeros(3)
+    """d^a T_ab by second-order central differences, from one ``jets_at``
+    call at the 8 points pt +- h e_a; the caller guarantees smoothness of the
+    field in an h-neighborhood."""
+    nodes = np.tile(pt.as_vector(), (8, 1))
+    for a in range(4):
+        nodes[2 * a, a] += h
+        nodes[2 * a + 1, a] -= h
+    T = [stress_tensor(JetSample(*jet)).components
+         for jet in zip(*field.jets_at(nodes[:, 0], nodes[:, 1:]))]
     # d^0 = -d_t
-    div = -(tensor(h, zero)[0] - tensor(-h, zero)[0]) / (2.0 * h)
+    div = -(T[0][0] - T[1][0]) / (2.0 * h)
     for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        div += (tensor(0.0, e)[i + 1] - tensor(0.0, -e)[i + 1]) / (2.0 * h)
+        div += (T[2 * i + 2][i + 1] - T[2 * i + 3][i + 1]) / (2.0 * h)
     return div
 
 
@@ -113,52 +115,18 @@ class BumpTest:
         return _bump_norm(self.dim) / self.scale**self.dim
 
     def value_at(self, coords) -> float:
-        c, _ = self._split()
-        return self.norm_const * bump_value(coords, c, self.scale)
-
-    def gradient_at(self, coords) -> np.ndarray:
-        c, _ = self._split()
-        return self.norm_const * bump_gradient(coords, c, self.scale)
-
-    def value(self, pt: SpacetimePoint) -> float:
-        c, dim = self._split()
-        coords = pt.as_vector() if dim == 4 else pt.x
-        return self.norm_const * bump_value(coords, c, self.scale)
-
-    def spacetime_gradient(self, pt: SpacetimePoint) -> np.ndarray:
-        """(d_t psi, grad psi); the time slot is zero for spatial bumps."""
-        c, dim = self._split()
-        if dim == 4:
-            return self.norm_const * bump_gradient(pt.as_vector(), c, self.scale)
-        g = self.norm_const * bump_gradient(pt.x, c, self.scale)
-        return np.concatenate(([0.0], g))
+        """psi at one point of shape (dim,)."""
+        return float(self.batch(np.asarray(coords, dtype=float)[None, :])[0][0])
 
     def batch(self, coords: np.ndarray):
         """Vectorized (psi, D psi) at coords of shape (N, dim)."""
-        from .manufactured import bump_profile_arr, bump_profile_ds_arr
-
         c, _ = self._split()
         y = np.asarray(coords, dtype=float) - c
         s = np.sum(y**2, axis=1) / self.scale**2
-        psi = self.norm_const * bump_profile_arr(s)
+        psi = self.norm_const * bump_profile(s)
         dpsi = (self.norm_const * 2.0 / self.scale**2) \
-            * bump_profile_ds_arr(s)[:, None] * y
+            * bump_profile_ds(s)[:, None] * y
         return psi, dpsi
-
-
-_BUMP_NORMS: dict[int, float] = {}
-
-
-def _bump_norm(dim: int) -> float:
-    """1 / integral of the unit bump over the unit ball in `dim` dimensions."""
-    if dim not in _BUMP_NORMS:
-        areas = {1: 2.0, 3: 4.0 * np.pi, 4: 2.0 * np.pi**2}
-        xs, ws = np.polynomial.legendre.leggauss(80)
-        r = 0.5 * (xs + 1.0)
-        w = 0.5 * ws
-        vals = np.array([bump_profile(ri**2) for ri in r])
-        _BUMP_NORMS[dim] = 1.0 / (areas[dim] * float(np.sum(w * vals * r**(dim - 1))))
-    return _BUMP_NORMS[dim]
 
 
 def weak_residual(field: FieldEvaluator, test: BumpTest, rule) -> np.ndarray:
@@ -170,29 +138,22 @@ def weak_residual(field: FieldEvaluator, test: BumpTest, rule) -> np.ndarray:
     Zero (in the quadrature-refinement limit) for weak solutions whose
     singular set avoids the bump's support.
     """
-    from .quadrature import SphereRule
-
     if test.dim != 4:
         raise ValueError("weak_residual needs a spacetime bump")
     c = test.center.as_vector()
     t0, x0, sigma = c[0], c[1:], test.scale
 
     xt, wt = np.polynomial.legendre.leggauss(rule.n_time)
-    xr, wr = np.polynomial.legendre.leggauss(rule.n_radial)
-    sph = SphereRule(rule.n_polar)
+    ball = BallRule(rule.n_radial, rule.n_polar)
 
     res = np.zeros(3)
     for k in range(rule.n_time):
         t = t0 + sigma * xt[k]
-        w_t = sigma * wt[k]
         rho = np.sqrt(max(sigma**2 - (t - t0)**2, 0.0))
         if rho == 0.0:
             continue
-        r_nodes = 0.5 * rho * (xr + 1.0)[:, None]                  # (K, 1)
-        weights = (w_t * 0.5 * rho * wr[:, None]
-                   * sph.weights[None, :] * r_nodes**2).ravel()
-        xs = (x0[None, None, :]
-              + r_nodes[:, :, None] * sph.nodes[None, :, :]).reshape(-1, 3)
+        xs, w = _disk_nodes(DiskSpec(t, x0, rho), ball)
+        weights = sigma * wt[k] * w
         ts = np.full(len(xs), t)
         values, dts, grads = field.jets_at(ts, xs)
         psi, dpsi = test.batch(np.column_stack([ts, xs]))
@@ -228,9 +189,6 @@ def recover_point_charge(params: MapParams, test: BumpTest, rule,
 
 def _charge_pairing(params: MapParams, test: BumpTest, rule,
                     rho: float) -> np.ndarray:
-    from .fields import harmonic_v_jet_batch
-    from .quadrature import SphereRule
-
     sigma = test.scale
     sph = SphereRule(rule.n_polar)
     xr, wr = np.polynomial.legendre.leggauss(rule.n_radial)
@@ -270,22 +228,16 @@ def comp_identity_check(u: FieldEvaluator, w: FieldEvaluator, R: float,
     The identity requires Dw = 0 on the base; a violation is reported through
     ``dw0_norm`` rather than raised.
     """
-    from .quadrature import SphereRule
-
     if not 0.0 < T < R:
         raise ValueError("need 0 < T < R")
-    sph = SphereRule(rule.n_polar)
-    xr, wr = np.polynomial.legendre.leggauss(rule.n_radial)
-    u_ref, w_ref = 0.5 * (xr + 1.0), 0.5 * wr
+    ball = BallRule(rule.n_radial, rule.n_polar)
+    sph = ball.sphere
     xt, wt = np.polynomial.legendre.leggauss(rule.n_time)
     t_nodes = 0.5 * T * (xt + 1.0)
     t_weights = 0.5 * T * wt
 
     def ball_nodes(radius):
-        r = radius * u_ref[:, None]
-        weights = (radius * w_ref[:, None] * sph.weights[None, :] * r**2).ravel()
-        xs = (r[:, :, None] * sph.nodes[None, :, :]).reshape(-1, 3)
-        return xs, weights
+        return _disk_nodes(DiskSpec(0.0, np.zeros(3), radius), ball)
 
     def ball_integral_dudw(t, radius):
         xs, weights = ball_nodes(radius)

@@ -173,10 +173,7 @@ def test_criterion_4_solver_verification():
             return pw.jets_at(np.zeros(len(xs)), xs)[index]
         return fn
 
-    data = (SpatialField(lambda x: pw.jet(SpacetimePoint(0.0, x)).value,
-                         batch_fn=batch(0)),
-            SpatialField(lambda x: pw.jet(SpacetimePoint(0.0, x)).dt,
-                         batch_fn=batch(1)))
+    data = (SpatialField(batch(0)), SpatialField(batch(1)))
     errs = []
     T = 0.5
     for h in (1 / 8, 1 / 16, 1 / 32):

@@ -7,16 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavemaplab.fields import (ANALYTIC_EXCLUSION, BoostedHarmonicMap,
-                               GridField, JetSample, MapParams,
-                               boosted_phi_jet, constant_spatial_field,
-                               harmonic_v, harmonic_v_jet,
+                               FieldEvaluator, GridField, MapParams,
+                               constant_spatial_field, harmonic_v,
                                harmonic_v_jet_batch, initial_data, s_lambda,
                                stereographic, stereographic_inv)
 from wavemaplab import fields
-from wavemaplab.manufactured import GeodesicPlaneWave
+from wavemaplab.manufactured import (ComposedWithBoost, ConstantMap,
+                                     GeodesicPlaneWave, QuadraticNullField,
+                                     TimeSquaredBump)
 from wavemaplab.quadrature import SphereRule
 from wavemaplab.solver import SolverConfig, init_from_data
-from wavemaplab.spacetime import SpacetimePoint
+from wavemaplab.spacetime import LorentzBoost, SpacetimePoint
+
+
+def hedgehog_jet(p, x):
+    """The jet of the stationary hedgehog at x: the 1-point call of
+    ``BoostedHarmonicMap``, which runs on ``harmonic_v_jet_batch``."""
+    return BoostedHarmonicMap(p).jet(SpacetimePoint(0.0, np.asarray(x, float)))
 
 
 def fd_time_derivative(value_fn, t, x, h=1e-6):
@@ -91,7 +98,7 @@ def test_harmonic_v_jet_matches_finite_differences():
         x = rng.uniform(-1.0, 1.0, 3)
         if np.linalg.norm(x) < 0.2:
             continue
-        jet = harmonic_v_jet(p, x)
+        jet = hedgehog_jet(p, x)
         assert np.allclose(jet.value, harmonic_v(p, x), atol=1e-12)
         assert np.allclose(jet.dt, 0.0)
         fd = fd_gradient(lambda t, y: harmonic_v(p, y), 0.0, x)
@@ -100,7 +107,7 @@ def test_harmonic_v_jet_matches_finite_differences():
 
 def test_harmonic_v_jet_tangency():
     p = MapParams(3.0)
-    jet = harmonic_v_jet(p, np.array([0.2, 0.4, -0.1]))
+    jet = hedgehog_jet(p, np.array([0.2, 0.4, -0.1]))
     assert np.dot(jet.value, jet.value) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(jet.grad @ jet.value, 0.0, atol=1e-12)
 
@@ -109,7 +116,7 @@ def test_harmonic_v_hedgehog_density():
     # lam = 1: |grad(x/|x|)|^2 = 2 / r^2
     p = MapParams(1.0)
     for x in ([0.5, 0.0, 0.0], [0.1, 0.2, -0.3], [0.0, 0.0, 2.0]):
-        jet = harmonic_v_jet(p, np.array(x))
+        jet = hedgehog_jet(p, np.array(x))
         r2 = float(np.dot(x, x))
         assert float(np.sum(jet.grad**2)) == pytest.approx(2.0 / r2, rel=1e-10)
 
@@ -120,15 +127,15 @@ def test_harmonic_v_jet_batch_matches_scalar():
     xs = rng.uniform(0.2, 1.0, (20, 3))
     values, grads = harmonic_v_jet_batch(p, xs)
     for k, x in enumerate(xs):
-        jet = harmonic_v_jet(p, x)
-        assert np.allclose(values[k], jet.value, atol=1e-13)
-        assert np.allclose(grads[k], jet.grad, atol=1e-13)
+        value, grad = harmonic_v_jet_batch(p, x[None, :])
+        assert np.allclose(values[k], value[0], atol=1e-13)
+        assert np.allclose(grads[k], grad[0], atol=1e-13)
 
 
 def test_singularity_exclusion_raises():
     p = MapParams(2.0)
     with pytest.raises(ValueError):
-        harmonic_v_jet(p, np.zeros(3))
+        BoostedHarmonicMap(p).jet(SpacetimePoint(0.0, np.zeros(3)))
     with pytest.raises(ValueError):
         harmonic_v(p, 0.1 * ANALYTIC_EXCLUSION * np.ones(3))
 
@@ -191,15 +198,16 @@ def test_boosted_phi_value_is_composed_hedgehog():
     p = MapParams(2.0, 0.6)
     pt = SpacetimePoint(0.3, np.array([0.2, -0.1, 0.4]))
     xi = np.array([pt.x[0], pt.x[1], p.theta * (pt.x[2] - p.nu * pt.t)])
-    assert np.allclose(boosted_phi_jet(p, pt).value, harmonic_v(p, xi),
+    assert np.allclose(BoostedHarmonicMap(p).jet(pt).value, harmonic_v(p, xi),
                        atol=1e-13)
 
 
 def test_boosted_phi_jet_matches_finite_differences():
     p = MapParams(1.8, 0.5)
+    fld = BoostedHarmonicMap(p)
 
     def value(t, x):
-        return boosted_phi_jet(p, SpacetimePoint(t, x)).value
+        return fld.jet(SpacetimePoint(t, x)).value
 
     rng = np.random.default_rng(3)
     for _ in range(4):
@@ -207,7 +215,7 @@ def test_boosted_phi_jet_matches_finite_differences():
         x = rng.uniform(-0.6, 0.6, 3)
         if np.hypot(x[0], x[1]) < 0.2:
             continue
-        jet = boosted_phi_jet(p, SpacetimePoint(t, x))
+        jet = fld.jet(SpacetimePoint(t, x))
         assert np.allclose(jet.dt, fd_time_derivative(value, t, x), atol=1e-7)
         assert np.allclose(jet.grad, fd_gradient(value, t, x), atol=1e-7)
 
@@ -241,11 +249,11 @@ def test_initial_data_properties():
     assert np.allclose(np.sum(fv**2, axis=1), 1.0, atol=1e-12)
     assert np.allclose(np.sum(fv * gv, axis=1), 0.0, atol=1e-12)
     def value(t, y):
-        return boosted_phi_jet(p, SpacetimePoint(t, y)).value
+        return BoostedHarmonicMap(p).jet(SpacetimePoint(t, y)).value
 
     for k in range(3):
         x = xs[k]
-        # scalar and batch paths agree
+        # 1-point and N-point calls agree
         assert np.allclose(f(x), fv[k], atol=1e-13)
         assert np.allclose(g(x), gv[k], atol=1e-13)
         # g is the time derivative of the boosted map at t = 0
@@ -293,7 +301,6 @@ def test_initial_data_samples_f_and_g_with_one_jet_call(monkeypatch):
 def test_constant_spatial_field():
     c = constant_spatial_field((0.0, 0.0, 1.0))
     assert np.allclose(c(np.array([1.0, 2.0, 3.0])), [0.0, 0.0, 1.0])
-    assert np.allclose(c.jacobian(np.zeros(3)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +387,8 @@ def test_grid_field_jets_blocks_join_exactly(monkeypatch):
     monkeypatch.setattr(fields, "_BLOCK", 7)
     for got, want in zip(grid.jets_at(ts, xs), whole):
         assert np.array_equal(got, want)
+    # values_at reads the same rows with the same weights, in blocks too
+    assert np.array_equal(grid.values_at(ts, xs), whole[0])
 
 
 def test_grid_field_batch_matches_scalar():
@@ -393,6 +402,43 @@ def test_grid_field_batch_matches_scalar():
         assert np.allclose(values[k], jet.value, atol=1e-12)
         assert np.allclose(dts[k], jet.dt, atol=1e-12)
         assert np.allclose(grads[k], jet.grad, atol=1e-12)
+
+
+EVALUATORS = {
+    "constant": lambda: ConstantMap((0.1, -0.2, 0.3)),
+    "plane_wave": lambda: GeodesicPlaneWave(np.array([1.0, 0.5, -0.25])),
+    "time_bump": lambda: TimeSquaredBump(scale=1.2, direction=(1.0, 1.0, 0.0)),
+    "polynomial": QuadraticNullField,
+    "composed": lambda: ComposedWithBoost(TimeSquaredBump(scale=1.5),
+                                          LorentzBoost(0.6).matrix),
+    "hedgehog": lambda: BoostedHarmonicMap(MapParams(2.0, 0.6)),
+    "grid": lambda: _plane_wave_slab(nt=5, n=9, h=1.0 / 8.0)[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_jet_and_box_are_rows_of_one_batch_call(name):
+    # jet and box are the 1-point forms of jets_at and box_at, bit for bit;
+    # the batch is large enough for numpy to take its blocked paths
+    fld = EVALUATORS[name]()
+    rng = np.random.default_rng(14)
+    n = 300
+    ts = rng.uniform(0.0, 4.0 / 64.0, n)
+    xs = rng.uniform(-0.4, 0.4, (n, 3))
+    values, dts, grads = fld.jets_at(ts, xs)
+    has_box = type(fld).box_at is not FieldEvaluator.box_at
+    boxes = fld.box_at(ts, xs) if has_box else None
+    for k in range(n):
+        pt = SpacetimePoint(ts[k], xs[k])
+        jet = fld.jet(pt)
+        assert np.array_equal(jet.value, values[k])
+        assert np.array_equal(jet.dt, dts[k])
+        assert np.array_equal(jet.grad, grads[k])
+        if has_box:
+            assert np.array_equal(fld.box(pt), boxes[k])
+    if not has_box:
+        with pytest.raises(NotImplementedError, match=type(fld).__name__):
+            fld.box(SpacetimePoint(ts[0], xs[0]))
 
 
 @pytest.mark.parametrize("axis", range(4))
@@ -437,7 +483,7 @@ def test_grid_field_short_axis_raises_on_jets_only():
     data = np.random.default_rng(12).normal(size=(2, 4, 4, 4, 3))
     grid = GridField(t0=0.0, dt=0.25, origin=np.zeros(3), h=0.125, data=data)
     pt = SpacetimePoint(0.1, np.full(3, 0.2))
-    assert np.all(np.isfinite(grid.value(pt)))
+    assert np.all(np.isfinite(grid.values_at([pt.t], [pt.x])))
     with pytest.raises(ValueError, match="too small to calculate a numerical"):
         grid.jets_at([pt.t], [pt.x])
 
@@ -450,7 +496,7 @@ def test_grid_field_domain_checks():
     with pytest.raises(ValueError, match="outside the grid slab"):
         grid.jet(SpacetimePoint(0.01, np.array([2.0, 0.0, 0.0])))
     pt = SpacetimePoint(0.01, np.array([0.1, -0.2, 0.3]))
-    assert np.array_equal(grid.value(pt), grid.jet(pt).value)
+    assert np.array_equal(grid.values_at([pt.t], [pt.x])[0], grid.jet(pt).value)
 
 
 def test_grid_field_save_load_round_trip(tmp_path):

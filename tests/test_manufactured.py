@@ -3,8 +3,7 @@ import pytest
 
 from wavemaplab.manufactured import (ComposedWithBoost, ConstantMap,
                                      GeodesicPlaneWave, QuadraticNullField,
-                                     TimeSquaredBump, bump_gradient,
-                                     bump_laplacian, bump_profile, bump_value)
+                                     TimeSquaredBump, bump_profile)
 from wavemaplab.spacetime import LorentzBoost, SpacetimePoint
 
 
@@ -84,6 +83,26 @@ def test_plane_wave_batch_matches_scalar():
         assert np.allclose(dts[k], jet.dt, atol=1e-14)
         assert np.allclose(grads[k], jet.grad, atol=1e-14)
         assert np.allclose(boxes[k], pw.box(pt), atol=1e-14)
+
+
+def bump_value(x, center, scale):
+    """The radial bump b, read off TimeSquaredBump (u = t^2 b e) at t = 1."""
+    fld = TimeSquaredBump(center=center, scale=scale)
+    return fld.jets_at(np.ones(1), np.asarray(x, float)[None, :])[0][0, 0]
+
+
+def bump_gradient(x, center, scale):
+    """grad b: at t = 1 the gradient of u = b e is grad b (x) e."""
+    fld = TimeSquaredBump(center=center, scale=scale)
+    return fld.jets_at(np.ones(1), np.asarray(x, float)[None, :])[2][0, :, 0]
+
+
+def bump_laplacian(x, center, scale):
+    """Lap b: at t = 1, box u = (2 b - Lap b) e."""
+    fld = TimeSquaredBump(center=center, scale=scale)
+    x = np.asarray(x, float)[None, :]
+    return 2.0 * fld.jets_at(np.ones(1), x)[0][0, 0] \
+        - fld.box_at(np.ones(1), x)[0, 0]
 
 
 def test_bump_profile_support_and_derivatives():

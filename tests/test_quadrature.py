@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from wavemaplab.fields import (BoostedHarmonicMap, GridField, JetSample,
-                               MapParams, s_lambda)
+from wavemaplab.fields import BoostedHarmonicMap, GridField, MapParams, s_lambda
 from wavemaplab.manufactured import GeodesicPlaneWave
 from wavemaplab.quadrature import (BallRule, BalanceReport, ConeSurfaceRule,
                                    ProductRule, SphereRule, _disk_nodes,
@@ -23,10 +22,6 @@ class ScaledWave:
     def jets_at(self, ts, xs):
         v, d, g = self.base.jets_at(ts, xs)
         return self.A * v, self.A * d, self.A * g
-
-    def jet(self, pt):
-        j = self.base.jet(pt)
-        return JetSample(self.A * j.value, self.A * j.dt, self.A * j.grad)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavemaplab.fields import MapParams, SpatialField, constant_spatial_field, initial_data
-from wavemaplab.manufactured import GeodesicPlaneWave, bump_value
+from wavemaplab.manufactured import GeodesicPlaneWave, bump_profile
 from wavemaplab import solver
 from wavemaplab.solver import (EnergyLedger, SolverConfig, constraint_violation,
                                init_from_data, penalization_sweep, run, step,
@@ -21,14 +21,10 @@ def plane_wave_data(k):
             return jets[index]
         return fn
 
-    f = SpatialField(lambda x: pw.jet(SpacetimePoint(0.0, x)).value,
-                     batch_fn=batch(0))
-    g = SpatialField(lambda x: pw.jet(SpacetimePoint(0.0, x)).dt,
-                     batch_fn=batch(1))
-    return pw, (f, g)
+    return pw, (SpatialField(batch(0)), SpatialField(batch(1)))
 
 
-ZERO_G = SpatialField(lambda x: np.zeros(3), batch_fn=lambda xs: np.zeros_like(xs))
+ZERO_G = SpatialField(lambda xs: np.zeros_like(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -105,17 +101,12 @@ def test_finite_propagation_speed():
     f, g = data
     x0 = np.array([0.4, 0.4, 0.4])
 
-    def perturbed(x):
-        out = f(x).copy()
-        out[0] += 0.5 * bump_value(x, x0, 0.05)
-        return out
-
-    def perturbed_batch(xs):
+    def perturbed(xs):
         out = f.batch(xs).copy()
-        out[:, 0] += 0.5 * np.array([bump_value(x, x0, 0.05) for x in xs])
+        out[:, 0] += 0.5 * bump_profile(np.sum((xs - x0)**2, axis=1) / 0.05**2)
         return out
 
-    fp = SpatialField(perturbed, batch_fn=perturbed_batch)
+    fp = SpatialField(perturbed)
     cfg = SolverConfig(box_half_width=0.5, h=1 / 16, T_end=0.1)
     s1, _ = run(cfg, (f, g))
     s2, _ = run(cfg, (fp, g))
@@ -127,7 +118,7 @@ def test_finite_propagation_speed():
 
 def test_unstable_step_raises():
     rng = np.random.default_rng(3)
-    noisy = SpatialField(lambda x: rng.uniform(-1.0, 1.0, 3))
+    noisy = SpatialField(lambda xs: rng.uniform(-1.0, 1.0, (len(xs), 3)))
     cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=4.0, c_cfl=4.0,
                        penalty_n=8.0, boundary="periodic")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -246,8 +237,7 @@ def off_sphere_data():
         x, z = 2.0 * np.pi * xs[:, 0], 2.0 * np.pi * xs[:, 2]
         return np.stack([0.1 * np.cos(z), 0.0 * x, 0.2 * np.sin(x)], axis=1)
 
-    return (SpatialField(lambda x: f(x[None])[0], batch_fn=f),
-            SpatialField(lambda x: g(x[None])[0], batch_fn=g))
+    return SpatialField(f), SpatialField(g)
 
 
 KERNEL_CASES = [(b, n) for b in ("clamped", "periodic") for n in (0.0, 16.0)]
@@ -292,7 +282,7 @@ def test_oversized_slab_fails_before_sampling(monkeypatch):
     def never(xs):
         raise AssertionError("data sampled before the slab-size check")
 
-    fld = SpatialField(lambda x: np.zeros(3), batch_fn=never)
+    fld = SpatialField(never)
     cfg = SolverConfig(box_half_width=0.5, h=1 / 32, T_end=0.1)
     monkeypatch.setattr(solver, "_physical_memory", lambda: 2**20)
     with pytest.raises(ValueError, match=r"GiB .*stride"):
@@ -345,7 +335,7 @@ def test_penalization_sweep_samples_data_once():
         def batch(xs):
             calls[key] += 1
             return fld.batch(xs)
-        return SpatialField(fld, batch_fn=batch)
+        return SpatialField(batch)
 
     cfg = SolverConfig(box_half_width=0.5, h=1 / 16, T_end=0.1)
     cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
