@@ -7,11 +7,11 @@ __version__ = "0.1.0"
 from .spacetime import (ConeSpec, DiskSpec, LorentzBoost, SpacetimePoint,
                         apply_boost, disk_at, minkowski_dot)
 from .fields import (BoostedHarmonicMap, FieldEvaluator, GridField, JetSample,
-                     MapParams, SpatialField, harmonic_v, initial_data,
-                     s_lambda, stereographic, stereographic_inv)
-from .stress_energy import (BumpTest, StressTensor, comp_identity_check,
-                            divergence_T, energy_density, flux_density,
-                            flux_form_Q, recover_point_charge, stress_tensor,
+                     MapParams, harmonic_v, s_lambda, stereographic,
+                     stereographic_inv)
+from .stress_energy import (BumpTest, comp_identity_check, divergence_T,
+                            energy_density, flux_density, flux_form_Q,
+                            recover_point_charge, stress_tensor,
                             transformation_check, weak_residual)
 from .quadrature import (BallRule, BalanceReport, ConeSurfaceRule, ProductRule,
                          SphereRule, energy_balance, energy_on_disk,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .fields import (BoostedHarmonicMap, GridField, MapParams, _slab_corners,
-                     _weighted_sum, initial_data, s_lambda)
+                     _weighted_sum, s_lambda)
 from .manufactured import (ComposedWithBoost, ConstantMap, GeodesicPlaneWave,
                            QuadraticNullField, TimeSquaredBump)
 from .quadrature import (BallRule, ConeSurfaceRule, ProductRule, _disk_nodes,
@@ -395,8 +395,8 @@ def cmd_nonuniq_demo(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentRe
     solver_cfg = cfg.solver_config()
     trusted_region(solver_cfg, cone)  # raises if the cone is untrusted
 
-    data = initial_data(params)
-    sweep = penalization_sweep(cfg.penalties, data, solver_cfg, cone,
+    sweep = penalization_sweep(cfg.penalties, BoostedHarmonicMap(params),
+                               solver_cfg, cone,
                                sample_times=[cfg.T_end / 2.0, cfg.T_end])
     slab = sweep.final_slab
     n_max = float(cfg.penalties[-1])
@@ -494,7 +494,7 @@ def cmd_stationary_demo(cfg: ExperimentConfig, raw: str, out: Path) -> Experimen
     report = _new_report("stationary-demo", cfg, raw)
     params = cfg.params
     solver_cfg = cfg.solver_config(penalty_n=float(cfg.penalties[-1]))
-    slab, _ = run(solver_cfg, initial_data(params))
+    slab, _ = run(solver_cfg, BoostedHarmonicMap(params))
 
     # pull the solver output back through the inverse boost and compare with
     # the stationary map
@@ -616,7 +616,7 @@ def cmd_penalized_run(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentR
     n = float(cfg.penalties[-1])
     report = _new_report("penalized-run", cfg, raw, penalty_n=n)
     solver_cfg = cfg.solver_config(penalty_n=n)
-    slab, ledger = run(solver_cfg, initial_data(cfg.params))
+    slab, ledger = run(solver_cfg, BoostedHarmonicMap(cfg.params))
     out.mkdir(parents=True, exist_ok=True)
     slab.save(out / "penalized_run.wmgf")
     ledger.to_csv(out / "penalized_run_ledger.csv")
@@ -656,6 +656,10 @@ def main(argv=None) -> int:
     parser.add_argument("--refine", type=int, default=1,
                         help="global refinement multiplier")
     args = parser.parse_args(argv)
+    if args.refine < 1:
+        print(f"--refine must be at least 1, got {args.refine}",
+              file=sys.stderr)
+        return 2
 
     try:
         cfg, raw = load_config(args.config)

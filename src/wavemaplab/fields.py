@@ -212,67 +212,10 @@ class BoostedHarmonicMap(FieldEvaluator):
         th, nu = self.params.theta, self.params.nu
         xi = xs.copy()
         xi[:, 2] = th * (xs[:, 2] - nu * ts)
-        values, g = harmonic_v_jet_batch(self.params, xi)
-        grads = g.copy()
-        grads[:, 2, :] = th * g[:, 2, :]
-        dts = -th * nu * g[:, 2, :]
+        values, grads = harmonic_v_jet_batch(self.params, xi)
+        dts = -th * nu * grads[:, 2, :]
+        grads[:, 2, :] *= th
         return values, dts, grads
-
-
-class SpatialField:
-    """Time-slice data, a map R^3 -> R^3.  The batch function is the field:
-    ``batch(xs)`` maps positions (N, 3) to values (N, 3), and ``f(x)`` is its
-    1-point form."""
-
-    def __init__(self, batch):
-        self.batch = batch
-
-    def __call__(self, x) -> np.ndarray:
-        return self.batch(np.asarray(x, dtype=float)[None, :])[0]
-
-
-def constant_spatial_field(value) -> SpatialField:
-    value = np.asarray(value, dtype=float)
-    return SpatialField(lambda xs: np.tile(value, (len(xs), 1)))
-
-
-def initial_data(params: MapParams) -> tuple[SpatialField, SpatialField]:
-    """Cauchy data of the boosted map at t = 0:
-    f(x) = v(x1, x2, Theta*x3),  g(x) = -Theta*nu*(d3 v)(x1, x2, Theta*x3).
-
-    |f| = 1 and f.g = 0 wherever defined; at the origin, and on the ray the
-    hedgehog sends to the south pole, both take the limiting values of
-    ``harmonic_v_jet_batch``.
-
-    Both batch functions need the same jets, so ``f``'s batch leaves its
-    samples of ``g`` for ``g``'s next batch call, which takes them (and so
-    frees them) and uses them if its points are the same.
-    """
-    def scaled(xs):
-        xi = np.array(xs, dtype=float)
-        xi[:, 2] = params.theta * xi[:, 2]
-        return xi
-
-    def jets(xi):
-        values, grads = harmonic_v_jet_batch(params, xi)
-        return values, -params.theta * params.nu * grads[:, 2, :]
-
-    handoff = {}
-
-    def f_batch(xs):
-        xi = scaled(xs)
-        values, g_values = jets(xi)
-        handoff["g"] = (xi, g_values)
-        return values
-
-    def g_batch(xs):
-        xi = scaled(xs)
-        left = handoff.pop("g", None)
-        if left is not None and np.array_equal(xi, left[0]):
-            return left[1]
-        return jets(xi)[1]
-
-    return SpatialField(f_batch), SpatialField(g_batch)
 
 
 # np.gradient(edge_order=2) writes its interior difference as

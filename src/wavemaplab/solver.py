@@ -10,6 +10,10 @@ The grid is cell-centered so data derived from the singular analytic maps are
 never sampled at their singular point; the effective smoothing scale of such
 data is the grid spacing h.
 
+Data.  ``run`` and ``penalization_sweep`` start from any ``FieldEvaluator``:
+its value and time derivative at t = 0 on the cell centres, sampled with one
+``jets_at`` call, are the Cauchy data (u^0, g^0), which no step writes.
+
 Buffers.  One in-place kernel, ``_accel``, forms Lap(u) - n^2 (|u|^2 - 1) u
 with the arithmetic of the plain formula, so every level is bit-identical to
 it.  ``step(state, cfg, u0, out=, work=)`` writes the new level into ``out``
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import GridField, SpatialField
+from .fields import FieldEvaluator, GridField
 from .spacetime import ConeSpec, SpacetimePoint
 
 
@@ -44,7 +48,7 @@ class SolverConfig:
     c_cfl: float = 0.5
     dt: float | None = None
     boundary: str = "clamped"       # "clamped" (to initial data) or "periodic"
-    store_stride: int | None = None  # None: auto, at most ~50 stored levels
+    store_stride: int | None = None  # None: auto, about 12 stored intervals
 
     def __post_init__(self):
         if self.boundary not in ("clamped", "periodic"):
@@ -69,8 +73,7 @@ class SolverConfig:
 
     @property
     def n_steps(self) -> int:
-        dt = self.dt if self.dt is not None else self.cfl_limit
-        return max(1, int(np.ceil(self.T_end / dt - 1e-12)))
+        return _step_plan(self)[0]
 
     @property
     def dt_effective(self) -> float:
@@ -127,6 +130,22 @@ class EnergyLedger:
                 wr.writerow([step, time, kin, grad, pen, kin + grad + pen])
 
 
+def _step_plan(cfg: SolverConfig) -> tuple[int, int]:
+    """Step count and stored-level stride.  The stride divides the step count
+    so stored levels stay uniform in time: it is the largest divisor of the
+    step count dt asks for between half the target stride and the target
+    (``store_stride``, or about 12 stored intervals).  When there is none,
+    the step count rounds up to a multiple of the target, which only shrinks
+    dt."""
+    dt = cfg.dt if cfg.dt is not None else cfg.cfl_limit
+    n_steps = max(1, int(np.ceil(cfg.T_end / dt - 1e-12)))
+    target = cfg.store_stride or max(1, int(np.ceil(n_steps / 12)))
+    for stride in range(target, (target - 1) // 2, -1):
+        if n_steps % stride == 0:
+            return n_steps, stride
+    return -(-n_steps // target) * target, target
+
+
 def _cell_centres(cfg: SolverConfig) -> np.ndarray:
     """The cell centres of the grid, shape (N**3, 3), in C order of the
     (N, N, N) cells."""
@@ -135,17 +154,13 @@ def _cell_centres(cfg: SolverConfig) -> np.ndarray:
     return np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
 
 
-def _sample_on_grid(fld: SpatialField | np.ndarray,
-                    cfg: SolverConfig) -> np.ndarray:
-    """Samples of ``fld`` at the cell centres, shape (N, N, N, 3); an array of
-    that shape is taken as already sampled and returned as it is."""
+def _cauchy_data(field: FieldEvaluator,
+                 cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The value and time derivative of ``field`` at t = 0 on the cell
+    centres, each of shape (N, N, N, 3), from one ``jets_at`` call."""
     n = cfg.n_cells
-    if isinstance(fld, np.ndarray):
-        if fld.shape != (n, n, n, 3):
-            raise ValueError(f"sampled data has shape {fld.shape}, "
-                             f"the grid needs {(n, n, n, 3)}")
-        return fld
-    return fld.batch(_cell_centres(cfg)).reshape(n, n, n, 3)
+    values, dts, _ = field.jets_at(np.zeros(n**3), _cell_centres(cfg))
+    return values.reshape(n, n, n, 3), dts.reshape(n, n, n, 3)
 
 
 class _Work:
@@ -204,15 +219,19 @@ def _accel(u: np.ndarray, cfg: SolverConfig, work: _Work) -> np.ndarray:
     return a
 
 
-def init_from_data(f: SpatialField | np.ndarray, g: SpatialField | np.ndarray,
-                   cfg: SolverConfig, work: _Work | None = None) -> StateSlab:
+def init_from_data(u0: np.ndarray, g0: np.ndarray, cfg: SolverConfig,
+                   work: _Work | None = None) -> StateSlab:
     """Second-order start: u^1 = u^0 + dt g + (dt^2/2)(Lap u^0 - penalty).
 
-    ``f`` and ``g`` are SpatialFields or their samples at the cell centres;
-    the returned state holds ``u_prev`` = those samples of ``f``."""
+    ``u0`` and ``g0`` are the value and time derivative of the data at the
+    cell centres, shape (N, N, N, 3), and are not written; the returned state
+    holds ``u_prev`` = ``u0``."""
     dt = cfg.dt_effective
-    u0 = _sample_on_grid(f, cfg)
-    g0 = _sample_on_grid(g, cfg)
+    n = cfg.n_cells
+    for a in (u0, g0):
+        if a.shape != (n, n, n, 3):
+            raise ValueError(f"sampled data has shape {a.shape}, "
+                             f"the grid needs {(n, n, n, 3)}")
     if not np.all(np.isfinite(u0)):
         raise ValueError("initial data not finite at some cell center")
     a = _accel(u0, cfg, work if work is not None else _Work(u0.shape))
@@ -298,11 +317,7 @@ def _physical_memory() -> int | None:
 def _store_plan(cfg: SolverConfig) -> tuple[int, int]:
     """Stored-level stride and level count; raises ValueError when the
     stored slab alone would exceed physical memory."""
-    n_steps = cfg.n_steps
-    # stride must divide n_steps so stored levels stay uniform in time
-    stride = cfg.store_stride or max(1, int(np.ceil(n_steps / 12)))
-    while n_steps % stride:
-        stride -= 1
+    n_steps, stride = _step_plan(cfg)
     n_levels = n_steps // stride + 1
     nbytes = n_levels * cfg.n_cells**3 * 3 * 8
     ram = _physical_memory()
@@ -315,16 +330,22 @@ def _store_plan(cfg: SolverConfig) -> tuple[int, int]:
     return stride, n_levels
 
 
-def run(cfg: SolverConfig, data):
-    """Integrate to T_end; returns the (possibly strided) space-time slab and
-    the energy ledger.  ``data`` is the Cauchy pair (f, g), each a
-    SpatialField or its samples at the cell centres, which are not written."""
+def run(cfg: SolverConfig, field: FieldEvaluator):
+    """Integrate from the Cauchy data of ``field``, its value and time
+    derivative at t = 0, to T_end; returns the (possibly strided) space-time
+    slab and the energy ledger."""
+    _store_plan(cfg)  # fail on an oversized slab before any sampling
+    return _integrate(cfg, *_cauchy_data(field, cfg))
+
+
+def _integrate(cfg: SolverConfig, u0: np.ndarray, g0: np.ndarray):
+    """``run`` from the sampled Cauchy data ``u0``, ``g0``, which are not
+    written."""
     stride, n_levels = _store_plan(cfg)
     dt = cfg.dt_effective
     n_steps = cfg.n_steps
     cell_vol = cfg.h**3
 
-    u0, g0 = (_sample_on_grid(fld, cfg) for fld in data)
     work = _Work(u0.shape)
     cur = init_from_data(u0, g0, cfg, work)
     levels = np.empty((n_levels,) + u0.shape)
@@ -381,17 +402,19 @@ def _cone_mask(cfg: SolverConfig, cone: ConeSpec, t: float,
     return (r <= cone.radius(t) - margin).reshape((cfg.n_cells,) * 3)
 
 
-def penalization_sweep(schedule, data, cfg_template: SolverConfig,
+def penalization_sweep(schedule, field: FieldEvaluator,
+                       cfg_template: SolverConfig,
                        cone: ConeSpec, sample_times) -> SweepReport:
-    """Run the solver for each penalty strength on a shared spatial grid (dt
-    adapted per n); report constraint violations at the sample times and
-    pairwise in-cone L2 distances between consecutive runs."""
+    """Run the solver from the Cauchy data of ``field`` for each penalty
+    strength on a shared spatial grid (dt adapted per n); report constraint
+    violations at the sample times and pairwise in-cone L2 distances between
+    consecutive runs."""
     cfgs = [dataclasses.replace(cfg_template, penalty_n=float(n), dt=None)
             for n in schedule]
     for cfg in cfgs:
         _store_plan(cfg)  # fail on an oversized slab before any sampling
     # the Cauchy data is the same for every penalty: sample it once
-    data = tuple(_sample_on_grid(fld, cfg_template) for fld in data)
+    u0, g0 = _cauchy_data(field, cfg_template)
     violations = np.zeros((len(schedule), len(sample_times)))
     dists = np.zeros(max(0, len(schedule) - 1))
     t_ref = sample_times[-1]
@@ -399,7 +422,7 @@ def penalization_sweep(schedule, data, cfg_template: SolverConfig,
     ref = slab = None
     for i, cfg in enumerate(cfgs):
         del slab  # the previous slab goes before this run stores its own
-        slab, _ = run(cfg, data)
+        slab, _ = _integrate(cfg, u0, g0)
         nearest = [int(round((t - slab.t0) / slab.dt)) for t in sample_times]
         for j, lvl in enumerate(nearest):
             violations[i, j] = constraint_violation(slab.data[lvl], cfg)

@@ -42,20 +42,12 @@ def flux_form_Q(jet_u: JetSample, jet_w: JetSample, n) -> float:
     return float(np.sum(du * dw)) / SQRT2
 
 
-@dataclass(frozen=True)
-class StressTensor:
-    components: np.ndarray  # (4, 4), index-down, symmetric
-
-    def __post_init__(self):
-        object.__setattr__(self, "components",
-                           np.asarray(self.components, dtype=float))
-
-
-def stress_tensor(jet: JetSample) -> StressTensor:
-    """T_ab = 1/2 eta_ab (d^c u . d_c u) - d_a u . d_b u, indices down."""
+def stress_tensor(jet: JetSample) -> np.ndarray:
+    """T_ab = 1/2 eta_ab (d^c u . d_c u) - d_a u . d_b u, indices down: a
+    symmetric (4, 4) array."""
     D = np.vstack([jet.dt, jet.grad])  # D[a] = d_a u
     lag = float(np.sum(jet.grad**2)) - float(np.dot(jet.dt, jet.dt))
-    return StressTensor(0.5 * ETA * lag - D @ D.T)
+    return 0.5 * ETA * lag - D @ D.T
 
 
 def divergence_T(field: FieldEvaluator, pt: SpacetimePoint, h: float) -> np.ndarray:
@@ -66,7 +58,7 @@ def divergence_T(field: FieldEvaluator, pt: SpacetimePoint, h: float) -> np.ndar
     for a in range(4):
         nodes[2 * a, a] += h
         nodes[2 * a + 1, a] -= h
-    T = [stress_tensor(JetSample(*jet)).components
+    T = [stress_tensor(JetSample(*jet))
          for jet in zip(*field.jets_at(nodes[:, 0], nodes[:, 1:]))]
     # d^0 = -d_t
     div = -(T[0][0] - T[1][0]) / (2.0 * h)

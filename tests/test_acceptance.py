@@ -20,8 +20,7 @@ from wavemaplab.cli import (ExperimentConfig, cmd_identity_checks,
                             cmd_stationary_demo, expected_defect,
                             smoothing_tolerance, solver_cone_interval,
                             _incone_distance)
-from wavemaplab.fields import (BoostedHarmonicMap, MapParams, SpatialField,
-                               initial_data, s_lambda)
+from wavemaplab.fields import BoostedHarmonicMap, MapParams, s_lambda
 from wavemaplab.manufactured import ConstantMap, GeodesicPlaneWave
 from wavemaplab.quadrature import (BallRule, ConeSurfaceRule, ProductRule,
                                    energy_balance, energy_on_disk,
@@ -68,7 +67,7 @@ def default_sweep_analysis():
     cfg = ExperimentConfig()
     params = cfg.params
     cone0 = cfg.cones[0].build()
-    sweep = penalization_sweep(cfg.penalties, initial_data(params),
+    sweep = penalization_sweep(cfg.penalties, BoostedHarmonicMap(params),
                                cfg.solver_config(), cone0,
                                sample_times=[cfg.T_end / 2.0, cfg.T_end])
     n_max = float(cfg.penalties[-1])
@@ -167,19 +166,12 @@ def test_criterion_3_smooth_conservation():
 
 def test_criterion_4_solver_verification():
     pw = GeodesicPlaneWave(np.array([2.0 * np.pi, 0.0, 0.0]))
-
-    def batch(index):
-        def fn(xs):
-            return pw.jets_at(np.zeros(len(xs)), xs)[index]
-        return fn
-
-    data = (SpatialField(batch(0)), SpatialField(batch(1)))
     errs = []
     T = 0.5
     for h in (1 / 8, 1 / 16, 1 / 32):
         cfg = SolverConfig(box_half_width=0.5, h=h, T_end=T,
                            boundary="periodic")
-        slab, _ = run(cfg, data)
+        slab, _ = run(cfg, pw)
         c = cfg.cell_centers_1d()
         X, Y, Z = np.meshgrid(c, c, c, indexing="ij")
         xs = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
@@ -192,7 +184,7 @@ def test_criterion_4_solver_verification():
                 + ", orders " + "/".join(f"{o:.2f}" for o in orders))]
     cfg = SolverConfig(box_half_width=0.5, h=1 / 16, T_end=1.0,
                        boundary="periodic")
-    _, ledger = run(cfg, data)
+    _, ledger = run(cfg, pw)
     drift = ledger.relative_drift()
     clauses.append(("energy drift <= 1e-3 over T_end = 1", drift <= 1e-3,
                     f"drift {drift:.2e}"))
@@ -252,7 +244,7 @@ def test_criterion_6_nonuniqueness_demo(default_sweep_analysis):
     fine = dataclasses.replace(cfg, h=1.0 / 80.0)
     fine_scfg = dataclasses.replace(fine.solver_config(penalty_n=64.0),
                                     dt=fine.T_end / 60.0, store_stride=12)
-    fine_slab, _ = run(fine_scfg, initial_data(params))
+    fine_slab, _ = run(fine_scfg, BoostedHarmonicMap(params))
     fine_dist, fine_est = _incone_distance(fine, fine_slab, params, cone,
                                            t_ref)
     clauses.append(("distance does not shrink under refinement",

@@ -8,8 +8,7 @@ from wavemaplab.cli import (ConeRequest, ConfigError, ExperimentConfig,
                             Verdict, _crossing_interval, _incone_distance,
                             _parse_cone, expected_defect, load_config, main,
                             solver_cone_interval)
-from wavemaplab.fields import (BoostedHarmonicMap, GridField, initial_data,
-                               s_lambda)
+from wavemaplab.fields import BoostedHarmonicMap, GridField, s_lambda
 from wavemaplab.quadrature import _disk_nodes
 from wavemaplab.solver import run
 from wavemaplab.spacetime import DiskSpec
@@ -158,7 +157,7 @@ def test_incone_distance_samples_only_the_corners_it_reads(monkeypatch):
     req = cfg.cones[0]
     cone = req.build()
     t_ref = solver_cone_interval(cfg, req).t
-    slab, _ = run(cfg.solver_config(penalty_n=16.0), initial_data(params))
+    slab, _ = run(cfg.solver_config(penalty_n=16.0), BoostedHarmonicMap(params))
     want = _incone_reference(cfg, slab, params, cone, t_ref)
 
     nodes = []
@@ -233,6 +232,13 @@ def test_bad_config_exits_2(tmp_path, capsys):
     path.write_text("[map]\nfoo = 1\n")
     assert main(["s-table", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_refine_below_one_exits_2(k, tmp_path, capsys):
+    assert main(["s-table", "--refine", k, "--out", str(tmp_path)]) == 2
+    assert f"--refine must be at least 1, got {k}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())  # no report written
 
 
 def test_identity_checks_command(tmp_path, capsys):

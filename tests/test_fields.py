@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 from wavemaplab.fields import (ANALYTIC_EXCLUSION, BoostedHarmonicMap,
                                FieldEvaluator, GridField, MapParams,
-                               constant_spatial_field, harmonic_v,
-                               harmonic_v_jet_batch, initial_data, s_lambda,
+                               harmonic_v, harmonic_v_jet_batch, s_lambda,
                                stereographic, stereographic_inv)
-from wavemaplab import fields
+from wavemaplab import fields, solver
 from wavemaplab.manufactured import (ComposedWithBoost, ConstantMap,
                                      GeodesicPlaneWave, QuadraticNullField,
                                      TimeSquaredBump)
 from wavemaplab.quadrature import SphereRule
-from wavemaplab.solver import SolverConfig, init_from_data
+from wavemaplab.solver import SolverConfig, run
 from wavemaplab.spacetime import LorentzBoost, SpacetimePoint
 
 
@@ -241,34 +240,28 @@ def test_boosted_map_field_interface():
 
 
 def test_initial_data_properties():
-    p = MapParams(2.0, 0.6)
-    f, g = initial_data(p)
+    # the Cauchy data of the boosted map is its jet at t = 0: f = phi and
+    # g = d_t phi there
+    phi = BoostedHarmonicMap(MapParams(2.0, 0.6))
     rng = np.random.default_rng(5)
     xs = rng.uniform(0.1, 0.6, (8, 3))
-    fv, gv = f.batch(xs), g.batch(xs)
+    fv, gv, _ = phi.jets_at(np.zeros(len(xs)), xs)
     assert np.allclose(np.sum(fv**2, axis=1), 1.0, atol=1e-12)
     assert np.allclose(np.sum(fv * gv, axis=1), 0.0, atol=1e-12)
+
     def value(t, y):
-        return BoostedHarmonicMap(p).jet(SpacetimePoint(t, y)).value
+        return phi.jet(SpacetimePoint(t, y)).value
 
     for k in range(3):
-        x = xs[k]
-        # 1-point and N-point calls agree
-        assert np.allclose(f(x), fv[k], atol=1e-13)
-        assert np.allclose(g(x), gv[k], atol=1e-13)
-        # g is the time derivative of the boosted map at t = 0
-        assert np.allclose(g(x), fd_time_derivative(value, 0.0, x), atol=1e-7)
+        assert np.allclose(gv[k], fd_time_derivative(value, 0.0, xs[k]),
+                           atol=1e-7)
 
 
 def test_initial_data_samples_f_and_g_with_one_jet_call(monkeypatch):
-    p = MapParams(2.0, 0.6)
+    phi = BoostedHarmonicMap(MapParams(2.0, 0.6))
     cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.1)
-    c = cfg.cell_centers_1d()
-    X, Y, Z = np.meshgrid(c, c, c, indexing="ij")
-    xs = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
-    # each batch function alone, from its own pair: no samples handed over
-    f_alone = initial_data(p)[0].batch(xs)
-    g_alone = initial_data(p)[1].batch(xs)
+    xs = solver._cell_centres(cfg)
+    values, dts, _ = phi.jets_at(np.zeros(len(xs)), xs)
 
     calls = []
     real = fields.harmonic_v_jet_batch
@@ -277,30 +270,21 @@ def test_initial_data_samples_f_and_g_with_one_jet_call(monkeypatch):
         calls.append(len(pts))
         return real(params, pts)
 
+    seen = []
+    real_init = solver.init_from_data
+
+    def spy(u0, g0, cfg, work=None):
+        seen.append((u0.copy(), g0.copy()))
+        return real_init(u0, g0, cfg, work)
+
     monkeypatch.setattr(fields, "harmonic_v_jet_batch", counting)
-    f, g = initial_data(p)
-    state = init_from_data(f, g, cfg)
-    assert calls == [len(xs)]
-    assert np.array_equal(state.u_prev.reshape(-1, 3), f_alone)
-    ref = init_from_data(f_alone.reshape(state.u_prev.shape),
-                         g_alone.reshape(state.u_prev.shape), cfg)
-    assert np.array_equal(state.u_curr, ref.u_curr)
-
-    # g takes the handed-over samples once, and only for the same points
-    f, g = initial_data(p)
-    f.batch(xs)
-    assert np.array_equal(g.batch(xs), g_alone)
-    assert len(calls) == 2
-    assert np.array_equal(g.batch(xs), g_alone)
-    assert len(calls) == 3
-    f.batch(xs)
-    assert np.array_equal(g.batch(xs[::-1]), g_alone[::-1])
-    assert len(calls) == 5
-
-
-def test_constant_spatial_field():
-    c = constant_spatial_field((0.0, 0.0, 1.0))
-    assert np.allclose(c(np.array([1.0, 2.0, 3.0])), [0.0, 0.0, 1.0])
+    monkeypatch.setattr(solver, "init_from_data", spy)
+    slab, _ = run(cfg, phi)
+    assert calls == [cfg.n_cells**3]
+    (u0, g0), = seen
+    assert np.array_equal(u0.reshape(-1, 3), values)
+    assert np.array_equal(g0.reshape(-1, 3), dts)
+    assert np.array_equal(slab.data[0].reshape(-1, 3), values)
 
 
 # ---------------------------------------------------------------------------

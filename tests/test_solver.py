@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wavemaplab.fields import MapParams, SpatialField, constant_spatial_field, initial_data
-from wavemaplab.manufactured import GeodesicPlaneWave, bump_profile
+from wavemaplab.fields import BoostedHarmonicMap, FieldEvaluator, MapParams
+from wavemaplab.manufactured import ConstantMap, GeodesicPlaneWave, bump_profile
 from wavemaplab import solver
 from wavemaplab.solver import (EnergyLedger, SolverConfig, constraint_violation,
                                init_from_data, penalization_sweep, run, step,
@@ -12,19 +12,19 @@ from wavemaplab.solver import (EnergyLedger, SolverConfig, constraint_violation,
 from wavemaplab.spacetime import ConeSpec, SpacetimePoint
 
 
-def plane_wave_data(k):
-    pw = GeodesicPlaneWave(np.asarray(k, dtype=float))
-
-    def batch(index):
-        def fn(xs):
-            jets = pw.jets_at(np.zeros(len(xs)), xs)
-            return jets[index]
-        return fn
-
-    return pw, (SpatialField(batch(0)), SpatialField(batch(1)))
+def plane_wave(k):
+    return GeodesicPlaneWave(np.asarray(k, dtype=float))
 
 
-ZERO_G = SpatialField(lambda xs: np.zeros_like(xs))
+class CauchyData(FieldEvaluator):
+    """Arbitrary data: value ``f(xs)`` and time derivative ``g(xs)`` at
+    t = 0, the only jets the solver samples."""
+
+    def __init__(self, f, g=np.zeros_like):
+        self.f, self.g = f, g
+
+    def jets_at(self, ts, xs):
+        return self.f(xs), self.g(xs), np.zeros((len(xs), 3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -64,19 +64,18 @@ def test_grid_geometry():
 
 def test_constant_equilibrium_is_preserved():
     cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.2, penalty_n=16.0)
-    f = constant_spatial_field((0.0, 0.0, 1.0))
-    slab, ledger = run(cfg, (f, ZERO_G))
+    slab, ledger = run(cfg, ConstantMap((0.0, 0.0, 1.0)))
     assert np.allclose(slab.data, slab.data[0], atol=1e-14)
     assert np.allclose(ledger.totals(), 0.0, atol=1e-14)
 
 
 def test_plane_wave_convergence_order():
-    pw, data = plane_wave_data([2.0 * np.pi, 0.0, 0.0])
+    pw = plane_wave([2.0 * np.pi, 0.0, 0.0])
     T = 0.5
     errs = []
     for h in (1 / 8, 1 / 16, 1 / 32):
         cfg = SolverConfig(box_half_width=0.5, h=h, T_end=T, boundary="periodic")
-        slab, _ = run(cfg, data)
+        slab, _ = run(cfg, pw)
         c = cfg.cell_centers_1d()
         X, Y, Z = np.meshgrid(c, c, c, indexing="ij")
         xs = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
@@ -87,29 +86,29 @@ def test_plane_wave_convergence_order():
 
 
 def test_energy_drift_small():
-    _, data = plane_wave_data([2.0 * np.pi, 0.0, 0.0])
     cfg = SolverConfig(box_half_width=0.5, h=1 / 16, T_end=1.0,
                        boundary="periodic")
-    _, ledger = run(cfg, data)
+    _, ledger = run(cfg, plane_wave([2.0 * np.pi, 0.0, 0.0]))
     assert ledger.relative_drift() <= 1e-3
 
 
 def test_finite_propagation_speed():
     # perturbing the data far outside a ball leaves the in-cone solution
     # untouched (exactly, for an explicit stencil)
-    _, data = plane_wave_data([2.0, 1.0, 0.0])
-    f, g = data
+    pw = plane_wave([2.0, 1.0, 0.0])
     x0 = np.array([0.4, 0.4, 0.4])
 
     def perturbed(xs):
-        out = f.batch(xs).copy()
+        out = pw.jets_at(np.zeros(len(xs)), xs)[0]
         out[:, 0] += 0.5 * bump_profile(np.sum((xs - x0)**2, axis=1) / 0.05**2)
         return out
 
-    fp = SpatialField(perturbed)
+    def g(xs):
+        return pw.jets_at(np.zeros(len(xs)), xs)[1]
+
     cfg = SolverConfig(box_half_width=0.5, h=1 / 16, T_end=0.1)
-    s1, _ = run(cfg, (f, g))
-    s2, _ = run(cfg, (fp, g))
+    s1, _ = run(cfg, pw)
+    s2, _ = run(cfg, CauchyData(perturbed, g))
     c = cfg.cell_centers_1d()
     X, Y, Z = np.meshgrid(c, c, c, indexing="ij")
     mask = np.sqrt(X**2 + Y**2 + Z**2) <= 0.1
@@ -118,20 +117,23 @@ def test_finite_propagation_speed():
 
 def test_unstable_step_raises():
     rng = np.random.default_rng(3)
-    noisy = SpatialField(lambda xs: rng.uniform(-1.0, 1.0, (len(xs), 3)))
+    noisy = CauchyData(lambda xs: rng.uniform(-1.0, 1.0, (len(xs), 3)))
     cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=4.0, c_cfl=4.0,
                        penalty_n=8.0, boundary="periodic")
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError):
-            run(cfg, (noisy, ZERO_G))
+            run(cfg, noisy)
 
 
 def test_step_and_init_agree_with_run():
-    _, data = plane_wave_data([2.0, 0.0, 0.0])
+    pw = plane_wave([2.0, 0.0, 0.0])
     cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.1,
                        boundary="periodic", store_stride=1)
-    slab, _ = run(cfg, data)
-    state = init_from_data(*data, cfg)
+    slab, _ = run(cfg, pw)
+    u0, g0 = solver._cauchy_data(pw, cfg)
+    with pytest.raises(ValueError, match="shape"):
+        init_from_data(u0, g0[1:], cfg)
+    state = init_from_data(u0, g0, cfg)
     assert np.allclose(state.u_prev, slab.data[0], atol=1e-14)
     assert np.allclose(state.u_curr, slab.data[1], atol=1e-14)
     state = step(state, cfg)
@@ -139,19 +141,17 @@ def test_step_and_init_agree_with_run():
 
 
 def test_clamped_boundary_holds_initial_values():
-    _, data = plane_wave_data([2.0, 1.0, 0.0])
     cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.2)
-    slab, _ = run(cfg, data)
+    slab, _ = run(cfg, plane_wave([2.0, 1.0, 0.0]))
     assert np.array_equal(slab.data[-1][0], slab.data[0][0])
     assert np.array_equal(slab.data[-1][:, -1], slab.data[0][:, -1])
     assert np.array_equal(slab.data[-1][:, :, 0], slab.data[0][:, :, 0])
 
 
 def test_slab_metadata():
-    _, data = plane_wave_data([2.0, 0.0, 0.0])
     cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.1,
                        boundary="periodic")
-    slab, ledger = run(cfg, data)
+    slab, ledger = run(cfg, plane_wave([2.0, 0.0, 0.0]))
     assert slab.t0 == 0.0
     assert slab.t_max == pytest.approx(cfg.T_end)
     assert slab.h == cfg.h
@@ -237,7 +237,7 @@ def off_sphere_data():
         x, z = 2.0 * np.pi * xs[:, 0], 2.0 * np.pi * xs[:, 2]
         return np.stack([0.1 * np.cos(z), 0.0 * x, 0.2 * np.sin(x)], axis=1)
 
-    return SpatialField(f), SpatialField(g)
+    return CauchyData(f, g)
 
 
 KERNEL_CASES = [(b, n) for b in ("clamped", "periodic") for n in (0.0, 16.0)]
@@ -247,11 +247,10 @@ KERNEL_CASES = [(b, n) for b in ("clamped", "periodic") for n in (0.0, 16.0)]
 def test_step_bit_identical_to_reference(boundary, n):
     cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.2, penalty_n=n,
                        boundary=boundary)
-    f, g = off_sphere_data()
-    state = init_from_data(f, g, cfg)
-    ref, _ = _ref_run(cfg, state.u_prev, solver._sample_on_grid(g, cfg))
+    u0, g0 = solver._cauchy_data(off_sphere_data(), cfg)
+    state = init_from_data(u0, g0, cfg)
+    ref, _ = _ref_run(cfg, u0, g0)
     assert np.array_equal(state.u_curr, ref[1])
-    u0 = state.u_prev
     for k in range(2, 5):
         state = step(state, cfg, u0=u0)
         assert np.array_equal(state.u_curr, ref[k])
@@ -261,35 +260,62 @@ def test_step_bit_identical_to_reference(boundary, n):
 def test_run_bit_identical_to_reference(boundary, n):
     cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.2, penalty_n=n,
                        boundary=boundary, store_stride=1)
-    f, g = off_sphere_data()
-    u0 = solver._sample_on_grid(f, cfg)
-    g0 = solver._sample_on_grid(g, cfg)
+    data = off_sphere_data()
+    u0, g0 = solver._cauchy_data(data, cfg)
     ref_levels, ref_rows = _ref_run(cfg, u0, g0)
-    slab, ledger = run(cfg, (f, g))
+    slab, ledger = run(cfg, data)
     assert np.array_equal(slab.data, ref_levels)
     # the reductions run in another order: a few ulps, not bit-identical
     rows = np.asarray(ledger.rows)
     assert rows.shape == ref_rows.shape
     assert np.all(np.abs(rows - ref_rows) <= 1e-13 * np.abs(ref_rows))
-    # pre-sampled data gives the same run and is left unwritten
-    u0_copy = u0.copy()
-    slab2, _ = run(cfg, (u0, g0))
+    # the stepping body gives the same run and leaves its data unwritten
+    u0_copy, g0_copy = u0.copy(), g0.copy()
+    slab2, _ = solver._integrate(cfg, u0, g0)
     assert np.array_equal(slab2.data, ref_levels)
     assert np.array_equal(u0, u0_copy)
+    assert np.array_equal(g0, g0_copy)
 
 
 def test_oversized_slab_fails_before_sampling(monkeypatch):
     def never(xs):
         raise AssertionError("data sampled before the slab-size check")
 
-    fld = SpatialField(never)
+    fld = CauchyData(never)
     cfg = SolverConfig(box_half_width=0.5, h=1 / 32, T_end=0.1)
     monkeypatch.setattr(solver, "_physical_memory", lambda: 2**20)
     with pytest.raises(ValueError, match=r"GiB .*stride"):
-        run(cfg, (fld, fld))
+        run(cfg, fld)
     cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
     with pytest.raises(ValueError, match=r"GiB .*stride"):
-        penalization_sweep((4.0, 8.0), (fld, fld), cfg, cone, [0.1])
+        penalization_sweep((4.0, 8.0), fld, cfg, cone, [0.1])
+
+
+# (h, penalty_n, dt, store_stride) -> (n_steps, stride, stored levels), on
+# the default box (half-width 0.75) to T_end = 0.2.  At --refine 2 the CFL
+# step counts, 89 and 67, are prime, so they round up to a multiple of the
+# target stride.
+STORE_PLANS = [
+    ((1 / 64, 64.0, None, None), (45, 3, 16)),    # default config
+    ((1 / 48, 64.0, None, None), (34, 2, 18)),    # perfbench/sweep.ini
+    ((1 / 32, 32.0, None, None), (23, 1, 24)),    # criterion 7's grids
+    ((1 / 16, 16.0, None, None), (12, 1, 13)),
+    ((1 / 80, 64.0, 0.2 / 60, 12), (60, 12, 6)),  # criterion 6's refined run
+    ((1 / 128, 64.0, None, None), (96, 8, 13)),   # default, --refine 2
+    ((1 / 96, 64.0, None, None), (72, 6, 13)),    # sweep, --refine 2
+]
+
+
+@pytest.mark.parametrize("knobs,plan", STORE_PLANS)
+def test_store_plan_keeps_a_stride_near_its_target(knobs, plan, monkeypatch):
+    h, n, dt, stride = knobs
+    cfg = SolverConfig(box_half_width=0.75, h=h, T_end=0.2, penalty_n=n,
+                       dt=dt, store_stride=stride)
+    monkeypatch.setattr(solver, "_physical_memory", lambda: None)
+    assert (cfg.n_steps, *solver._store_plan(cfg)) == plan
+    # rounding the step count up only shrinks dt
+    assert cfg.dt_effective <= cfg.cfl_limit
+    assert cfg.n_steps * cfg.dt_effective == pytest.approx(cfg.T_end)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +342,8 @@ def test_penalization_sweep_trends():
     params = MapParams(2.0, 0.6)
     cfg = SolverConfig(box_half_width=0.5, h=1 / 16, T_end=0.1)
     cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
-    sweep = penalization_sweep((4.0, 8.0, 16.0), initial_data(params), cfg,
-                               cone, sample_times=[0.05, 0.1])
+    sweep = penalization_sweep((4.0, 8.0, 16.0), BoostedHarmonicMap(params),
+                               cfg, cone, sample_times=[0.05, 0.1])
     assert sweep.violations.shape == (3, 2)
     final = sweep.violation_final()
     assert np.all(np.diff(final) < 0.0)  # stronger penalty, smaller violation
@@ -328,26 +354,25 @@ def test_penalization_sweep_trends():
 
 
 def test_penalization_sweep_samples_data_once():
-    f, g = initial_data(MapParams(2.0, 0.6))
-    calls = {"f": 0, "g": 0}
+    phi = BoostedHarmonicMap(MapParams(2.0, 0.6))
+    calls = []
 
-    def counted(fld, key):
-        def batch(xs):
-            calls[key] += 1
-            return fld.batch(xs)
-        return SpatialField(batch)
+    class Counted(FieldEvaluator):
+        def jets_at(self, ts, xs):
+            calls.append(len(xs))
+            return phi.jets_at(ts, xs)
 
     cfg = SolverConfig(box_half_width=0.5, h=1 / 16, T_end=0.1)
     cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
     penalties = (4.0, 8.0, 16.0)
-    sweep = penalization_sweep(penalties, (counted(f, "f"), counted(g, "g")),
-                               cfg, cone, sample_times=[0.05, 0.1])
-    assert calls == {"f": 1, "g": 1}
+    sweep = penalization_sweep(penalties, Counted(), cfg, cone,
+                               sample_times=[0.05, 0.1])
+    assert calls == [cfg.n_cells**3]
     # distances equal those of whole slabs from independent runs
     mask = solver._cone_mask(cfg, cone, 0.1, margin=2.0 * cfg.h)
     last = []
     for n in penalties:
-        slab, _ = run(dataclasses.replace(cfg, penalty_n=n), (f, g))
+        slab, _ = run(dataclasses.replace(cfg, penalty_n=n), phi)
         last.append(slab.data[-1][mask])
     for i in range(2):
         d = last[i] - last[i + 1]
@@ -358,7 +383,8 @@ def test_penalization_sweep_samples_data_once():
 def test_constraint_violation_zero_on_sphere_data():
     params = MapParams(2.0, 0.6)
     cfg = SolverConfig(box_half_width=0.5, h=1 / 16, T_end=0.1)
-    state = init_from_data(*initial_data(params), cfg)
+    data = solver._cauchy_data(BoostedHarmonicMap(params), cfg)
+    state = init_from_data(*data, cfg)
     assert constraint_violation(state.u_prev, cfg) <= 1e-20
 
 

@@ -76,7 +76,7 @@ def test_stress_tensor_symmetry_and_energy_slot():
     rng = np.random.default_rng(3)
     for _ in range(10):
         jet = random_jet(rng)
-        T = stress_tensor(jet).components
+        T = stress_tensor(jet)
         assert np.allclose(T, T.T, atol=1e-13)
         # T_00 = -(1/2)(|u_t|^2 + |grad u|^2): the energy density with the
         # index-down time slot sign
@@ -89,7 +89,7 @@ def test_stress_tensor_trace():
     # bookkeeping the invariant trace equals  L (4/2 - 1) = L
     rng = np.random.default_rng(4)
     jet = random_jet(rng)
-    T = stress_tensor(jet).components
+    T = stress_tensor(jet)
     lag = float(np.sum(jet.grad**2) - np.dot(jet.dt, jet.dt))
     trace = float(np.trace(np.linalg.inv(ETA) @ T))
     assert trace == pytest.approx(lag, rel=1e-12)
