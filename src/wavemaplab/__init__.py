@@ -13,9 +13,8 @@ from .stress_energy import (BumpTest, comp_identity_check, divergence_T,
                             energy_density, flux_density, flux_form_Q,
                             recover_point_charge, stress_tensor,
                             transformation_check, weak_residual)
-from .quadrature import (BallRule, BalanceReport, ConeSurfaceRule, ProductRule,
-                         SphereRule, energy_balance, energy_on_disk,
-                         flux_on_cone, mollified_flux)
+from .quadrature import (BalanceReport, ProductRule, SphereRule, energy_balance,
+                         energy_on_disk, flux_on_cone, mollified_flux)
 from .solver import (EnergyLedger, SolverConfig, StateSlab, SweepReport,
                      init_from_data, penalization_sweep, run, step,
                      trusted_region)

@@ -29,8 +29,7 @@ from .fields import (BoostedHarmonicMap, GridField, MapParams, _slab_corners,
                      _weighted_sum, s_lambda)
 from .manufactured import (ComposedWithBoost, ConstantMap, GeodesicPlaneWave,
                            QuadraticNullField, TimeSquaredBump)
-from .quadrature import (BallRule, ConeSurfaceRule, ProductRule, _disk_nodes,
-                         energy_balance, energy_on_disk)
+from .quadrature import ProductRule, _disk_nodes, energy_balance, energy_on_disk
 from .solver import SolverConfig, penalization_sweep, run, trusted_region
 from .spacetime import ConeSpec, DiskSpec, LorentzBoost, SpacetimePoint
 from .stress_energy import (BumpTest, comp_identity_check, recover_point_charge,
@@ -90,13 +89,7 @@ class ExperimentConfig:
                             T_end=self.T_end, penalty_n=penalty_n,
                             boundary=self.boundary)
 
-    def ball_rule(self) -> BallRule:
-        return BallRule(self.n_radial, self.n_polar)
-
-    def cone_rule(self) -> ConeSurfaceRule:
-        return ConeSurfaceRule(self.n_time, self.n_polar)
-
-    def product_rule(self) -> ProductRule:
+    def rule(self) -> ProductRule:
         return ProductRule(self.n_time, self.n_radial, self.n_polar)
 
 
@@ -294,8 +287,8 @@ def analytic_balance(cfg: ExperimentConfig, req: ConeRequest,
         def singular(tau, nu=params.nu):
             return np.array([0.0, 0.0, nu * tau])
     fld = BoostedHarmonicMap(params)
-    rep = energy_balance(fld, req.build(), req.s, req.t, cfg.ball_rule(),
-                         cfg.cone_rule(), singular_point=singular)
+    rep = energy_balance(fld, req.build(), req.s, req.t, cfg.rule(),
+                         singular_point=singular)
     return rep, crossing
 
 
@@ -322,7 +315,7 @@ def smoothing_tolerance(cfg: ExperimentConfig, req: ConeRequest,
     center = np.array([0.0, 0.0, params.nu * req.s])
     fld = BoostedHarmonicMap(params)
     return energy_on_disk(fld, DiskSpec(req.s, center, 2.0 * ell),
-                          cfg.ball_rule(), singular_center=center)
+                          cfg.rule(), singular_center=center)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +324,7 @@ def smoothing_tolerance(cfg: ExperimentConfig, req: ConeRequest,
 
 def cmd_s_table(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentReport:
     report = _new_report("s-table", cfg, raw, lambdas=list(cfg.lambdas))
-    rule = cfg.product_rule()
+    rule = cfg.rule()
     test = BumpTest(np.zeros(3), 0.9)
     psi0 = test.value_at(np.zeros(3))
     rows = []
@@ -414,8 +407,8 @@ def cmd_nonuniq_demo(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentRe
     # (a) solver output: penalized balance ~ 0, unpenalized inequality >= -tol
     inner = solver_cone_interval(cfg, req)
     tol = smoothing_tolerance(cfg, inner, params, n_max)
-    pen_rep = energy_balance(slab, cone, inner.s, inner.t, cfg.ball_rule(),
-                             cfg.cone_rule(), penalty_n=n_max)
+    pen_rep = energy_balance(slab, cone, inner.s, inner.t, cfg.rule(),
+                             penalty_n=n_max)
     unpen_rep = pen_rep.unpenalized
     report.results["solver_penalized"] = _balance_dict(pen_rep)
     report.results["solver_unpenalized"] = _balance_dict(unpen_rep)
@@ -461,7 +454,7 @@ def _incone_distance(cfg: ExperimentConfig, slab: GridField, params: MapParams,
     sing = np.array([0.0, 0.0, params.nu * t_ref])
     disk = DiskSpec(t_ref, cone.apex.x, cone.radius(t_ref) - 2.0 * cfg.h)
     center = sing if np.linalg.norm(sing - disk.center) < disk.radius else None
-    xs, w = _disk_nodes(disk, cfg.ball_rule(), center)
+    xs, w = _disk_nodes(disk, cfg.rule(), center)
     ts = np.full(len(xs), t_ref)
     u_vals = slab.values_at(ts, xs)
     fld = BoostedHarmonicMap(params)
@@ -590,7 +583,7 @@ def cmd_identity_checks(cfg: ExperimentConfig, raw: str, out: Path) -> Experimen
     # cone identity: exact-zero and refinement cases
     zero = comp_identity_check(GeodesicPlaneWave(np.array([1.0, 0.0, 0.0])),
                                ConstantMap((0.0, 0.0, 0.0)), 1.0, 0.5,
-                               cfg.product_rule())
+                               cfg.rule())
     report.results["identity_zero"] = dataclasses.asdict(zero)
     report.add(Verdict.at_most("identity_w_zero_exact",
                                abs(zero.lhs) + abs(zero.rhs), 1e-12))

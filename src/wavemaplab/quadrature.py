@@ -2,6 +2,9 @@
 the energy-balance report that decides whether the local energy inequality
 holds.
 
+One resolution, ``ProductRule(n_time, n_radial, n_polar)``, sizes the disks
+and the cone's side; ``_cone_slices`` builds the side's time slices.
+
 Lateral surface measure: parametrizing the side by (tau, omega) with
 x = p + r(tau) omega and |r'| = 1, the pullback metric gives
 dsigma = sqrt(2) r(tau)^2 dtau dOmega.  Combined with the 1/(2 sqrt 2) flux
@@ -51,15 +54,17 @@ class SphereRule:
 
 
 @dataclass(frozen=True)
-class BallRule:
-    """Gauss-Legendre radial nodes (stored on [0, 1], scaled per use) times a
-    sphere rule."""
+class ProductRule:
+    """The quadrature resolution of one truncated cone: Gauss-Legendre nodes
+    in time along its side, Gauss-Legendre radial nodes in its disks (stored
+    on [0, 1], scaled per use), and a sphere rule for the angles of both."""
 
+    n_time: int
     n_radial: int
     n_polar: int
 
-    def refine(self) -> "BallRule":
-        return BallRule(2 * self.n_radial, 2 * self.n_polar)
+    def refine(self) -> "ProductRule":
+        return ProductRule(2 * self.n_time, 2 * self.n_radial, 2 * self.n_polar)
 
     @property
     def sphere(self) -> SphereRule:
@@ -68,34 +73,6 @@ class BallRule:
     def radial_reference(self):
         x, w = np.polynomial.legendre.leggauss(self.n_radial)
         return 0.5 * (x + 1.0), 0.5 * w
-
-
-@dataclass(frozen=True)
-class ConeSurfaceRule:
-    """Gauss-Legendre nodes in time along the cone side times a sphere rule."""
-
-    n_time: int
-    n_polar: int
-
-    def refine(self) -> "ConeSurfaceRule":
-        return ConeSurfaceRule(2 * self.n_time, 2 * self.n_polar)
-
-    @property
-    def sphere(self) -> SphereRule:
-        return SphereRule(self.n_polar)
-
-
-@dataclass(frozen=True)
-class ProductRule:
-    """Generic time x radius x angle resolution handle for the distributional
-    and identity checks."""
-
-    n_time: int
-    n_radial: int
-    n_polar: int
-
-    def refine(self) -> "ProductRule":
-        return ProductRule(2 * self.n_time, 2 * self.n_radial, 2 * self.n_polar)
 
 
 @dataclass(frozen=True)
@@ -122,7 +99,7 @@ def _penalty_density(values: np.ndarray, n: float) -> np.ndarray:
     return n**2 * 0.25 * (np.sum(values**2, axis=1) - 1.0)**2
 
 
-def _disk_nodes(disk: DiskSpec, rule: BallRule, singular_center=None):
+def _disk_nodes(disk: DiskSpec, rule: ProductRule, singular_center=None):
     """Quadrature nodes and weights (including the r^2 factor) for a ball.
 
     If a singular point inside the ball is supplied, spherical coordinates are
@@ -147,7 +124,7 @@ def _disk_nodes(disk: DiskSpec, rule: BallRule, singular_center=None):
     return xs.reshape(-1, 3), w.reshape(-1)
 
 
-def _disk_energies(field: FieldEvaluator, disk: DiskSpec, rule: BallRule,
+def _disk_energies(field: FieldEvaluator, disk: DiskSpec, rule: ProductRule,
                    singular_center, penalties) -> list[float]:
     """``energy_on_disk`` for each penalty in ``penalties`` (None: no
     penalty), all from one evaluation of the nodes."""
@@ -161,29 +138,35 @@ def _disk_energies(field: FieldEvaluator, disk: DiskSpec, rule: BallRule,
     return out
 
 
-def energy_on_disk(field: FieldEvaluator, disk: DiskSpec, rule: BallRule,
+def energy_on_disk(field: FieldEvaluator, disk: DiskSpec, rule: ProductRule,
                    singular_center=None, penalty_n: float | None = None) -> float:
     """(1/2) int (|u_t|^2 + |grad u|^2) over the ball, optionally plus the
     penalty density n^2 F(u), F = (|u|^2 - 1)^2 / 4."""
     return _disk_energies(field, disk, rule, singular_center, (penalty_n,))[0]
 
 
-def _cone_fluxes(field: FieldEvaluator, cone: ConeSpec, interval,
-                 rule: ConeSurfaceRule, penalties) -> list[float]:
-    """``flux_on_cone`` for each penalty in ``penalties`` (None: no penalty),
-    all from one evaluation of the nodes."""
-    s, t = interval
+def _cone_slices(cone: ConeSpec, s: float, t: float, rule: ProductRule):
+    """Gauss-Legendre time slices of the cone's side between s and t: yields
+    (tau, weight, radius, nodes), the nodes being the sphere rule's scaled to
+    the slice's radius about the apex."""
     if not (cone.t_min - 1e-12 <= s < t <= cone.t_max + 1e-12):
         raise ValueError("interval outside the cone truncation")
     xt, wt = np.polynomial.legendre.leggauss(rule.n_time)
     taus = s + 0.5 * (t - s) * (xt + 1.0)
     wtau = 0.5 * (t - s) * wt
     sph = rule.sphere
-
-    totals = [0.0] * len(penalties)
     for tau, wk in zip(taus, wtau):
         r = cone.radius(tau)
-        xs = cone.apex.x[None, :] + r * sph.nodes
+        yield tau, wk, r, cone.apex.x[None, :] + r * sph.nodes
+
+
+def _cone_fluxes(field: FieldEvaluator, cone: ConeSpec, interval,
+                 rule: ProductRule, penalties) -> list[float]:
+    """``flux_on_cone`` for each penalty in ``penalties`` (None: no penalty),
+    all from one evaluation of the nodes."""
+    sph = rule.sphere
+    totals = [0.0] * len(penalties)
+    for tau, wk, r, xs in _cone_slices(cone, *interval, rule):
         values, dts, grads = field.jets_at(np.full(len(xs), tau), xs)
         diff = grads - sph.nodes[:, :, None] * dts[:, None, :]
         dens0 = np.sum(diff**2, axis=(1, 2))
@@ -195,7 +178,7 @@ def _cone_fluxes(field: FieldEvaluator, cone: ConeSpec, interval,
 
 
 def flux_on_cone(field: FieldEvaluator, cone: ConeSpec, interval,
-                 rule: ConeSurfaceRule, penalty_n: float | None = None) -> float:
+                 rule: ProductRule, penalty_n: float | None = None) -> float:
     """(1/(2 sqrt 2)) int |grad u - n u_t|^2 dsigma over the lateral surface
     between the two interval times; with a penalty, the density 2 n^2 F(u) is
     added under the same measure so that the penalized local balance is exact
@@ -204,11 +187,10 @@ def flux_on_cone(field: FieldEvaluator, cone: ConeSpec, interval,
 
 
 def energy_balance(field: FieldEvaluator, cone: ConeSpec, s: float, t: float,
-                   ball_rule: BallRule, cone_rule: ConeSurfaceRule,
-                   penalty_n: float | None = None,
+                   rule: ProductRule, penalty_n: float | None = None,
                    singular_point=None) -> BalanceReport:
     """BalanceReport for E(D_s) - E(D_t) - Flux(M_s^t), with the error
-    estimate taken as the difference between the given rules and one
+    estimate taken as the difference between the given rule and one
     refinement.  ``singular_point``, if given, maps a time to the field's
     singular location so disk quadratures can grade toward it.
 
@@ -227,17 +209,17 @@ def energy_balance(field: FieldEvaluator, cone: ConeSpec, s: float, t: float,
             return None
         return c
 
-    def compute(br: BallRule, cr: ConeSurfaceRule):
+    def compute(r: ProductRule):
         """(e_base, e_top, flux) for each of ``penalties``."""
         e_base = _disk_energies(field, DiskSpec(s, cone.apex.x, cone.radius(s)),
-                                br, center(s), penalties)
+                                r, center(s), penalties)
         e_top = _disk_energies(field, DiskSpec(t, cone.apex.x, cone.radius(t)),
-                               br, center(t), penalties)
-        fl = _cone_fluxes(field, cone, (s, t), cr, penalties)
+                               r, center(t), penalties)
+        fl = _cone_fluxes(field, cone, (s, t), r, penalties)
         return list(zip(e_base, e_top, fl))
 
-    coarse = compute(ball_rule, cone_rule)
-    fine = compute(ball_rule.refine(), cone_rule.refine())
+    coarse = compute(rule)
+    fine = compute(rule.refine())
     reports = []
     for c, f in zip(coarse, fine):
         bal_coarse = c[0] - c[1] - c[2]
@@ -249,7 +231,7 @@ def energy_balance(field: FieldEvaluator, cone: ConeSpec, s: float, t: float,
 
 
 def mollified_flux(field: FieldEvaluator, base_center, base_radius: float,
-                   t: float, eps: float, rule: ConeSurfaceRule,
+                   t: float, eps: float, rule: ProductRule,
                    n_delta: int = 8) -> float:
     """Bump-averaged unnormalized flux over cones with base radii r + delta,
     |delta| < eps; converges to 2 sqrt(2) times the flux over the radius-r

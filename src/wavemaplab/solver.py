@@ -315,18 +315,22 @@ def _physical_memory() -> int | None:
 
 
 def _store_plan(cfg: SolverConfig) -> tuple[int, int]:
-    """Stored-level stride and level count; raises ValueError when the
-    stored slab alone would exceed physical memory."""
+    """Stored-level stride and level count; raises ValueError when the stored
+    slab plus the run's working grids would exceed physical memory: seven
+    (N, N, N, 3) grids (u0, g0, three rotating levels, work.accel, work.tmp)
+    and two (N, N, N) ones (work.constraint, work.scalar)."""
     n_steps, stride = _step_plan(cfg)
     n_levels = n_steps // stride + 1
-    nbytes = n_levels * cfg.n_cells**3 * 3 * 8
+    slab = n_levels * cfg.n_cells**3 * 3 * 8
+    grids = (7 * 3 + 2) * cfg.n_cells**3 * 8
     ram = _physical_memory()
-    if ram is not None and nbytes > ram:
+    if ram is not None and slab + grids > ram:
         raise ValueError(
-            f"the stored slab would need {nbytes / 2**30:.1f} GiB "
-            f"({n_levels} levels of {cfg.n_cells}^3 cells, stride {stride} "
-            f"over {n_steps} steps), more than the {ram / 2**30:.1f} GiB of "
-            "physical memory")
+            f"the run would need {(slab + grids) / 2**30:.1f} GiB: a stored "
+            f"slab of {slab / 2**30:.1f} GiB ({n_levels} levels of "
+            f"{cfg.n_cells}^3 cells, stride {stride} over {n_steps} steps) "
+            f"and {grids / 2**30:.1f} GiB of working grids, more than the "
+            f"{ram / 2**30:.1f} GiB of physical memory")
     return stride, n_levels
 
 
@@ -334,7 +338,7 @@ def run(cfg: SolverConfig, field: FieldEvaluator):
     """Integrate from the Cauchy data of ``field``, its value and time
     derivative at t = 0, to T_end; returns the (possibly strided) space-time
     slab and the energy ledger."""
-    _store_plan(cfg)  # fail on an oversized slab before any sampling
+    _store_plan(cfg)  # fail on an oversized run before any sampling
     return _integrate(cfg, *_cauchy_data(field, cfg))
 
 
@@ -389,9 +393,7 @@ class SweepReport:
         return self.violations[:, -1]
 
 
-def constraint_violation(slab_or_state, cfg: SolverConfig) -> float:
-    u = slab_or_state if isinstance(slab_or_state, np.ndarray) else \
-        slab_or_state.u_curr
+def constraint_violation(u: np.ndarray, cfg: SolverConfig) -> float:
     return float(np.sum((np.sum(u**2, axis=-1) - 1.0)**2)) * cfg.h**3
 
 
@@ -412,7 +414,7 @@ def penalization_sweep(schedule, field: FieldEvaluator,
     cfgs = [dataclasses.replace(cfg_template, penalty_n=float(n), dt=None)
             for n in schedule]
     for cfg in cfgs:
-        _store_plan(cfg)  # fail on an oversized slab before any sampling
+        _store_plan(cfg)  # fail on an oversized run before any sampling
     # the Cauchy data is the same for every penalty: sample it once
     u0, g0 = _cauchy_data(field, cfg_template)
     violations = np.zeros((len(schedule), len(sample_times)))

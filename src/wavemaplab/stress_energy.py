@@ -17,8 +17,8 @@ import numpy as np
 from .fields import FieldEvaluator, JetSample, MapParams, harmonic_v_jet_batch
 from .manufactured import (ComposedWithBoost, _bump_norm, bump_profile,
                            bump_profile_ds)
-from .quadrature import BallRule, SphereRule, _disk_nodes
-from .spacetime import ETA, DiskSpec, LorentzBoost, SpacetimePoint
+from .quadrature import ProductRule, _cone_slices, _disk_nodes
+from .spacetime import ETA, ConeSpec, DiskSpec, LorentzBoost, SpacetimePoint
 
 SQRT2 = np.sqrt(2.0)
 
@@ -121,7 +121,8 @@ class BumpTest:
         return psi, dpsi
 
 
-def weak_residual(field: FieldEvaluator, test: BumpTest, rule) -> np.ndarray:
+def weak_residual(field: FieldEvaluator, test: BumpTest,
+                  rule: ProductRule) -> np.ndarray:
     """Distributional residual of the wave-map equation against a scalar
     spacetime bump: per target component,
 
@@ -136,7 +137,6 @@ def weak_residual(field: FieldEvaluator, test: BumpTest, rule) -> np.ndarray:
     t0, x0, sigma = c[0], c[1:], test.scale
 
     xt, wt = np.polynomial.legendre.leggauss(rule.n_time)
-    ball = BallRule(rule.n_radial, rule.n_polar)
 
     res = np.zeros(3)
     for k in range(rule.n_time):
@@ -144,7 +144,7 @@ def weak_residual(field: FieldEvaluator, test: BumpTest, rule) -> np.ndarray:
         rho = np.sqrt(max(sigma**2 - (t - t0)**2, 0.0))
         if rho == 0.0:
             continue
-        xs, w = _disk_nodes(DiskSpec(t, x0, rho), ball)
+        xs, w = _disk_nodes(DiskSpec(t, x0, rho), rule)
         weights = sigma * wt[k] * w
         ts = np.full(len(xs), t)
         values, dts, grads = field.jets_at(ts, xs)
@@ -157,7 +157,7 @@ def weak_residual(field: FieldEvaluator, test: BumpTest, rule) -> np.ndarray:
     return res
 
 
-def recover_point_charge(params: MapParams, test: BumpTest, rule,
+def recover_point_charge(params: MapParams, test: BumpTest, rule: ProductRule,
                          rho: float = 1e-2) -> np.ndarray:
     """Distributional divergence of the spatial stress tensor of the dilated
     hedgehog, paired with a spatial test bump centered at the origin:
@@ -179,10 +179,10 @@ def recover_point_charge(params: MapParams, test: BumpTest, rule,
     return (4.0 * f2 - f1) / 3.0
 
 
-def _charge_pairing(params: MapParams, test: BumpTest, rule,
+def _charge_pairing(params: MapParams, test: BumpTest, rule: ProductRule,
                     rho: float) -> np.ndarray:
     sigma = test.scale
-    sph = SphereRule(rule.n_polar)
+    sph = rule.sphere
     xr, wr = np.polynomial.legendre.leggauss(rule.n_radial)
     r_nodes = rho + 0.5 * (sigma - rho) * (xr + 1.0)
     r_weights = 0.5 * (sigma - rho) * wr
@@ -207,7 +207,7 @@ class CompIdentityResult:
 
 
 def comp_identity_check(u: FieldEvaluator, w: FieldEvaluator, R: float,
-                        T: float, rule) -> CompIdentityResult:
+                        T: float, rule: ProductRule) -> CompIdentityResult:
     """Both sides of the cone integration-by-parts identity for smooth fields
     on the truncated backward cone of base radius R and height T < R, centered
     at the spatial origin with base at t = 0:
@@ -222,14 +222,11 @@ def comp_identity_check(u: FieldEvaluator, w: FieldEvaluator, R: float,
     """
     if not 0.0 < T < R:
         raise ValueError("need 0 < T < R")
-    ball = BallRule(rule.n_radial, rule.n_polar)
-    sph = ball.sphere
-    xt, wt = np.polynomial.legendre.leggauss(rule.n_time)
-    t_nodes = 0.5 * T * (xt + 1.0)
-    t_weights = 0.5 * T * wt
+    cone = ConeSpec.from_base(np.zeros(3), R, 0.0, T)
+    sph = rule.sphere
 
     def ball_nodes(radius):
-        return _disk_nodes(DiskSpec(0.0, np.zeros(3), radius), ball)
+        return _disk_nodes(DiskSpec(0.0, np.zeros(3), radius), rule)
 
     def ball_integral_dudw(t, radius):
         xs, weights = ball_nodes(radius)
@@ -245,8 +242,7 @@ def comp_identity_check(u: FieldEvaluator, w: FieldEvaluator, R: float,
     # right side: bulk term minus lateral flux-form term
     bulk = 0.0
     lateral = 0.0
-    for tk, wk in zip(t_nodes, t_weights):
-        rt = R - tk
+    for tk, wk, rt, xb in _cone_slices(cone, 0.0, T, rule):
         xs, weights = ball_nodes(rt)
         ts = np.full(len(xs), tk)
         _, du_t, _ = u.jets_at(ts, xs)
@@ -255,7 +251,6 @@ def comp_identity_check(u: FieldEvaluator, w: FieldEvaluator, R: float,
                 + np.sum(w.box_at(ts, xs) * du_t, axis=1))
         bulk += wk * float(np.dot(weights, dens))
 
-        xb = rt * sph.nodes
         tb = np.full(len(xb), tk)
         _, du_t, du_g = u.jets_at(tb, xb)
         _, dw_t, dw_g = w.jets_at(tb, xb)

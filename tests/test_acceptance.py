@@ -22,8 +22,7 @@ from wavemaplab.cli import (ExperimentConfig, cmd_identity_checks,
                             _incone_distance)
 from wavemaplab.fields import BoostedHarmonicMap, MapParams, s_lambda
 from wavemaplab.manufactured import ConstantMap, GeodesicPlaneWave
-from wavemaplab.quadrature import (BallRule, ConeSurfaceRule, ProductRule,
-                                   energy_balance, energy_on_disk,
+from wavemaplab.quadrature import (ProductRule, energy_balance, energy_on_disk,
                                    flux_on_cone)
 from wavemaplab.solver import SolverConfig, penalization_sweep, run
 from wavemaplab.spacetime import ConeSpec, DiskSpec, SpacetimePoint
@@ -75,7 +74,7 @@ def default_sweep_analysis():
     for i, req in enumerate(cfg.cones):
         inner = solver_cone_interval(cfg, req)
         pen = energy_balance(sweep.final_slab, req.build(), inner.s, inner.t,
-                             cfg.ball_rule(), cfg.cone_rule(), penalty_n=n_max)
+                             cfg.rule(), penalty_n=n_max)
         unp = pen.unpenalized
         smoothing = smoothing_tolerance(cfg, inner, params, n_max)
         # combined tolerance: unresolved-core energy + quadrature error +
@@ -116,8 +115,7 @@ def test_criterion_2_crossing_cone_defect():
     lam, nu = 2.0, 0.6
     fld = BoostedHarmonicMap(MapParams(lam, nu))
     cone = ConeSpec.from_base(np.zeros(3), 0.5, 0.0, 0.2)
-    rep = energy_balance(fld, cone, 0.0, 0.2, BallRule(24, 16),
-                         ConeSurfaceRule(16, 16),
+    rep = energy_balance(fld, cone, 0.0, 0.2, ProductRule(16, 24, 16),
                          singular_point=lambda tau: np.array([0, 0, nu * tau]))
     target = 1.6375
     tol = 0.02 * target + rep.error_estimate
@@ -127,8 +125,7 @@ def test_criterion_2_crossing_cone_defect():
                 f"sign {np.sign(rep.balance):+.0f}, "
                 f"quoted/measured={target / abs(rep.balance):.3f}")]
     ctrl = ConeSpec.from_base(np.array([0.3, 0.3, 0.0]), 0.25, 0.0, 0.1)
-    crep = energy_balance(fld, ctrl, 0.0, 0.1, BallRule(24, 16),
-                          ConeSurfaceRule(16, 16))
+    crep = energy_balance(fld, ctrl, 0.0, 0.1, ProductRule(16, 24, 16))
     clauses.append(("non-crossing |balance| <= error estimate",
                     abs(crep.balance) <= crep.error_estimate,
                     f"|balance|={abs(crep.balance):.1e} vs "
@@ -148,13 +145,13 @@ def test_criterion_3_smooth_conservation():
         T = 0.5 * R
         cone = ConeSpec.from_base(c, R, 0.0, T)
         errs = []
-        br, cr = BallRule(4, 4), ConeSurfaceRule(4, 4)
+        rule = ProductRule(4, 4, 4)
         for _ in range(3):
-            eb = energy_on_disk(pw, DiskSpec(0.0, c, R), br)
-            et = energy_on_disk(pw, DiskSpec(T, c, R - T), br)
-            fl = flux_on_cone(pw, cone, (0.0, T), cr)
+            eb = energy_on_disk(pw, DiskSpec(0.0, c, R), rule)
+            et = energy_on_disk(pw, DiskSpec(T, c, R - T), rule)
+            fl = flux_on_cone(pw, cone, (0.0, T), rule)
             errs.append(abs(eb - et - fl))
-            br, cr = br.refine(), cr.refine()
+            rule = rule.refine()
         order = _observed_order(errs)
         clauses.append((f"cone {trial} order >= 1.9", order >= 1.9,
                         "balances "
@@ -223,8 +220,7 @@ def test_criterion_6_nonuniqueness_demo(default_sweep_analysis):
                 f"balance={c0['unp'].balance:+.4f}, tol {c0['tol']:.4f}")]
 
     ana = energy_balance(BoostedHarmonicMap(params), cone, req.s, req.t,
-                         cfg.ball_rule(), cfg.cone_rule(),
-                         singular_point=lambda tau: np.array(
+                         cfg.rule(), singular_point=lambda tau: np.array(
                              [0, 0, params.nu * tau]))
     target = 1.6375
     clauses.append((f"analytic defect within 2% of quoted {target}",

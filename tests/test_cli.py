@@ -128,7 +128,7 @@ def _incone_reference(cfg, slab, params, cone, t_ref):
     sing = np.array([0.0, 0.0, params.nu * t_ref])
     disk = DiskSpec(t_ref, cone.apex.x, cone.radius(t_ref) - 2.0 * cfg.h)
     center = sing if np.linalg.norm(sing - disk.center) < disk.radius else None
-    xs, w = _disk_nodes(disk, cfg.ball_rule(), center)
+    xs, w = _disk_nodes(disk, cfg.rule(), center)
     ts = np.full(len(xs), t_ref)
     u_vals = slab.jets_at(ts, xs)[0]
     fld = BoostedHarmonicMap(params)

@@ -3,10 +3,10 @@ import pytest
 
 from wavemaplab.fields import BoostedHarmonicMap, GridField, MapParams, s_lambda
 from wavemaplab.manufactured import GeodesicPlaneWave
-from wavemaplab.quadrature import (BallRule, BalanceReport, ConeSurfaceRule,
-                                   ProductRule, SphereRule, _disk_nodes,
-                                   energy_balance, energy_on_disk,
-                                   flux_on_cone, mollified_flux)
+from wavemaplab.quadrature import (BalanceReport, ProductRule, SphereRule,
+                                   _cone_slices, _disk_nodes, energy_balance,
+                                   energy_on_disk, flux_on_cone,
+                                   mollified_flux)
 from wavemaplab.spacetime import ConeSpec, DiskSpec
 
 
@@ -39,19 +39,31 @@ def test_sphere_rule_weights_and_moments():
 
 
 def test_rule_refinement_doubles_resolution():
-    assert BallRule(8, 6).refine() == BallRule(16, 12)
-    assert ConeSurfaceRule(8, 6).refine() == ConeSurfaceRule(16, 12)
     assert ProductRule(4, 8, 6).refine() == ProductRule(8, 16, 12)
+
+
+def test_cone_slices_weights_and_radii():
+    cone = ConeSpec.from_base(np.array([0.1, -0.2, 0.05]), 0.5, 0.0, 0.3)
+    slices = list(_cone_slices(cone, 0.05, 0.25, ProductRule(7, 4, 5)))
+    assert len(slices) == 7
+    assert sum(w for _, w, _, _ in slices) == pytest.approx(0.2, rel=1e-14)
+    for tau, _, r, nodes in slices:
+        assert 0.05 < tau < 0.25 and r == cone.radius(tau)
+        assert nodes.shape == (SphereRule(5).nodes.shape[0], 3)
+        dist = np.linalg.norm(nodes - cone.apex.x, axis=1)
+        assert np.allclose(dist, cone.radius(tau), rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError):
+        next(_cone_slices(cone, 0.0, 0.35, ProductRule(7, 4, 5)))
 
 
 def test_disk_nodes_integrate_volume():
     disk = DiskSpec(0.0, np.array([0.2, -0.1, 0.3]), 0.45)
-    _, w = _disk_nodes(disk, BallRule(16, 12))
+    _, w = _disk_nodes(disk, ProductRule(16, 16, 12))
     assert float(np.sum(w)) == pytest.approx(4.0 / 3.0 * np.pi * 0.45**3,
                                              rel=1e-10)
     # off-center singular point: same volume, graded radii
     sing = disk.center + np.array([0.1, 0.05, -0.1])
-    xs, w = _disk_nodes(disk, BallRule(24, 16), singular_center=sing)
+    xs, w = _disk_nodes(disk, ProductRule(24, 24, 16), singular_center=sing)
     assert float(np.sum(w)) == pytest.approx(4.0 / 3.0 * np.pi * 0.45**3,
                                              rel=1e-6)
     assert np.all(np.linalg.norm(xs - disk.center, axis=1) <= 0.45 + 1e-12)
@@ -60,7 +72,8 @@ def test_disk_nodes_integrate_volume():
 def test_disk_nodes_reject_exterior_singular_point():
     disk = DiskSpec(0.0, np.zeros(3), 0.3)
     with pytest.raises(ValueError):
-        _disk_nodes(disk, BallRule(8, 8), singular_center=np.array([0.4, 0, 0]))
+        _disk_nodes(disk, ProductRule(8, 8, 8),
+                    singular_center=np.array([0.4, 0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -72,16 +85,16 @@ def test_hedgehog_disk_energy():
     # integral is 4 pi R
     fld = BoostedHarmonicMap(MapParams(1.0))
     for R in (0.3, 0.5):
-        e = energy_on_disk(fld, DiskSpec(0.0, np.zeros(3), R), BallRule(24, 16),
-                           singular_center=np.zeros(3))
+        e = energy_on_disk(fld, DiskSpec(0.0, np.zeros(3), R),
+                           ProductRule(24, 24, 16), singular_center=np.zeros(3))
         assert e == pytest.approx(4.0 * np.pi * R, rel=1e-10)
 
 
 def test_penalized_energy_reduces_to_plain_on_sphere_values():
     fld = BoostedHarmonicMap(MapParams(2.0, 0.6))
     disk = DiskSpec(0.0, np.array([0.3, 0.3, 0.0]), 0.2)
-    plain = energy_on_disk(fld, disk, BallRule(16, 12))
-    pen = energy_on_disk(fld, disk, BallRule(16, 12), penalty_n=32.0)
+    plain = energy_on_disk(fld, disk, ProductRule(16, 16, 12))
+    pen = energy_on_disk(fld, disk, ProductRule(16, 16, 12), penalty_n=32.0)
     assert pen == pytest.approx(plain, rel=1e-12)  # |u| = 1 so F(u) = 0
 
 
@@ -93,9 +106,9 @@ def test_flux_interval_validation():
     pw = GeodesicPlaneWave(np.array([1.0, 0.0, 0.0]))
     cone = ConeSpec.from_base(np.zeros(3), 0.5, 0.0, 0.2)
     with pytest.raises(ValueError):
-        flux_on_cone(pw, cone, (0.0, 0.3), ConeSurfaceRule(8, 8))
+        flux_on_cone(pw, cone, (0.0, 0.3), ProductRule(8, 8, 8))
     with pytest.raises(ValueError):
-        flux_on_cone(pw, cone, (-0.1, 0.2), ConeSurfaceRule(8, 8))
+        flux_on_cone(pw, cone, (-0.1, 0.2), ProductRule(8, 8, 8))
 
 
 def test_plane_wave_balance_vanishes():
@@ -105,8 +118,7 @@ def test_plane_wave_balance_vanishes():
         c = rng.uniform(-0.2, 0.2, 3)
         R = rng.uniform(0.3, 0.5)
         cone = ConeSpec.from_base(c, R, 0.0, 0.5 * R)
-        rep = energy_balance(pw, cone, 0.0, 0.5 * R, BallRule(8, 8),
-                             ConeSurfaceRule(8, 8))
+        rep = energy_balance(pw, cone, 0.0, 0.5 * R, ProductRule(8, 8, 8))
         assert abs(rep.balance) <= 1e-12
         assert rep.e_base > 0.0 and rep.flux > 0.0
 
@@ -130,8 +142,8 @@ def test_crossing_cone_defect_law():
     cases = [(np.zeros(3), 0.5, 0.0, 0.2), (np.zeros(3), 0.45, 0.05, 0.1)]
     for center, R, s, height in cases:
         cone = ConeSpec.from_base(center, R, s, height)
-        rep = energy_balance(fld, cone, s, s + height, BallRule(24, 16),
-                             ConeSurfaceRule(16, 16), singular_point=sing)
+        rep = energy_balance(fld, cone, s, s + height, ProductRule(16, 24, 16),
+                             singular_point=sing)
         target = nu * abs(s_lambda(lam)) / 2.0 * height
         assert rep.balance == pytest.approx(target, rel=1e-6)
 
@@ -140,8 +152,7 @@ def test_crossing_cone_defect_law_other_parameters():
     lam, nu = 1.5, 0.5
     fld = BoostedHarmonicMap(MapParams(lam, nu))
     cone = ConeSpec.from_base(np.zeros(3), 0.4, 0.0, 0.15)
-    rep = energy_balance(fld, cone, 0.0, 0.15, BallRule(24, 16),
-                         ConeSurfaceRule(16, 16),
+    rep = energy_balance(fld, cone, 0.0, 0.15, ProductRule(16, 24, 16),
                          singular_point=lambda tau: np.array([0, 0, nu * tau]))
     assert rep.balance == pytest.approx(nu * abs(s_lambda(lam)) / 2.0 * 0.15,
                                         rel=1e-6)
@@ -150,8 +161,7 @@ def test_crossing_cone_defect_law_other_parameters():
 def test_non_crossing_cone_conserves_energy():
     fld = BoostedHarmonicMap(MapParams(2.0, 0.6))
     cone = ConeSpec.from_base(np.array([0.3, 0.3, 0.0]), 0.25, 0.0, 0.1)
-    rep = energy_balance(fld, cone, 0.0, 0.1, BallRule(24, 16),
-                         ConeSurfaceRule(16, 16))
+    rep = energy_balance(fld, cone, 0.0, 0.1, ProductRule(16, 24, 16))
     assert abs(rep.balance) <= rep.error_estimate + 1e-10
 
 
@@ -161,8 +171,7 @@ def test_lam1_boosted_map_conserves_energy_on_crossing_cone():
     nu = 0.6
     fld = BoostedHarmonicMap(MapParams(1.0, nu))
     cone = ConeSpec.from_base(np.zeros(3), 0.5, 0.0, 0.2)
-    rep = energy_balance(fld, cone, 0.0, 0.2, BallRule(24, 16),
-                         ConeSurfaceRule(16, 16),
+    rep = energy_balance(fld, cone, 0.0, 0.2, ProductRule(16, 24, 16),
                          singular_point=lambda tau: np.array([0, 0, nu * tau]))
     assert abs(rep.balance) <= max(10.0 * rep.error_estimate, 1e-6)
 
@@ -175,20 +184,20 @@ def test_penalized_flux_coefficient_consistency():
     n = 3.0
     fld = ScaledWave(1.2, np.array([2.0, 0.0, 0.0]), n)
     cone = ConeSpec.from_base(np.array([0.1, -0.05, 0.2]), 0.5, 0.0, 0.25)
-    rep = energy_balance(fld, cone, 0.0, 0.25, BallRule(16, 12),
-                         ConeSurfaceRule(12, 12), penalty_n=n)
+    rep = energy_balance(fld, cone, 0.0, 0.25, ProductRule(12, 16, 12),
+                         penalty_n=n)
     assert abs(rep.balance) <= 1e-12
     # with the lateral penalty halved the cancellation breaks: reconstruct
     # the balance from its pieces with coefficient n^2 F instead of 2 n^2 F
     e_base = energy_on_disk(
-        fld, DiskSpec(0.0, cone.apex.x, cone.radius(0.0)), BallRule(16, 12),
-        penalty_n=n)
+        fld, DiskSpec(0.0, cone.apex.x, cone.radius(0.0)),
+        ProductRule(16, 16, 12), penalty_n=n)
     e_top = energy_on_disk(
-        fld, DiskSpec(0.25, cone.apex.x, cone.radius(0.25)), BallRule(16, 12),
-        penalty_n=n)
-    fl_pen = flux_on_cone(fld, cone, (0.0, 0.25), ConeSurfaceRule(12, 12),
+        fld, DiskSpec(0.25, cone.apex.x, cone.radius(0.25)),
+        ProductRule(16, 16, 12), penalty_n=n)
+    fl_pen = flux_on_cone(fld, cone, (0.0, 0.25), ProductRule(12, 12, 12),
                           penalty_n=n)
-    fl_plain = flux_on_cone(fld, cone, (0.0, 0.25), ConeSurfaceRule(12, 12))
+    fl_plain = flux_on_cone(fld, cone, (0.0, 0.25), ProductRule(12, 12, 12))
     halved = fl_plain + 0.5 * (fl_pen - fl_plain)
     assert abs(e_base - e_top - halved) > 1e-3
 
@@ -203,7 +212,7 @@ def _sampled_slab(fld, h=1.0 / 16.0, n=17, dt=1.0 / 32.0, nt=9):
     return GridField(t0=0.0, dt=dt, origin=origin, h=h, data=np.stack(levels))
 
 
-def _reference_balance(field, cone, s, t, br, cr, n):
+def _reference_balance(field, cone, s, t, rule, n):
     # the single-penalty balance, each density summed on its own nodes
     def disk(at, rule):
         xs, w = _disk_nodes(DiskSpec(at, cone.apex.x, cone.radius(at)), rule)
@@ -230,10 +239,10 @@ def _reference_balance(field, cone, s, t, br, cr, n):
             total += wk * r**2 * 0.5 * float(np.dot(sph.weights, dens))
         return total
 
-    def parts(b, c):
-        return disk(s, b), disk(t, b), flux(c)
+    def parts(r):
+        return disk(s, r), disk(t, r), flux(r)
 
-    coarse, fine = parts(br, cr), parts(br.refine(), cr.refine())
+    coarse, fine = parts(rule), parts(rule.refine())
     err = abs((fine[0] - fine[1] - fine[2])
               - (coarse[0] - coarse[1] - coarse[2]))
     return BalanceReport.build(*fine, err)
@@ -254,7 +263,7 @@ def test_penalized_balance_carries_unpenalized_from_one_evaluation():
     slab = _sampled_slab(ScaledWave(1.05, np.array([2.0, 1.0, 0.0]), n))
     grid = CountingGrid(slab.t0, slab.dt, slab.origin, slab.h, slab.data)
     cone = ConeSpec.from_base(np.array([0.05, -0.05, 0.0]), 0.4, 0.0, 0.25)
-    args = (cone, 0.02, 0.2, BallRule(6, 6), ConeSurfaceRule(6, 6))
+    args = (cone, 0.02, 0.2, ProductRule(6, 6, 6))
     pair = energy_balance(grid, *args, penalty_n=n)
     pair_queries = grid.queries
     grid.queries = []
@@ -277,8 +286,7 @@ def test_energy_balance_validation():
     pw = GeodesicPlaneWave(np.array([1.0, 0.0, 0.0]))
     cone = ConeSpec.from_base(np.zeros(3), 0.5, 0.0, 0.2)
     with pytest.raises(ValueError):
-        energy_balance(pw, cone, 0.2, 0.1, BallRule(8, 8),
-                       ConeSurfaceRule(8, 8))
+        energy_balance(pw, cone, 0.2, 0.1, ProductRule(8, 8, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +297,9 @@ def test_mollified_flux_converges_to_sqrt8_flux():
     pw = GeodesicPlaneWave(np.array([3.0, 2.0, 1.0]))
     cone = ConeSpec.from_base(np.zeros(3), 0.5, 0.0, 0.2)
     target = 2.0 * np.sqrt(2.0) * flux_on_cone(pw, cone, (0.0, 0.2),
-                                               ConeSurfaceRule(16, 12))
+                                               ProductRule(16, 16, 12))
     errs = [abs(mollified_flux(pw, np.zeros(3), 0.5, 0.2, eps,
-                               ConeSurfaceRule(16, 12)) - target)
+                               ProductRule(16, 16, 12)) - target)
             for eps in (0.1, 0.05, 0.025)]
     assert errs[1] <= 0.55 * errs[0]
     assert errs[2] <= 0.55 * errs[1]
@@ -300,4 +308,4 @@ def test_mollified_flux_converges_to_sqrt8_flux():
 def test_mollified_flux_validation():
     pw = GeodesicPlaneWave(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
-        mollified_flux(pw, np.zeros(3), 0.5, 0.2, 0.4, ConeSurfaceRule(8, 8))
+        mollified_flux(pw, np.zeros(3), 0.5, 0.2, 0.4, ProductRule(8, 8, 8))

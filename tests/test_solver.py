@@ -291,6 +291,28 @@ def test_oversized_slab_fails_before_sampling(monkeypatch):
         penalization_sweep((4.0, 8.0), fld, cfg, cone, [0.1])
 
 
+def test_preflight_counts_the_working_grids(monkeypatch):
+    # memory that holds the stored slab, but not the seven (N, N, N, 3) and
+    # two (N, N, N) working grids beside it, is refused before sampling
+    def never(xs):
+        raise AssertionError("data sampled before the memory check")
+
+    fld = CauchyData(never)
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 32, T_end=0.1)
+    cells = cfg.n_cells**3
+    ram = 0
+    for n in (0.0, 4.0, 8.0):
+        n_steps, stride = solver._step_plan(
+            dataclasses.replace(cfg, penalty_n=n))
+        ram = max(ram, (n_steps // stride + 1) * cells * 3 * 8 + cells * 8)
+    monkeypatch.setattr(solver, "_physical_memory", lambda: ram)
+    with pytest.raises(ValueError, match=r"GiB .*stride.*working grids"):
+        run(cfg, fld)
+    cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
+    with pytest.raises(ValueError, match=r"GiB .*stride.*working grids"):
+        penalization_sweep((4.0, 8.0), fld, cfg, cone, [0.1])
+
+
 # (h, penalty_n, dt, store_stride) -> (n_steps, stride, stored levels), on
 # the default box (half-width 0.75) to T_end = 0.2.  At --refine 2 the CFL
 # step counts, 89 and 67, are prime, so they round up to a multiple of the

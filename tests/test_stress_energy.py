@@ -150,11 +150,12 @@ def test_transformation_check_second_order():
 
 
 def test_bump_test_normalization_spatial():
-    from wavemaplab.quadrature import BallRule, _disk_nodes
+    from wavemaplab.quadrature import _disk_nodes
     from wavemaplab.spacetime import DiskSpec
 
     test = BumpTest(np.array([0.1, 0.0, -0.2]), 0.7)
-    xs, w = _disk_nodes(DiskSpec(0.0, test.center, 0.7), BallRule(40, 24))
+    xs, w = _disk_nodes(DiskSpec(0.0, test.center, 0.7),
+                        ProductRule(40, 40, 24))
     psi, _ = test.batch(xs)
     assert float(np.dot(w, psi)) == pytest.approx(1.0, abs=1e-8)
 
