@@ -22,6 +22,12 @@ from .spacetime import SpacetimePoint
 # closer than this raises instead of returning garbage.
 ANALYTIC_EXCLUSION = 1e-8
 
+# Batch kernels work through their nodes in blocks of this many, so that
+# their scratch memory does not grow with the query: harmonic_v_jet_batch,
+# GridField.jets_at / values_at, and the disk energies of quadrature, which
+# evaluate a disk block by block.
+_BLOCK = 2048
+
 
 @dataclass(frozen=True)
 class JetSample:
@@ -120,11 +126,33 @@ def harmonic_v(params: MapParams, x) -> np.ndarray:
 def harmonic_v_jet_batch(params: MapParams, xs: np.ndarray):
     """Vectorized values and gradients of the dilated hedgehog at xs (N, 3).
 
+    With w = x/r, d = 1 + w_3 and z = lambda (w_1, w_2) / d, the value is the
+    inverse stereographic image of z; J_i (2, 3) is the Jacobian of that
+    inverse at z.  The gradient is formed elementwise, with no matrix
+    products: M = lambda J_s J_i (J_s the projection's Jacobian) has the
+    rows lambda/d J_i[0], lambda/d J_i[1] and
+    -lambda/d^2 (w_1 J_i[0] + w_2 J_i[1]), and its part tangent to the
+    sphere at w, divided by r, is grad = (M - w (x) (w^T M)) / r.
+
+    The nodes go through in blocks of ``_BLOCK``, so the scratch memory does
+    not grow with N; no node's arithmetic depends on its block, so the
+    result is the same bit for bit wherever the blocks meet.
+
     Points within the exclusion radius of the origin or on the south-pole ray
     get the limiting value with a zero gradient (both are measure-zero sets
     that quadrature nodes are not expected to hit).
     """
     xs = np.asarray(xs, dtype=float)
+    values = np.empty((len(xs), 3))
+    grads = np.empty((len(xs), 3, 3))
+    for lo in range(0, len(xs), _BLOCK):
+        part = slice(lo, lo + _BLOCK)
+        _hedgehog_block(params.lam, xs[part], values[part], grads[part])
+    return values, grads
+
+
+def _hedgehog_block(lam: float, xs, values, grads):
+    """``harmonic_v_jet_batch`` on one block, written into values / grads."""
     r = np.linalg.norm(xs, axis=1)
     safe = r >= ANALYTIC_EXCLUSION
     r_s = np.where(safe, r, 1.0)
@@ -133,24 +161,13 @@ def harmonic_v_jet_batch(params: MapParams, xs: np.ndarray):
     polar = d <= ANALYTIC_EXCLUSION
     d_s = np.where(polar, 1.0, d)
 
-    lam = params.lam
     z = lam * w[:, :2] / d_s[:, None]
     s = np.sum(z**2, axis=1)
     dd = 1.0 + s
 
-    values = np.empty((len(xs), 3))
     values[:, 0] = 2.0 * z[:, 0] / dd
     values[:, 1] = 2.0 * z[:, 1] / dd
     values[:, 2] = (1.0 - s) / dd
-
-    eye = np.eye(3)
-    J_w = (eye[None] - w[:, :, None] * w[:, None, :]) / r_s[:, None, None]
-
-    J_s = np.zeros((len(xs), 3, 2))
-    J_s[:, 0, 0] = 1.0 / d_s
-    J_s[:, 1, 1] = 1.0 / d_s
-    J_s[:, 2, 0] = -w[:, 0] / d_s**2
-    J_s[:, 2, 1] = -w[:, 1] / d_s**2
 
     J_i = np.empty((len(xs), 2, 3))
     J_i[:, 0, 0] = 2.0 / dd - 4.0 * z[:, 0]**2 / dd**2
@@ -160,13 +177,18 @@ def harmonic_v_jet_batch(params: MapParams, xs: np.ndarray):
     J_i[:, 1, 1] = 2.0 / dd - 4.0 * z[:, 1]**2 / dd**2
     J_i[:, 1, 2] = -4.0 * z[:, 1] / dd**2
 
-    grads = np.matmul(J_w, lam * np.matmul(J_s, J_i))
+    scale = lam / d_s
+    grads[:, :2, :] = scale[:, None, None] * J_i
+    grads[:, 2, :] = -(scale / d_s)[:, None] * (w[:, 0, None] * J_i[:, 0]
+                                                + w[:, 1, None] * J_i[:, 1])
+    wM = np.einsum("ni,nij->nj", w, grads)
+    grads -= w[:, :, None] * wM[:, None, :]
+    grads /= r_s[:, None, None]
 
     bad = ~safe | polar
     if np.any(bad):
         values[bad] = np.array([0.0, 0.0, -1.0])
         grads[bad] = 0.0
-    return values, grads
 
 
 # Taylor coefficients of s(1 + eps) in eps; used when the closed form would
@@ -222,8 +244,6 @@ class BoostedHarmonicMap(FieldEvaluator):
 # (f[k+1] - f[k-1]) / (2 sp) and its two ends as these three-point formulas
 _FACE_LO = (-1.5, 2.0, -0.5)   # d f[0] from f[0], f[1], f[2]
 _FACE_HI = (0.5, -2.0, 1.5)    # d f[-1] from f[-3], f[-2], f[-1]
-# GridField.jets_at works through its nodes in blocks of this many
-_BLOCK = 2048
 # bit b of corner c: its offset along axis b (0 = time)
 _CORNER_BITS = (np.arange(16)[:, None] >> np.arange(4)) & 1
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fields
 from .fields import FieldEvaluator
 from .manufactured import _bump_norm, bump_profile
 from .spacetime import ConeSpec, DiskSpec
@@ -127,15 +128,23 @@ def _disk_nodes(disk: DiskSpec, rule: ProductRule, singular_center=None):
 def _disk_energies(field: FieldEvaluator, disk: DiskSpec, rule: ProductRule,
                    singular_center, penalties) -> list[float]:
     """``energy_on_disk`` for each penalty in ``penalties`` (None: no
-    penalty), all from one evaluation of the nodes."""
+    penalty), all from one evaluation of the nodes.
+
+    The nodes are evaluated block by block, one ``jets_at`` call of at most
+    ``fields._BLOCK`` nodes each, so the scratch memory does not grow with
+    the disk.  Each block writes its densities into one (penalties, N) array,
+    and each energy is still one dot over the whole disk."""
     xs, w = _disk_nodes(disk, rule, singular_center)
-    values, dts, grads = field.jets_at(np.full(len(xs), disk.time), xs)
-    dens0 = 0.5 * (np.sum(dts**2, axis=1) + np.sum(grads**2, axis=(1, 2)))
-    out = []
-    for n in penalties:
-        dens = dens0 if n is None else dens0 + _penalty_density(values, n)
-        out.append(float(np.dot(w, dens)))
-    return out
+    dens = np.empty((len(penalties), len(xs)))
+    for lo in range(0, len(xs), fields._BLOCK):
+        part = slice(lo, lo + fields._BLOCK)
+        xb = xs[part]
+        values, dts, grads = field.jets_at(np.full(len(xb), disk.time), xb)
+        dens0 = 0.5 * (np.sum(dts**2, axis=1) + np.sum(grads**2, axis=(1, 2)))
+        for k, n in enumerate(penalties):
+            dens[k, part] = dens0 if n is None else \
+                dens0 + _penalty_density(values, n)
+    return [float(np.dot(w, d)) for d in dens]
 
 
 def energy_on_disk(field: FieldEvaluator, disk: DiskSpec, rule: ProductRule,

@@ -131,6 +131,118 @@ def test_harmonic_v_jet_batch_matches_scalar():
         assert np.allclose(grads[k], grad[0], atol=1e-13)
 
 
+# the matmul chain harmonic_v_jet_batch replaced: grad = J_w lam J_s J_i
+def _hedgehog_reference(params, xs):
+    xs = np.asarray(xs, dtype=float)
+    r = np.linalg.norm(xs, axis=1)
+    safe = r >= ANALYTIC_EXCLUSION
+    r_s = np.where(safe, r, 1.0)
+    w = xs / r_s[:, None]
+    d = 1.0 + w[:, 2]
+    polar = d <= ANALYTIC_EXCLUSION
+    d_s = np.where(polar, 1.0, d)
+
+    lam = params.lam
+    z = lam * w[:, :2] / d_s[:, None]
+    s = np.sum(z**2, axis=1)
+    dd = 1.0 + s
+
+    values = np.empty((len(xs), 3))
+    values[:, 0] = 2.0 * z[:, 0] / dd
+    values[:, 1] = 2.0 * z[:, 1] / dd
+    values[:, 2] = (1.0 - s) / dd
+
+    eye = np.eye(3)
+    J_w = (eye[None] - w[:, :, None] * w[:, None, :]) / r_s[:, None, None]
+
+    J_s = np.zeros((len(xs), 3, 2))
+    J_s[:, 0, 0] = 1.0 / d_s
+    J_s[:, 1, 1] = 1.0 / d_s
+    J_s[:, 2, 0] = -w[:, 0] / d_s**2
+    J_s[:, 2, 1] = -w[:, 1] / d_s**2
+
+    J_i = np.empty((len(xs), 2, 3))
+    J_i[:, 0, 0] = 2.0 / dd - 4.0 * z[:, 0]**2 / dd**2
+    J_i[:, 0, 1] = -4.0 * z[:, 0] * z[:, 1] / dd**2
+    J_i[:, 0, 2] = -4.0 * z[:, 0] / dd**2
+    J_i[:, 1, 0] = J_i[:, 0, 1]
+    J_i[:, 1, 1] = 2.0 / dd - 4.0 * z[:, 1]**2 / dd**2
+    J_i[:, 1, 2] = -4.0 * z[:, 1] / dd**2
+
+    grads = np.matmul(J_w, lam * np.matmul(J_s, J_i))
+
+    bad = ~safe | polar
+    if np.any(bad):
+        values[bad] = np.array([0.0, 0.0, -1.0])
+        grads[bad] = 0.0
+    return values, grads
+
+
+def _hedgehog_test_nodes(rng, n=100_000):
+    """Random nodes plus the origin, nodes within 1e-9 of it, and nodes on,
+    inside the exclusion of, and near the south-pole ray."""
+    xs = rng.normal(size=(n, 3)) * rng.uniform(0.01, 2.0, (n, 1))
+    xs[0] = 0.0
+    xs[1:100] = rng.uniform(-5e-10, 5e-10, (99, 3))
+    # angle from the south-pole ray: 0, inside the polar exclusion
+    # (d = 1 + w_3 <= 1e-8 below about 1.4e-4), and 1e-3 to 1e-2 outside it.
+    # Both forms of the gradient project out a radial part about 1/angle
+    # times the result, so just outside the exclusion they differ by about
+    # 1e-12 of it; d itself has lost about 1e-8 there.
+    ang = np.concatenate([np.zeros(100), rng.uniform(0.0, 1.4e-4, 400),
+                          10.0**rng.uniform(-3.0, -2.0, 500)])
+    phi = rng.uniform(0.0, 2.0 * np.pi, len(ang))
+    a = rng.uniform(0.05, 2.0, len(ang))
+    xs[100:100 + len(ang)] = np.column_stack([
+        a * np.sin(ang) * np.cos(phi), a * np.sin(ang) * np.sin(phi),
+        -a * np.cos(ang)])
+    return xs
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 3.0])
+def test_harmonic_v_jet_batch_matches_matmul_reference(lam):
+    p = MapParams(lam)
+    xs = _hedgehog_test_nodes(np.random.default_rng(21))
+    values, grads = harmonic_v_jet_batch(p, xs)
+    want_values, want_grads = _hedgehog_reference(p, xs)
+    assert np.array_equal(values, want_values)
+    scale = np.max(np.abs(want_grads), axis=(1, 2))
+    err = np.max(np.abs(grads - want_grads), axis=(1, 2))
+    assert np.all(err <= 1e-12 * scale)
+    # bad nodes: the limiting value (checked above) and a zero gradient
+    bad = scale == 0.0
+    assert np.count_nonzero(bad) >= 500
+    assert np.all(grads[bad] == 0.0)
+    assert np.all(values[bad] == [0.0, 0.0, -1.0])
+
+
+def test_harmonic_v_jet_batch_blocks_join_exactly(monkeypatch):
+    # the kernel works through its nodes in blocks; the seams change no bit
+    p = MapParams(1.5)
+    xs = _hedgehog_test_nodes(np.random.default_rng(22), n=2_000)[::20]
+    whole = harmonic_v_jet_batch(p, xs)
+    monkeypatch.setattr(fields, "_BLOCK", 7)
+    for got, want in zip(harmonic_v_jet_batch(p, xs), whole):
+        assert np.array_equal(got, want)
+    for k, x in enumerate(xs):
+        value, grad = harmonic_v_jet_batch(p, x[None, :])
+        assert np.array_equal(value[0], whole[0][k])
+        assert np.array_equal(grad[0], whole[1][k])
+
+
+def test_harmonic_v_jet_batch_memory_is_bounded():
+    # the outputs take 96 bytes per node; the blocks' scratch stays constant
+    n = 200_000
+    xs = np.random.default_rng(23).normal(size=(n, 3))
+    tracemalloc.start()
+    try:
+        harmonic_v_jet_batch(MapParams(2.0), xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * n
+
+
 def test_singularity_exclusion_raises():
     p = MapParams(2.0)
     with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from wavemaplab import fields
 from wavemaplab.fields import BoostedHarmonicMap, GridField, MapParams, s_lambda
 from wavemaplab.manufactured import GeodesicPlaneWave
 from wavemaplab.quadrature import (BalanceReport, ProductRule, SphereRule,
@@ -96,6 +99,53 @@ def test_penalized_energy_reduces_to_plain_on_sphere_values():
     plain = energy_on_disk(fld, disk, ProductRule(16, 16, 12))
     pen = energy_on_disk(fld, disk, ProductRule(16, 16, 12), penalty_n=32.0)
     assert pen == pytest.approx(plain, rel=1e-12)  # |u| = 1 so F(u) = 0
+
+
+class CountingMap(BoostedHarmonicMap):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.sizes = []
+
+    def jets_at(self, ts, xs):
+        self.sizes.append(len(ts))
+        return super().jets_at(ts, xs)
+
+
+def test_disk_energy_blocks_join_exactly(monkeypatch):
+    # the disk is evaluated in blocks of _BLOCK nodes; the seams change no bit
+    disk = DiskSpec(0.1, np.array([0.1, 0.0, 0.0]), 0.4)
+    rule = ProductRule(4, 6, 4)
+    fld = CountingMap(MapParams(2.0, 0.6))
+    args = (disk, rule, np.array([0.0, 0.0, 0.06]))
+    whole = energy_on_disk(fld, *args, penalty_n=5.0)
+    assert fld.sizes == [6 * 32]
+    # the same as one jets_at call over the disk with one dot
+    xs, w = _disk_nodes(*args)
+    values, dts, grads = fld.jets_at(np.full(len(xs), disk.time), xs)
+    dens = 0.5 * (np.sum(dts**2, axis=1) + np.sum(grads**2, axis=(1, 2)))
+    dens = dens + 5.0**2 * 0.25 * (np.sum(values**2, axis=1) - 1.0)**2
+    assert whole == float(np.dot(w, dens))
+    monkeypatch.setattr(fields, "_BLOCK", 7)
+    fld.sizes = []
+    assert energy_on_disk(fld, *args, penalty_n=5.0) == whole
+    assert max(fld.sizes) <= 7
+    assert sum(fld.sizes) == 6 * 32
+
+
+def test_disk_energy_memory_is_bounded():
+    # the nodes and weights set the peak; the evaluation adds one block
+    fld = BoostedHarmonicMap(MapParams(2.0, 0.6))
+    disk = DiskSpec(0.1, np.array([0.1, 0.0, 0.0]), 0.4)
+    rule = ProductRule(8, 64, 32)
+    n = 64 * 32 * 64
+    energy_on_disk(fld, disk, rule)  # warm the sphere-rule cache
+    tracemalloc.start()
+    try:
+        energy_on_disk(fld, disk, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 * n
 
 
 # ---------------------------------------------------------------------------
