@@ -15,6 +15,5 @@ from .stress_energy import (BumpTest, comp_identity_check, divergence_T,
                             transformation_check, weak_residual)
 from .quadrature import (BalanceReport, ProductRule, SphereRule, energy_balance,
                          energy_on_disk, flux_on_cone, mollified_flux)
-from .solver import (EnergyLedger, SolverConfig, StateSlab, SweepReport,
-                     init_from_data, penalization_sweep, run, step,
-                     trusted_region)
+from .solver import (EnergyLedger, SolverConfig, SweepReport, init_from_data,
+                     penalization_sweep, run, step, trusted_region)

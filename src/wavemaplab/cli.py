@@ -294,13 +294,15 @@ def analytic_balance(cfg: ExperimentConfig, req: ConeRequest,
 
 def solver_cone_interval(cfg: ExperimentConfig, req: ConeRequest):
     """Shrink the requested time interval so every quadrature node stays
-    strictly inside the stored solver slab (one stored-level margin)."""
+    strictly inside the stored solver slab (one stored-level margin); the
+    base shrinks with it, so the request still describes the same cone."""
     margin = cfg.T_end / 10.0
     s = max(req.s, margin)
     t = min(req.t, cfg.T_end - margin)
     if not s < t:
         raise ConfigError("cone interval too short for the solver slab")
-    return dataclasses.replace(req, s=s, t=t)
+    return dataclasses.replace(req, base_radius=req.base_radius - (s - req.s),
+                               s=s, t=t)
 
 
 def smoothing_tolerance(cfg: ExperimentConfig, req: ConeRequest,
@@ -387,6 +389,7 @@ def cmd_nonuniq_demo(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentRe
     cone = req.build()
     solver_cfg = cfg.solver_config()
     trusted_region(solver_cfg, cone)  # raises if the cone is untrusted
+    inner = solver_cone_interval(cfg, req)  # raises if it is too short
 
     sweep = penalization_sweep(cfg.penalties, BoostedHarmonicMap(params),
                                solver_cfg, cone,
@@ -405,7 +408,6 @@ def cmd_nonuniq_demo(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentRe
                                note="successive differences in n"))
 
     # (a) solver output: penalized balance ~ 0, unpenalized inequality >= -tol
-    inner = solver_cone_interval(cfg, req)
     tol = smoothing_tolerance(cfg, inner, params, n_max)
     pen_rep = energy_balance(slab, cone, inner.s, inner.t, cfg.rule(),
                              penalty_n=n_max)

@@ -214,14 +214,13 @@ class BoostedHarmonicMap(FieldEvaluator):
     """The boosted hedgehog as a spacetime field; nu = 0 gives the stationary
     harmonic map."""
 
-    def __init__(self, params: MapParams, exclusion: float = ANALYTIC_EXCLUSION):
+    def __init__(self, params: MapParams):
         self.params = params
-        self.exclusion = exclusion
 
     def in_domain(self, pt: SpacetimePoint) -> bool:
         th, nu = self.params.theta, self.params.nu
         r2 = pt.x[0]**2 + pt.x[1]**2 + (th * (pt.x[2] - nu * pt.t))**2
-        return bool(np.sqrt(r2) >= self.exclusion)
+        return bool(np.sqrt(r2) >= ANALYTIC_EXCLUSION)
 
     def jet(self, pt: SpacetimePoint) -> JetSample:
         if not self.in_domain(pt):

@@ -16,14 +16,16 @@ its value and time derivative at t = 0 on the cell centres, sampled with one
 
 Buffers.  One in-place kernel, ``_accel``, forms Lap(u) - n^2 (|u|^2 - 1) u
 with the arithmetic of the plain formula, so every level is bit-identical to
-it.  ``step(state, cfg, u0, out=, work=)`` writes the new level into ``out``
-and its scratch into ``work`` (a ``_Work``), and writes nothing else: it only
-reads ``state.u_prev``, ``state.u_curr`` and ``u0``, so ``out`` and ``work``
-must alias none of them.  Without ``out`` or ``work`` it allocates fresh
-ones.  After a step (or ``init_from_data``), ``work.constraint`` holds
-|u|^2 - 1 of the level it advanced, which the ledger reuses.  ``run``
-preallocates everything: the stored levels in one (n_levels, N, N, N, 3)
-array, three time levels that rotate through ``out``, and one ``_Work``.
+it.  The leapfrog state is two arrays, the previous and the current level.
+``step(u_prev, u, cfg, out=, work=)`` returns the new level, written into
+``out``, with its scratch in ``work`` (a ``_Work``), and writes nothing else;
+``out`` and ``work`` must alias neither input.  Without ``out`` or ``work`` it
+allocates fresh ones.  A clamped step copies the box faces from ``u_prev``:
+every level shares the faces of u^0.  After a step (or ``init_from_data``),
+``work.constraint`` holds |u|^2 - 1 of the level it advanced, which the ledger
+reuses.  ``run`` preallocates everything: the stored levels in one
+(n_levels, N, N, N, 3) array, three time levels that rotate through ``out``,
+and one ``_Work``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,13 @@ from .spacetime import ConeSpec, SpacetimePoint
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Grid, time span, penalty and boundary of one solver run.
+
+    The run plan is derived once, at construction, and cannot be set:
+    ``n_cells`` per axis, ``n_steps`` of ``dt_effective`` to ``T_end``, and
+    every ``stride``-th level stored, ``n_levels`` in all (see
+    ``_step_plan``)."""
+
     box_half_width: float
     h: float
     T_end: float
@@ -49,6 +58,11 @@ class SolverConfig:
     dt: float | None = None
     boundary: str = "clamped"       # "clamped" (to initial data) or "periodic"
     store_stride: int | None = None  # None: auto, about 12 stored intervals
+    n_cells: int = field(init=False)
+    n_steps: int = field(init=False)
+    stride: int = field(init=False)
+    n_levels: int = field(init=False)
+    dt_effective: float = field(init=False)
 
     def __post_init__(self):
         if self.boundary not in ("clamped", "periodic"):
@@ -59,6 +73,12 @@ class SolverConfig:
         if self.dt is not None and self.dt > self.cfl_limit * (1.0 + 1e-12):
             raise ValueError(
                 f"dt={self.dt} violates the stability bound {self.cfl_limit}")
+        n_steps, stride = _step_plan(self)
+        for name, value in (("n_cells", n_cells), ("n_steps", n_steps),
+                            ("stride", stride),
+                            ("n_levels", n_steps // stride + 1),
+                            ("dt_effective", self.T_end / n_steps)):
+            object.__setattr__(self, name, value)
 
     @property
     def cfl_limit(self) -> float:
@@ -68,33 +88,11 @@ class SolverConfig:
         return self.c_cfl * min(bounds)
 
     @property
-    def n_cells(self) -> int:
-        return round(2.0 * self.box_half_width / self.h)
-
-    @property
-    def n_steps(self) -> int:
-        return _step_plan(self)[0]
-
-    @property
-    def dt_effective(self) -> float:
-        return self.T_end / self.n_steps
-
-    @property
     def origin(self) -> np.ndarray:
         return np.full(3, -self.box_half_width + 0.5 * self.h)
 
     def cell_centers_1d(self) -> np.ndarray:
         return self.origin[0] + self.h * np.arange(self.n_cells)
-
-
-@dataclass
-class StateSlab:
-    """Two consecutive time levels plus the step index."""
-
-    u_prev: np.ndarray  # level k-1, shape (N, N, N, 3)
-    u_curr: np.ndarray  # level k
-    step: int
-    time: float
 
 
 @dataclass
@@ -220,12 +218,12 @@ def _accel(u: np.ndarray, cfg: SolverConfig, work: _Work) -> np.ndarray:
 
 
 def init_from_data(u0: np.ndarray, g0: np.ndarray, cfg: SolverConfig,
-                   work: _Work | None = None) -> StateSlab:
-    """Second-order start: u^1 = u^0 + dt g + (dt^2/2)(Lap u^0 - penalty).
+                   work: _Work | None = None) -> np.ndarray:
+    """Second-order start: returns the level u^1 = u^0 + dt g + (dt^2/2)
+    (Lap u^0 - penalty).
 
     ``u0`` and ``g0`` are the value and time derivative of the data at the
-    cell centres, shape (N, N, N, 3), and are not written; the returned state
-    holds ``u_prev`` = ``u0``."""
+    cell centres, shape (N, N, N, 3), and are not written."""
     dt = cfg.dt_effective
     n = cfg.n_cells
     for a in (u0, g0):
@@ -241,7 +239,7 @@ def init_from_data(u0: np.ndarray, g0: np.ndarray, cfg: SolverConfig,
     u1 += a
     if cfg.boundary == "clamped":
         u1 = _apply_clamp(u1, u0)
-    return StateSlab(u_prev=u0, u_curr=u1, step=1, time=dt)
+    return u1
 
 
 def _apply_clamp(u: np.ndarray, u0: np.ndarray) -> np.ndarray:
@@ -251,29 +249,27 @@ def _apply_clamp(u: np.ndarray, u0: np.ndarray) -> np.ndarray:
     return u
 
 
-def step(state: StateSlab, cfg: SolverConfig, u0: np.ndarray | None = None,
+def step(u_prev: np.ndarray, u: np.ndarray, cfg: SolverConfig,
          out: np.ndarray | None = None,
-         work: _Work | None = None) -> StateSlab:
-    """One leapfrog step; ``u0`` supplies the clamped boundary values (the
-    initial level) and defaults to the oldest level held by the state.
+         work: _Work | None = None) -> np.ndarray:
+    """One leapfrog step from the levels ``u_prev`` and ``u``: returns the
+    next level, with clamped faces copied from ``u_prev``.
 
     The new level is written into ``out`` and the scratch into ``work``;
     each is allocated when not given (see the module docstring)."""
     dt = cfg.dt_effective
-    u = state.u_curr
     a = _accel(u, cfg, work if work is not None else _Work(u.shape))
     a *= dt**2
     unew = np.multiply(u, 2.0, out=out)
-    unew -= state.u_prev
+    unew -= u_prev
     unew += a
     if cfg.boundary == "clamped":
-        unew = _apply_clamp(unew, u0 if u0 is not None else state.u_prev)
+        unew = _apply_clamp(unew, u_prev)
     if not np.all(np.isfinite(unew)):
         raise FloatingPointError(
             "solver blow-up: check dt <= c_cfl * min(h/sqrt(3), 1/n) "
             f"(limit {cfg.cfl_limit}, dt {dt})")
-    return StateSlab(u_prev=u, u_curr=unew, step=state.step + 1,
-                     time=state.time + dt)
+    return unew
 
 
 def _sumsq(a: np.ndarray) -> float:
@@ -314,67 +310,63 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _store_plan(cfg: SolverConfig) -> tuple[int, int]:
-    """Stored-level stride and level count; raises ValueError when the stored
-    slab plus the run's working grids would exceed physical memory: seven
-    (N, N, N, 3) grids (u0, g0, three rotating levels, work.accel, work.tmp)
-    and two (N, N, N) ones (work.constraint, work.scalar)."""
-    n_steps, stride = _step_plan(cfg)
-    n_levels = n_steps // stride + 1
-    slab = n_levels * cfg.n_cells**3 * 3 * 8
+def _check_memory(cfg: SolverConfig) -> None:
+    """Raises ValueError when the stored slab plus the run's working grids
+    would exceed physical memory: seven (N, N, N, 3) grids (u0, g0, three
+    rotating levels, work.accel, work.tmp) and two (N, N, N) ones
+    (work.constraint, work.scalar)."""
+    slab = cfg.n_levels * cfg.n_cells**3 * 3 * 8
     grids = (7 * 3 + 2) * cfg.n_cells**3 * 8
     ram = _physical_memory()
     if ram is not None and slab + grids > ram:
         raise ValueError(
             f"the run would need {(slab + grids) / 2**30:.1f} GiB: a stored "
-            f"slab of {slab / 2**30:.1f} GiB ({n_levels} levels of "
-            f"{cfg.n_cells}^3 cells, stride {stride} over {n_steps} steps) "
-            f"and {grids / 2**30:.1f} GiB of working grids, more than the "
-            f"{ram / 2**30:.1f} GiB of physical memory")
-    return stride, n_levels
+            f"slab of {slab / 2**30:.1f} GiB ({cfg.n_levels} levels of "
+            f"{cfg.n_cells}^3 cells, stride {cfg.stride} over {cfg.n_steps} "
+            f"steps) and {grids / 2**30:.1f} GiB of working grids, more than "
+            f"the {ram / 2**30:.1f} GiB of physical memory")
 
 
 def run(cfg: SolverConfig, field: FieldEvaluator):
     """Integrate from the Cauchy data of ``field``, its value and time
     derivative at t = 0, to T_end; returns the (possibly strided) space-time
     slab and the energy ledger."""
-    _store_plan(cfg)  # fail on an oversized run before any sampling
+    _check_memory(cfg)  # fail on an oversized run before any sampling
     return _integrate(cfg, *_cauchy_data(field, cfg))
 
 
 def _integrate(cfg: SolverConfig, u0: np.ndarray, g0: np.ndarray):
     """``run`` from the sampled Cauchy data ``u0``, ``g0``, which are not
-    written."""
-    stride, n_levels = _store_plan(cfg)
-    dt = cfg.dt_effective
-    n_steps = cfg.n_steps
+    written; the caller has checked the memory."""
+    dt, stride = cfg.dt_effective, cfg.stride
     cell_vol = cfg.h**3
 
     work = _Work(u0.shape)
-    cur = init_from_data(u0, g0, cfg, work)
-    levels = np.empty((n_levels,) + u0.shape)
+    u1 = init_from_data(u0, g0, cfg, work)
+    levels = np.empty((cfg.n_levels,) + u0.shape)
     levels[0] = u0
     ledger = EnergyLedger()
     ledger.add(0, 0.0, 0.5 * _sumsq(g0) * cell_vol,
                _grad_energy(u0, cfg, work.tmp), _penalty_energy(work, cfg))
 
     # level k lives in bufs[k % 3] (k >= 1); u0 is never written
-    bufs = [np.empty_like(u0), cur.u_curr, np.empty_like(u0)]
-    for k in range(1, n_steps + 1):
-        # cur.u_curr is level k at time k * dt
+    bufs = [np.empty_like(u0), u1, np.empty_like(u0)]
+    prev, cur, t = u0, u1, dt
+    for k in range(1, cfg.n_steps + 1):
+        # cur is level k, at time t (dt summed k times)
         if k % stride == 0:
-            levels[k // stride] = cur.u_curr
-        if k == n_steps:
+            levels[k // stride] = cur
+        if k == cfg.n_steps:
             break
-        nxt = step(cur, cfg, u0=u0, out=bufs[(k + 1) % 3], work=work)
+        nxt = step(prev, cur, cfg, out=bufs[(k + 1) % 3], work=work)
         # midpoint kinetic energy collocated with level k, summed before the
         # gradient term reuses work.tmp; work.constraint still holds level k
-        vel = np.subtract(nxt.u_curr, cur.u_prev, out=work.tmp)
+        vel = np.subtract(nxt, prev, out=work.tmp)
         vel /= 2.0 * dt
         kin = 0.5 * _sumsq(vel) * cell_vol
-        ledger.add(k, cur.time, kin, _grad_energy(cur.u_curr, cfg, work.tmp),
+        ledger.add(k, t, kin, _grad_energy(cur, cfg, work.tmp),
                    _penalty_energy(work, cfg))
-        cur = nxt
+        prev, cur, t = cur, nxt, t + dt
 
     slab = GridField(t0=0.0, dt=stride * dt, origin=cfg.origin, h=cfg.h,
                      data=levels)
@@ -414,7 +406,7 @@ def penalization_sweep(schedule, field: FieldEvaluator,
     cfgs = [dataclasses.replace(cfg_template, penalty_n=float(n), dt=None)
             for n in schedule]
     for cfg in cfgs:
-        _store_plan(cfg)  # fail on an oversized run before any sampling
+        _check_memory(cfg)  # fail on an oversized run before any sampling
     # the Cauchy data is the same for every penalty: sample it once
     u0, g0 = _cauchy_data(field, cfg_template)
     violations = np.zeros((len(schedule), len(sample_times)))

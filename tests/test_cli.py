@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from wavemaplab import fields
+from wavemaplab import cli, fields
 from wavemaplab.cli import (ConeRequest, ConfigError, ExperimentConfig,
                             Verdict, _crossing_interval, _incone_distance,
                             _parse_cone, expected_defect, load_config, main,
-                            solver_cone_interval)
+                            smoothing_tolerance, solver_cone_interval)
 from wavemaplab.fields import BoostedHarmonicMap, GridField, s_lambda
 from wavemaplab.quadrature import _disk_nodes
 from wavemaplab.solver import run
@@ -120,6 +120,34 @@ def test_solver_cone_interval_margins():
     assert inner.t == pytest.approx(0.18)
     with pytest.raises(ConfigError):
         solver_cone_interval(cfg, ConeRequest((0, 0, 0), 0.5, 0.0, 0.015))
+
+
+def test_narrowed_interval_keeps_the_cone():
+    # the line leaves this cone at tau = 0.0125, before the narrowed interval
+    # [0.02, 0.18] starts; a cone moved up with the interval would meet it
+    cfg = ExperimentConfig()
+    req = _parse_cone("0,0,-0.28 ; 0.3 ; 0,0.2")
+    inner = solver_cone_interval(cfg, req)
+    apex, inner_apex = req.build().apex, inner.build().apex
+    assert inner_apex.t == pytest.approx(apex.t)
+    assert np.array_equal(inner_apex.x, apex.x)
+    assert _crossing_interval(inner, cfg.nu) is None
+    assert smoothing_tolerance(cfg, inner, cfg.params,
+                               cfg.penalties[-1]) == 0.0
+
+
+def test_short_cone_interval_fails_before_the_sweep(tmp_path, monkeypatch,
+                                                     capsys):
+    path = tmp_path / "short.ini"
+    path.write_text("[cones]\nc0 = 0,0,0 ; 0.5 ; 0,0.015\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("sweep run before the cone interval check")
+
+    monkeypatch.setattr(cli, "penalization_sweep", never)
+    assert main(["nonuniq-demo", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "cone interval too short" in capsys.readouterr().err
 
 
 def _incone_reference(cfg, slab, params, cone, t_ref):

@@ -133,11 +133,10 @@ def test_step_and_init_agree_with_run():
     u0, g0 = solver._cauchy_data(pw, cfg)
     with pytest.raises(ValueError, match="shape"):
         init_from_data(u0, g0[1:], cfg)
-    state = init_from_data(u0, g0, cfg)
-    assert np.allclose(state.u_prev, slab.data[0], atol=1e-14)
-    assert np.allclose(state.u_curr, slab.data[1], atol=1e-14)
-    state = step(state, cfg)
-    assert np.allclose(state.u_curr, slab.data[2], atol=1e-14)
+    u1 = init_from_data(u0, g0, cfg)
+    assert np.allclose(u0, slab.data[0], atol=1e-14)
+    assert np.allclose(u1, slab.data[1], atol=1e-14)
+    assert np.allclose(step(u0, u1, cfg), slab.data[2], atol=1e-14)
 
 
 def test_clamped_boundary_holds_initial_values():
@@ -157,6 +156,26 @@ def test_slab_metadata():
     assert slab.h == cfg.h
     assert np.allclose(slab.origin, cfg.origin)
     assert len(ledger.rows) == cfg.n_steps
+
+
+def test_slab_follows_the_config_plan():
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.5)
+    assert cfg.stride > 1  # levels are skipped
+    slab, _ = run(cfg, plane_wave([2.0, 0.0, 0.0]))
+    assert slab.data.shape[0] == cfg.n_levels
+    assert slab.dt == cfg.stride * cfg.dt_effective
+
+
+def test_plan_is_derived_not_settable():
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.2)
+    for name in ("n_cells", "n_steps", "stride", "n_levels", "dt_effective"):
+        with pytest.raises(ValueError):
+            dataclasses.replace(cfg, **{name: 1})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, 1)
+    # replacing a setting derives the plan again
+    finer = dataclasses.replace(cfg, h=1 / 16)
+    assert (finer.n_cells, finer.n_steps) == (16, 2 * cfg.n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +267,13 @@ def test_step_bit_identical_to_reference(boundary, n):
     cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.2, penalty_n=n,
                        boundary=boundary)
     u0, g0 = solver._cauchy_data(off_sphere_data(), cfg)
-    state = init_from_data(u0, g0, cfg)
+    prev, cur = u0, init_from_data(u0, g0, cfg)
     ref, _ = _ref_run(cfg, u0, g0)
-    assert np.array_equal(state.u_curr, ref[1])
+    assert np.array_equal(cur, ref[1])
+    # clamped faces come from the previous level, the reference's from u0
     for k in range(2, 5):
-        state = step(state, cfg, u0=u0)
-        assert np.array_equal(state.u_curr, ref[k])
+        prev, cur = cur, step(prev, cur, cfg)
+        assert np.array_equal(cur, ref[k])
 
 
 @pytest.mark.parametrize("boundary,n", KERNEL_CASES)
@@ -302,15 +322,32 @@ def test_preflight_counts_the_working_grids(monkeypatch):
     cells = cfg.n_cells**3
     ram = 0
     for n in (0.0, 4.0, 8.0):
-        n_steps, stride = solver._step_plan(
-            dataclasses.replace(cfg, penalty_n=n))
-        ram = max(ram, (n_steps // stride + 1) * cells * 3 * 8 + cells * 8)
+        n_levels = dataclasses.replace(cfg, penalty_n=n).n_levels
+        ram = max(ram, n_levels * cells * 3 * 8 + cells * 8)
     monkeypatch.setattr(solver, "_physical_memory", lambda: ram)
     with pytest.raises(ValueError, match=r"GiB .*stride.*working grids"):
         run(cfg, fld)
     cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
     with pytest.raises(ValueError, match=r"GiB .*stride.*working grids"):
         penalization_sweep((4.0, 8.0), fld, cfg, cone, [0.1])
+
+
+def test_memory_is_checked_once_per_run(monkeypatch):
+    calls = []
+
+    def counting():
+        calls.append(1)
+        return None
+
+    monkeypatch.setattr(solver, "_physical_memory", counting)
+    phi = BoostedHarmonicMap(MapParams(2.0, 0.6))
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.1)
+    run(cfg, phi)
+    assert len(calls) == 1
+    calls.clear()
+    cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
+    penalization_sweep((4.0, 8.0), phi, cfg, cone, [0.1])
+    assert len(calls) == 2
 
 
 # (h, penalty_n, dt, store_stride) -> (n_steps, stride, stored levels), on
@@ -329,12 +366,11 @@ STORE_PLANS = [
 
 
 @pytest.mark.parametrize("knobs,plan", STORE_PLANS)
-def test_store_plan_keeps_a_stride_near_its_target(knobs, plan, monkeypatch):
+def test_store_plan_keeps_a_stride_near_its_target(knobs, plan):
     h, n, dt, stride = knobs
     cfg = SolverConfig(box_half_width=0.75, h=h, T_end=0.2, penalty_n=n,
                        dt=dt, store_stride=stride)
-    monkeypatch.setattr(solver, "_physical_memory", lambda: None)
-    assert (cfg.n_steps, *solver._store_plan(cfg)) == plan
+    assert (cfg.n_steps, cfg.stride, cfg.n_levels) == plan
     # rounding the step count up only shrinks dt
     assert cfg.dt_effective <= cfg.cfl_limit
     assert cfg.n_steps * cfg.dt_effective == pytest.approx(cfg.T_end)
@@ -405,9 +441,8 @@ def test_penalization_sweep_samples_data_once():
 def test_constraint_violation_zero_on_sphere_data():
     params = MapParams(2.0, 0.6)
     cfg = SolverConfig(box_half_width=0.5, h=1 / 16, T_end=0.1)
-    data = solver._cauchy_data(BoostedHarmonicMap(params), cfg)
-    state = init_from_data(*data, cfg)
-    assert constraint_violation(state.u_prev, cfg) <= 1e-20
+    u0, _ = solver._cauchy_data(BoostedHarmonicMap(params), cfg)
+    assert constraint_violation(u0, cfg) <= 1e-20
 
 
 def test_trusted_region_predicate():
