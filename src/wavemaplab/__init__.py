@@ -4,16 +4,15 @@ light-cone energy accounting."""
 
 __version__ = "0.1.0"
 
-from .spacetime import (ConeSpec, DiskSpec, LorentzBoost, SpacetimePoint,
-                        apply_boost, disk_at, minkowski_dot)
+from .spacetime import ConeSpec, DiskSpec, LorentzBoost, SpacetimePoint
 from .fields import (BoostedHarmonicMap, FieldEvaluator, GridField, JetSample,
                      MapParams, harmonic_v, s_lambda, stereographic,
                      stereographic_inv)
 from .stress_energy import (BumpTest, comp_identity_check, divergence_T,
-                            energy_density, flux_density, flux_form_Q,
                             recover_point_charge, stress_tensor,
                             transformation_check, weak_residual)
 from .quadrature import (BalanceReport, ProductRule, SphereRule, energy_balance,
-                         energy_on_disk, flux_on_cone, mollified_flux)
+                         energy_density, energy_on_disk, flux_density,
+                         flux_form_Q, flux_on_cone, mollified_flux)
 from .solver import (EnergyLedger, SolverConfig, SweepReport, init_from_data,
                      penalization_sweep, run, step, trusted_region)

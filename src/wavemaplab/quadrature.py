@@ -5,11 +5,17 @@ holds.
 One resolution, ``ProductRule(n_time, n_radial, n_polar)``, sizes the disks
 and the cone's side; ``_cone_slices`` builds the side's time slices.
 
+The energy, flux and flux-form densities are batch forms on jets
+(dts (N, 3), grads (N, 3, 3)), one value per row; the disks, the cone's side
+and the cone identity of ``stress_energy`` all integrate these.
+
 Lateral surface measure: parametrizing the side by (tau, omega) with
 x = p + r(tau) omega and |r'| = 1, the pullback metric gives
 dsigma = sqrt(2) r(tau)^2 dtau dOmega.  Combined with the 1/(2 sqrt 2) flux
 normalization this makes the flux equal to
-(1/2) int int |grad u - omega (x) u_t|^2 r(tau)^2 dOmega dtau.
+(1/2) int int |grad u - omega (x) u_t|^2 r(tau)^2 dOmega dtau, so the flux
+forms are normalized per r^2 dtau dOmega: ``flux_density`` is
+(1/2) |grad u - n (x) u_t|^2 and ``flux_form_Q`` its bilinear form.
 """
 
 from __future__ import annotations
@@ -100,6 +106,31 @@ def _penalty_density(values: np.ndarray, n: float) -> np.ndarray:
     return n**2 * 0.25 * (np.sum(values**2, axis=1) - 1.0)**2
 
 
+def energy_form(u_dts, u_grads, w_dts, w_grads) -> np.ndarray:
+    """Du . Dw per row: the Euclidean dot over all four partials and the
+    three target components."""
+    return np.sum(u_dts * w_dts, axis=1) + np.sum(u_grads * w_grads, axis=(1, 2))
+
+
+def energy_density(dts, grads) -> np.ndarray:
+    """(1/2) (|u_t|^2 + |grad u|^2) per row."""
+    return 0.5 * energy_form(dts, grads, dts, grads)
+
+
+def flux_form_Q(u_dts, u_grads, w_dts, w_grads, normals) -> np.ndarray:
+    """(grad u - n (x) u_t) : (grad w - n (x) w_t) per row, n the row's unit
+    spatial direction from ``normals`` (N, 3); per r^2 dtau dOmega of a cone's
+    side, so Q(u, u) = 2 * flux_density(u)."""
+    pu = u_grads - normals[:, :, None] * u_dts[:, None, :]
+    pw = w_grads - normals[:, :, None] * w_dts[:, None, :]
+    return np.sum(pu * pw, axis=(1, 2))
+
+
+def flux_density(dts, grads, normals) -> np.ndarray:
+    """(1/2) |grad u - n (x) u_t|^2 per row, per r^2 dtau dOmega."""
+    return 0.5 * flux_form_Q(dts, grads, dts, grads, normals)
+
+
 def _disk_nodes(disk: DiskSpec, rule: ProductRule, singular_center=None):
     """Quadrature nodes and weights (including the r^2 factor) for a ball.
 
@@ -140,7 +171,7 @@ def _disk_energies(field: FieldEvaluator, disk: DiskSpec, rule: ProductRule,
         part = slice(lo, lo + fields._BLOCK)
         xb = xs[part]
         values, dts, grads = field.jets_at(np.full(len(xb), disk.time), xb)
-        dens0 = 0.5 * (np.sum(dts**2, axis=1) + np.sum(grads**2, axis=(1, 2)))
+        dens0 = energy_density(dts, grads)
         for k, n in enumerate(penalties):
             dens[k, part] = dens0 if n is None else \
                 dens0 + _penalty_density(values, n)
@@ -177,12 +208,10 @@ def _cone_fluxes(field: FieldEvaluator, cone: ConeSpec, interval,
     totals = [0.0] * len(penalties)
     for tau, wk, r, xs in _cone_slices(cone, *interval, rule):
         values, dts, grads = field.jets_at(np.full(len(xs), tau), xs)
-        diff = grads - sph.nodes[:, :, None] * dts[:, None, :]
-        dens0 = np.sum(diff**2, axis=(1, 2))
+        dens0 = flux_density(dts, grads, sph.nodes)
         for k, n in enumerate(penalties):
-            dens = dens0 if n is None else \
-                dens0 + 2.0 * _penalty_density(values, n)
-            totals[k] += wk * r**2 * 0.5 * float(np.dot(sph.weights, dens))
+            dens = dens0 if n is None else dens0 + _penalty_density(values, n)
+            totals[k] += wk * r**2 * float(np.dot(sph.weights, dens))
     return totals
 
 

@@ -36,13 +36,6 @@ class SpacetimePoint:
         return SpacetimePoint(float(v[0]), v[1:4].copy())
 
 
-def minkowski_dot(v, w) -> float:
-    """Inner product -v0*w0 + v.w for 4-vectors."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    return float(-v[0] * w[0] + np.dot(v[1:], w[1:]))
-
-
 @dataclass(frozen=True)
 class LorentzBoost:
     """Boost along the x3 axis with speed nu, |nu| < 1."""
@@ -61,13 +54,6 @@ class LorentzBoost:
         m.setflags(write=False)
         object.__setattr__(self, "theta", float(theta))
         object.__setattr__(self, "matrix", m)
-
-    def inverse(self) -> "LorentzBoost":
-        return LorentzBoost(-self.nu)
-
-
-def apply_boost(b: LorentzBoost, pt: SpacetimePoint) -> SpacetimePoint:
-    return SpacetimePoint.from_vector(b.matrix @ pt.as_vector())
 
 
 @dataclass(frozen=True)
@@ -112,11 +98,3 @@ class ConeSpec:
             raise ValueError("height must lie in (0, base_radius)")
         apex = SpacetimePoint(base_time + base_radius, base_center)
         return ConeSpec(apex, base_time, base_time + height)
-
-
-def disk_at(cone: ConeSpec, s: float) -> DiskSpec:
-    if not cone.t_min <= s <= cone.t_max:
-        raise ValueError("slice time outside the cone truncation")
-    if s >= cone.apex.t:
-        raise ValueError("empty disk: slice at or above the apex")
-    return DiskSpec(s, cone.apex.x, cone.radius(s))

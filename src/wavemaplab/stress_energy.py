@@ -1,6 +1,7 @@
-"""Pointwise energy and flux densities, the stress-energy tensor, its
-divergence and boost transformation law, weak-equation residuals, and the
-cone integration-by-parts identity.
+"""The stress-energy tensor, its divergence and boost transformation law,
+weak-equation residuals, the point-charge pairing, and the cone
+integration-by-parts identity.  The energy and flux densities they share
+with the disk and cone quadratures are the batch forms of ``quadrature``.
 
 Sign conventions, fixed project-wide: signature (-,+,+,+), so the Lagrangian
 density is d_a u . d^a u = |grad u|^2 - |u_t|^2, the strong equation used
@@ -14,40 +15,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldEvaluator, JetSample, MapParams, harmonic_v_jet_batch
+from .fields import FieldEvaluator, MapParams, harmonic_v_jet_batch
 from .manufactured import (ComposedWithBoost, _bump_norm, bump_profile,
                            bump_profile_ds)
-from .quadrature import ProductRule, _cone_slices, _disk_nodes
+from .quadrature import (ProductRule, _cone_slices, _disk_nodes, energy_form,
+                         flux_form_Q)
 from .spacetime import ETA, ConeSpec, DiskSpec, LorentzBoost, SpacetimePoint
 
-SQRT2 = np.sqrt(2.0)
 
-
-def energy_density(jet: JetSample) -> float:
-    return 0.5 * (float(np.dot(jet.dt, jet.dt)) + float(np.sum(jet.grad**2)))
-
-
-def flux_density(jet: JetSample, n) -> float:
-    """(1/(2 sqrt 2)) |grad u - n (x) u_t|^2 for a unit spatial direction n."""
-    n = np.asarray(n, dtype=float)
-    diff = jet.grad - np.outer(n, jet.dt)
-    return float(np.sum(diff**2)) / (2.0 * SQRT2)
-
-
-def flux_form_Q(jet_u: JetSample, jet_w: JetSample, n) -> float:
-    """Bilinear flux form; Q(u, u) = 2 * flux_density(u, n)."""
-    n = np.asarray(n, dtype=float)
-    du = jet_u.grad - np.outer(n, jet_u.dt)
-    dw = jet_w.grad - np.outer(n, jet_w.dt)
-    return float(np.sum(du * dw)) / SQRT2
-
-
-def stress_tensor(jet: JetSample) -> np.ndarray:
-    """T_ab = 1/2 eta_ab (d^c u . d_c u) - d_a u . d_b u, indices down: a
-    symmetric (4, 4) array."""
-    D = np.vstack([jet.dt, jet.grad])  # D[a] = d_a u
-    lag = float(np.sum(jet.grad**2)) - float(np.dot(jet.dt, jet.dt))
-    return 0.5 * ETA * lag - D @ D.T
+def stress_tensor(dts: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """T_ab = 1/2 eta_ab (d^c u . d_c u) - d_a u . d_b u per row, indices
+    down: a stack of symmetric (4, 4) arrays, one per jet."""
+    D = np.concatenate([dts[:, None, :], grads], axis=1)  # D[:, a] = d_a u
+    # |u_t|^2 as a (1, 3) @ (3, 1) product: np.dot's rounding, which
+    # np.sum(dts**2, axis=1) does not reproduce
+    lag = np.sum(grads**2, axis=(1, 2)) \
+        - (dts[:, None, :] @ dts[:, :, None])[:, 0, 0]
+    return 0.5 * ETA * lag[:, None, None] - D @ D.transpose(0, 2, 1)
 
 
 def divergence_T(field: FieldEvaluator, pt: SpacetimePoint, h: float) -> np.ndarray:
@@ -58,8 +42,8 @@ def divergence_T(field: FieldEvaluator, pt: SpacetimePoint, h: float) -> np.ndar
     for a in range(4):
         nodes[2 * a, a] += h
         nodes[2 * a + 1, a] -= h
-    T = [stress_tensor(JetSample(*jet))
-         for jet in zip(*field.jets_at(nodes[:, 0], nodes[:, 1:]))]
+    _, dts, grads = field.jets_at(nodes[:, 0], nodes[:, 1:])
+    T = stress_tensor(dts, grads)
     # d^0 = -d_t
     div = -(T[0][0] - T[1][0]) / (2.0 * h)
     for i in range(3):
@@ -214,11 +198,12 @@ def comp_identity_check(u: FieldEvaluator, w: FieldEvaluator, R: float,
 
         int_{D_{R-T}} Du . Dw
           = int_0^T int_{D_{R-t}} (box u . w_t + box w . u_t)
-            - int_{M_T} Q(u, w) dsigma,
+            - int_0^T int_{S^2} Q(u, w) (R - t)^2 dOmega dt,
 
-    with Du . Dw the Euclidean dot over all four partials and box = d_tt - Lap.
-    The identity requires Dw = 0 on the base; a violation is reported through
-    ``dw0_norm`` rather than raised.
+    with Du . Dw the Euclidean dot over all four partials (``energy_form``),
+    Q the flux form per r^2 dtau dOmega of the side (``flux_form_Q``) and
+    box = d_tt - Lap.  The identity requires Dw = 0 on the base; a violation
+    is reported through ``dw0_norm`` rather than raised.
     """
     if not 0.0 < T < R:
         raise ValueError("need 0 < T < R")
@@ -233,8 +218,7 @@ def comp_identity_check(u: FieldEvaluator, w: FieldEvaluator, R: float,
         ts = np.full(len(xs), t)
         _, du_t, du_g = u.jets_at(ts, xs)
         _, dw_t, dw_g = w.jets_at(ts, xs)
-        dens = np.sum(du_t * dw_t, axis=1) + np.sum(du_g * dw_g, axis=(1, 2))
-        return float(np.dot(weights, dens))
+        return float(np.dot(weights, energy_form(du_t, du_g, dw_t, dw_g)))
 
     # left side: Du . Dw over the top disk
     lhs = ball_integral_dudw(T, R - T)
@@ -254,15 +238,12 @@ def comp_identity_check(u: FieldEvaluator, w: FieldEvaluator, R: float,
         tb = np.full(len(xb), tk)
         _, du_t, du_g = u.jets_at(tb, xb)
         _, dw_t, dw_g = w.jets_at(tb, xb)
-        pu = du_g - sph.nodes[:, :, None] * du_t[:, None, :]
-        pw = dw_g - sph.nodes[:, :, None] * dw_t[:, None, :]
-        q = np.sum(pu * pw, axis=(1, 2)) / SQRT2
-        lateral += SQRT2 * wk * rt**2 * float(np.dot(sph.weights, q))
+        q = flux_form_Q(du_t, du_g, dw_t, dw_g, sph.nodes)
+        lateral += wk * rt**2 * float(np.dot(sph.weights, q))
 
     # Dw on the base, sampled
     xs, _ = ball_nodes(R)
     _, dw_t, dw_g = w.jets_at(np.zeros(len(xs)), xs)
-    dw0 = float(np.sqrt(np.max(np.sum(dw_t**2, axis=1)
-                               + np.sum(dw_g**2, axis=(1, 2)))))
+    dw0 = float(np.sqrt(np.max(energy_form(dw_t, dw_g, dw_t, dw_g))))
 
     return CompIdentityResult(lhs, bulk - lateral, dw0)

@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 from wavemaplab.fields import JetSample, MapParams, s_lambda
 from wavemaplab.manufactured import (ConstantMap, GeodesicPlaneWave,
                                      QuadraticNullField, TimeSquaredBump)
-from wavemaplab.quadrature import ProductRule
+from wavemaplab.quadrature import (ProductRule, SphereRule, energy_density,
+                                   flux_density, flux_form_Q)
 from wavemaplab.spacetime import ETA, LorentzBoost, SpacetimePoint
 from wavemaplab.stress_energy import (BumpTest, CompIdentityResult,
                                       comp_identity_check, divergence_T,
-                                      energy_density, flux_density,
-                                      flux_form_Q, recover_point_charge,
-                                      stress_tensor, transformation_check,
-                                      weak_residual)
+                                      recover_point_charge, stress_tensor,
+                                      transformation_check, weak_residual)
 
 floats = st.floats(min_value=-2.0, max_value=2.0)
 
@@ -23,6 +22,11 @@ def random_jet(rng):
                      rng.normal(size=(3, 3)))
 
 
+def row(jet):
+    """One jet as the 1-row (dts, grads) arrays the batch forms take."""
+    return jet.dt[None], jet.grad[None]
+
+
 # ---------------------------------------------------------------------------
 # pointwise densities and the stress tensor
 
@@ -30,7 +34,7 @@ def random_jet(rng):
 def test_energy_density_value():
     jet = JetSample(np.array([1.0, 0, 0]), np.array([1.0, 2.0, 0.0]),
                     np.diag([1.0, 1.0, 1.0]))
-    assert energy_density(jet) == pytest.approx(0.5 * (5.0 + 3.0))
+    assert energy_density(*row(jet))[0] == pytest.approx(0.5 * (5.0 + 3.0))
 
 
 def test_flux_form_diagonal_is_twice_flux_density():
@@ -39,8 +43,8 @@ def test_flux_form_diagonal_is_twice_flux_density():
         jet = random_jet(rng)
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
-        assert flux_form_Q(jet, jet, n) == pytest.approx(
-            2.0 * flux_density(jet, n), rel=1e-12)
+        assert flux_form_Q(*row(jet), *row(jet), n[None])[0] == pytest.approx(
+            2.0 * flux_density(*row(jet), n[None])[0], rel=1e-12)
 
 
 def test_flux_form_bilinear():
@@ -52,10 +56,12 @@ def test_flux_form_bilinear():
         return JetSample(j1.value + s * j2.value, j1.dt + s * j2.dt,
                          j1.grad + s * j2.grad)
 
-    lhs = flux_form_Q(lin(a, b, 2.0), c, n)
-    rhs = flux_form_Q(a, c, n) + 2.0 * flux_form_Q(b, c, n)
+    lhs = flux_form_Q(*row(lin(a, b, 2.0)), *row(c), n[None])[0]
+    rhs = flux_form_Q(*row(a), *row(c), n[None])[0] \
+        + 2.0 * flux_form_Q(*row(b), *row(c), n[None])[0]
     assert lhs == pytest.approx(rhs, rel=1e-12)
-    assert flux_form_Q(a, b, n) == pytest.approx(flux_form_Q(b, a, n), rel=1e-12)
+    assert flux_form_Q(*row(a), *row(b), n[None])[0] == pytest.approx(
+        flux_form_Q(*row(b), *row(a), n[None])[0], rel=1e-12)
 
 
 def test_flux_density_nonnegative_and_zero_for_outgoing():
@@ -64,23 +70,24 @@ def test_flux_density_nonnegative_and_zero_for_outgoing():
         jet = random_jet(rng)
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
-        assert flux_density(jet, n) >= 0.0
+        assert flux_density(*row(jet), n[None])[0] >= 0.0
     # grad u = n (x) u_t makes the flux vanish identically
     dt = np.array([0.3, -0.2, 0.5])
     n = np.array([1.0, 0.0, 0.0])
     jet = JetSample(np.array([1.0, 0, 0]), dt, np.outer(n, dt))
-    assert flux_density(jet, n) == 0.0
+    assert flux_density(*row(jet), n[None])[0] == 0.0
 
 
 def test_stress_tensor_symmetry_and_energy_slot():
     rng = np.random.default_rng(3)
     for _ in range(10):
         jet = random_jet(rng)
-        T = stress_tensor(jet)
+        T = stress_tensor(*row(jet))[0]
         assert np.allclose(T, T.T, atol=1e-13)
         # T_00 = -(1/2)(|u_t|^2 + |grad u|^2): the energy density with the
         # index-down time slot sign
-        assert T[0, 0] == pytest.approx(-energy_density(jet), rel=1e-12)
+        assert T[0, 0] == pytest.approx(-energy_density(*row(jet))[0],
+                                        rel=1e-12)
 
 
 def test_stress_tensor_trace():
@@ -89,10 +96,27 @@ def test_stress_tensor_trace():
     # bookkeeping the invariant trace equals  L (4/2 - 1) = L
     rng = np.random.default_rng(4)
     jet = random_jet(rng)
-    T = stress_tensor(jet)
+    T = stress_tensor(*row(jet))[0]
     lag = float(np.sum(jet.grad**2) - np.dot(jet.dt, jet.dt))
     trace = float(np.trace(np.linalg.inv(ETA) @ T))
     assert trace == pytest.approx(lag, rel=1e-12)
+
+
+def test_batch_forms_row_by_row_with_per_row_normals():
+    # the 1-row tests above use one direction; here every row has its own
+    # unit normal, as on a cone slice
+    rng = np.random.default_rng(5)
+    n = SphereRule(6).nodes
+    dts = rng.normal(size=(len(n), 3))
+    grads = rng.normal(size=(len(n), 3, 3))
+    assert np.all(flux_form_Q(dts, grads, dts, grads, n)
+                  == 2.0 * flux_density(dts, grads, n))
+    # outgoing jets, grad u = n (x) u_t, carry no flux on any row
+    outgoing = n[:, :, None] * dts[:, None, :]
+    assert np.all(flux_density(dts, outgoing, n) == 0.0)
+    np.testing.assert_allclose(energy_density(dts, grads),
+                               -stress_tensor(dts, grads)[:, 0, 0],
+                               rtol=1e-12)
 
 
 def test_divergence_vanishes_for_exact_solution():
