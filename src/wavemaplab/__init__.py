@@ -5,9 +5,8 @@ light-cone energy accounting."""
 __version__ = "0.1.0"
 
 from .spacetime import ConeSpec, DiskSpec, LorentzBoost, SpacetimePoint
-from .fields import (BoostedHarmonicMap, FieldEvaluator, GridField, JetSample,
-                     MapParams, harmonic_v, s_lambda, stereographic,
-                     stereographic_inv)
+from .fields import (BoostedHarmonicMap, FieldEvaluator, GridField, MapParams,
+                     harmonic_v, s_lambda, stereographic, stereographic_inv)
 from .stress_energy import (BumpTest, comp_identity_check, divergence_T,
                             recover_point_charge, stress_tensor,
                             transformation_check, weak_residual)

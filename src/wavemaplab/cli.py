@@ -93,15 +93,6 @@ class ExperimentConfig:
         return ProductRule(self.n_time, self.n_radial, self.n_polar)
 
 
-_SCHEMA = {
-    "experiment": {"name", "out"},
-    "map": {"lam", "nu", "lambdas"},
-    "solver": {"box_half_width", "h", "t_end", "boundary", "penalties"},
-    "quadrature": {"n_time", "n_radial", "n_polar"},
-    "cones": None,  # free-form keys: each value is "cx,cy,cz ; R ; s,t"
-}
-
-
 class ConfigError(ValueError):
     pass
 
@@ -122,6 +113,26 @@ def _parse_cone(text: str) -> ConeRequest:
     return ConeRequest(center, radius, s, t)
 
 
+# (section, key) -> (ExperimentConfig field, parser).  The [cones] section
+# is free-form: each of its values is "cx,cy,cz ; R ; s,t".
+_KEYS = {
+    ("experiment", "name"): ("name", str),
+    ("experiment", "out"): ("out_dir", str),
+    ("map", "lam"): ("lam", float),
+    ("map", "nu"): ("nu", float),
+    ("map", "lambdas"): ("lambdas", _parse_floats),
+    ("solver", "box_half_width"): ("box_half_width", float),
+    ("solver", "h"): ("h", float),
+    ("solver", "t_end"): ("T_end", float),
+    ("solver", "boundary"): ("boundary", str),
+    ("solver", "penalties"): ("penalties", _parse_floats),
+    ("quadrature", "n_time"): ("n_time", int),
+    ("quadrature", "n_radial"): ("n_radial", int),
+    ("quadrature", "n_polar"): ("n_polar", int),
+}
+_SECTIONS = {section for section, _ in _KEYS} | {"cones"}
+
+
 def load_config(path: str | None) -> tuple[ExperimentConfig, str]:
     """Parse the INI config; returns the config and the raw text it was
     hashed from (the defaults' repr when no file is given)."""
@@ -133,30 +144,15 @@ def load_config(path: str | None) -> tuple[ExperimentConfig, str]:
     parser.read_string(raw)
     updates: dict = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
-        allowed = _SCHEMA[section]
+        if section == "cones":
+            continue
         for key, value in parser.items(section):
-            if allowed is not None and key not in allowed:
+            if (section, key) not in _KEYS:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-            if section == "experiment":
-                updates["name" if key == "name" else "out_dir"] = value
-            elif section == "map":
-                if key == "lambdas":
-                    updates["lambdas"] = _parse_floats(value)
-                else:
-                    updates[key] = float(value)
-            elif section == "solver":
-                if key == "penalties":
-                    updates["penalties"] = _parse_floats(value)
-                elif key == "boundary":
-                    updates["boundary"] = value
-                elif key == "t_end":
-                    updates["T_end"] = float(value)
-                else:
-                    updates[key] = float(value)
-            elif section == "quadrature":
-                updates[key] = int(value)
+            name, parse = _KEYS[section, key]
+            updates[name] = parse(value)
     if parser.has_section("cones"):
         updates["cones"] = tuple(_parse_cone(v) for _, v in parser.items("cones"))
     return dataclasses.replace(cfg, **updates), raw

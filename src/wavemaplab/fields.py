@@ -15,11 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spacetime import SpacetimePoint
-
 # Exclusion radius around the singular point/line of the analytic maps:
-# |grad| ~ 1/r is square-integrable but pointwise infinite, so evaluation
-# closer than this raises instead of returning garbage.
+# |grad| ~ 1/r is square-integrable but pointwise infinite, so closer than
+# this harmonic_v raises and the jet kernels return the limiting value.
 ANALYTIC_EXCLUSION = 1e-8
 
 # Batch kernels work through their nodes in blocks of this many, so that
@@ -29,27 +27,13 @@ ANALYTIC_EXCLUSION = 1e-8
 _BLOCK = 2048
 
 
-@dataclass(frozen=True)
-class JetSample:
-    """Value and first derivatives of an R^3-valued field at one point."""
-
-    value: np.ndarray  # (3,)
-    dt: np.ndarray     # (3,)
-    grad: np.ndarray   # (3, 3), grad[i, j] = d_i u^j
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", np.asarray(self.value, dtype=float))
-        object.__setattr__(self, "dt", np.asarray(self.dt, dtype=float))
-        object.__setattr__(self, "grad", np.asarray(self.grad, dtype=float))
-
-
 class FieldEvaluator(ABC):
     """A field on (a subdomain of) spacetime, evaluable to first-order jets.
 
     An evaluator implements ``jets_at`` and, when it has a closed-form
     d'Alembertian, ``box_at``; both take times ``ts`` (N,) and positions
-    ``xs`` (N, 3).  ``jet`` and ``box`` are their 1-point forms.  Evaluators
-    are immutable after construction and safe to share across threads.
+    ``xs`` (N, 3).  Evaluators are immutable after construction and safe to
+    share across threads.
     """
 
     @abstractmethod
@@ -59,16 +43,6 @@ class FieldEvaluator(ABC):
     def box_at(self, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """d'Alembertian u_tt - Lap(u) at each node, shape (N, 3)."""
         raise NotImplementedError(f"{type(self).__name__} has no box_at")
-
-    def in_domain(self, pt: SpacetimePoint) -> bool:
-        return True
-
-    def jet(self, pt: SpacetimePoint) -> JetSample:
-        values, dts, grads = self.jets_at(np.array([pt.t]), pt.x[None, :])
-        return JetSample(values[0], dts[0], grads[0])
-
-    def box(self, pt: SpacetimePoint) -> np.ndarray:
-        return self.box_at(np.array([pt.t]), pt.x[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -217,17 +191,12 @@ class BoostedHarmonicMap(FieldEvaluator):
     def __init__(self, params: MapParams):
         self.params = params
 
-    def in_domain(self, pt: SpacetimePoint) -> bool:
-        th, nu = self.params.theta, self.params.nu
-        r2 = pt.x[0]**2 + pt.x[1]**2 + (th * (pt.x[2] - nu * pt.t))**2
-        return bool(np.sqrt(r2) >= ANALYTIC_EXCLUSION)
-
-    def jet(self, pt: SpacetimePoint) -> JetSample:
-        if not self.in_domain(pt):
-            raise ValueError("point too close to the singular line")
-        return super().jet(pt)
-
     def jets_at(self, ts, xs):
+        """Jets of the hedgehog at the boosted points
+        xi = (x_1, x_2, theta (x_3 - nu t)).  A node with |xi| below
+        ``ANALYTIC_EXCLUSION``, near the singular line (0, 0, nu t), gets the
+        limiting value (0, 0, -1) with zero ``dts`` and ``grads``, as does
+        one on the south-pole ray of ``harmonic_v_jet_batch``."""
         ts = np.asarray(ts, dtype=float)
         xs = np.asarray(xs, dtype=float)
         th, nu = self.params.theta, self.params.nu
@@ -431,13 +400,6 @@ class GridField(FieldEvaluator):
                                   + b * f_lo[..., last, :]
                                   + c * f_hi[..., last, :])
         return out
-
-    def in_domain(self, pt: SpacetimePoint) -> bool:
-        try:
-            self._corners([pt.t], [pt.x])
-        except ValueError:
-            return False
-        return True
 
     # Binary container: magic, version, dims (4 x u64), h, dt, t0, origin (3),
     # then the payload as little-endian float64, level-major, within each level

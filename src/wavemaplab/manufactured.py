@@ -6,7 +6,6 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import FieldEvaluator
-from .spacetime import SpacetimePoint
 
 
 class ConstantMap(FieldEvaluator):
@@ -144,10 +143,6 @@ class ComposedWithBoost(FieldEvaluator):
     def __init__(self, base: FieldEvaluator, matrix: np.ndarray):
         self.base = base
         self.matrix = np.asarray(matrix, dtype=float)
-
-    def in_domain(self, pt: SpacetimePoint) -> bool:
-        image = SpacetimePoint.from_vector(self.matrix @ pt.as_vector())
-        return self.base.in_domain(image)
 
     def jets_at(self, ts, xs):
         # einsum, not a matmul: BLAS rounds a large batch differently from a

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import FieldEvaluator, GridField
-from .spacetime import ConeSpec, SpacetimePoint
+from .spacetime import ConeSpec
 
 
 @dataclass(frozen=True)
@@ -430,20 +430,13 @@ def penalization_sweep(schedule, field: FieldEvaluator,
                        final_slab=slab)
 
 
-def trusted_region(cfg: SolverConfig, cone: ConeSpec):
-    """Predicate selecting spacetime points whose unit-speed backward domain
-    of dependence stays inside the box, one stencil margin away from the
-    boundary; cone-energy evaluations of solver output must be restricted to
-    such points."""
-    margin = 2.0 * cfg.h
-    if np.max(np.abs(cone.apex.x)) + cone.radius(cone.t_min) \
-            > cfg.box_half_width - margin:
+def trusted_region(cfg: SolverConfig, cone: ConeSpec) -> None:
+    """Raise unless the unit-speed backward domain of dependence of every
+    point of the cone stays inside the box, one stencil margin (2 h) away
+    from its faces.  A point (s, x) of the cone has |x - apex.x| <= apex.t - s,
+    so its domain of dependence reaches max|x| + s <= max|apex.x| + apex.t;
+    that is the bound checked.  Cone-energy evaluations of solver output must
+    be restricted to such cones."""
+    if np.max(np.abs(cone.apex.x)) + cone.apex.t \
+            > cfg.box_half_width - 2.0 * cfg.h:
         raise ValueError("cone base does not fit inside the box")
-
-    def trusted(pt: SpacetimePoint) -> bool:
-        if not 0.0 <= pt.t <= cfg.T_end:
-            return False
-        return float(np.max(np.abs(pt.x))) + pt.t \
-            <= cfg.box_half_width - margin
-
-    return trusted

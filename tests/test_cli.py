@@ -150,6 +150,21 @@ def test_short_cone_interval_fails_before_the_sweep(tmp_path, monkeypatch,
     assert "cone interval too short" in capsys.readouterr().err
 
 
+def test_cone_past_the_trusted_region_fails_before_the_sweep(tmp_path,
+                                                              monkeypatch):
+    # the base disk fits the box, but its points at s = 0.1 reach
+    # max|x| + s = 0.75, over the 0.75 - 2 h trusted limit
+    path = tmp_path / "wide.ini"
+    path.write_text("[cones]\nc0 = 0,0,0 ; 0.65 ; 0.1,0.2\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("sweep run on an untrusted cone")
+
+    monkeypatch.setattr(cli, "penalization_sweep", never)
+    assert main(["nonuniq-demo", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
 def _incone_reference(cfg, slab, params, cone, t_ref):
     # the in-cone distance with its estimate as first written: the analytic
     # map sampled on the whole solver grid at three levels, as a GridField

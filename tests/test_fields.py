@@ -16,13 +16,21 @@ from wavemaplab.manufactured import (ComposedWithBoost, ConstantMap,
                                      TimeSquaredBump)
 from wavemaplab.quadrature import SphereRule
 from wavemaplab.solver import SolverConfig, run
-from wavemaplab.spacetime import LorentzBoost, SpacetimePoint
+from wavemaplab.spacetime import LorentzBoost
+
+
+def jet_row(fld, t, x):
+    """(value, dt, grad) of ``fld`` at one node: row 0 of a 1-row
+    ``jets_at`` call."""
+    values, dts, grads = fld.jets_at(np.array([t], float),
+                                     np.asarray(x, float)[None])
+    return values[0], dts[0], grads[0]
 
 
 def hedgehog_jet(p, x):
-    """The jet of the stationary hedgehog at x: the 1-point call of
-    ``BoostedHarmonicMap``, which runs on ``harmonic_v_jet_batch``."""
-    return BoostedHarmonicMap(p).jet(SpacetimePoint(0.0, np.asarray(x, float)))
+    """The jet of the stationary hedgehog at x, from ``BoostedHarmonicMap``,
+    which runs on ``harmonic_v_jet_batch``."""
+    return jet_row(BoostedHarmonicMap(p), 0.0, x)
 
 
 def fd_time_derivative(value_fn, t, x, h=1e-6):
@@ -97,27 +105,27 @@ def test_harmonic_v_jet_matches_finite_differences():
         x = rng.uniform(-1.0, 1.0, 3)
         if np.linalg.norm(x) < 0.2:
             continue
-        jet = hedgehog_jet(p, x)
-        assert np.allclose(jet.value, harmonic_v(p, x), atol=1e-12)
-        assert np.allclose(jet.dt, 0.0)
+        value, dt, grad = hedgehog_jet(p, x)
+        assert np.allclose(value, harmonic_v(p, x), atol=1e-12)
+        assert np.allclose(dt, 0.0)
         fd = fd_gradient(lambda t, y: harmonic_v(p, y), 0.0, x)
-        assert np.allclose(jet.grad, fd, atol=1e-7)
+        assert np.allclose(grad, fd, atol=1e-7)
 
 
 def test_harmonic_v_jet_tangency():
     p = MapParams(3.0)
-    jet = hedgehog_jet(p, np.array([0.2, 0.4, -0.1]))
-    assert np.dot(jet.value, jet.value) == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(jet.grad @ jet.value, 0.0, atol=1e-12)
+    value, _, grad = hedgehog_jet(p, np.array([0.2, 0.4, -0.1]))
+    assert np.dot(value, value) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(grad @ value, 0.0, atol=1e-12)
 
 
 def test_harmonic_v_hedgehog_density():
     # lam = 1: |grad(x/|x|)|^2 = 2 / r^2
     p = MapParams(1.0)
     for x in ([0.5, 0.0, 0.0], [0.1, 0.2, -0.3], [0.0, 0.0, 2.0]):
-        jet = hedgehog_jet(p, np.array(x))
+        _, _, grad = hedgehog_jet(p, np.array(x))
         r2 = float(np.dot(x, x))
-        assert float(np.sum(jet.grad**2)) == pytest.approx(2.0 / r2, rel=1e-10)
+        assert float(np.sum(grad**2)) == pytest.approx(2.0 / r2, rel=1e-10)
 
 
 def test_harmonic_v_jet_batch_matches_scalar():
@@ -246,8 +254,6 @@ def test_harmonic_v_jet_batch_memory_is_bounded():
 def test_singularity_exclusion_raises():
     p = MapParams(2.0)
     with pytest.raises(ValueError):
-        BoostedHarmonicMap(p).jet(SpacetimePoint(0.0, np.zeros(3)))
-    with pytest.raises(ValueError):
         harmonic_v(p, 0.1 * ANALYTIC_EXCLUSION * np.ones(3))
 
 
@@ -307,10 +313,10 @@ def test_map_params_validation():
 
 def test_boosted_phi_value_is_composed_hedgehog():
     p = MapParams(2.0, 0.6)
-    pt = SpacetimePoint(0.3, np.array([0.2, -0.1, 0.4]))
-    xi = np.array([pt.x[0], pt.x[1], p.theta * (pt.x[2] - p.nu * pt.t)])
-    assert np.allclose(BoostedHarmonicMap(p).jet(pt).value, harmonic_v(p, xi),
-                       atol=1e-13)
+    t, x = 0.3, np.array([0.2, -0.1, 0.4])
+    xi = np.array([x[0], x[1], p.theta * (x[2] - p.nu * t)])
+    assert np.allclose(jet_row(BoostedHarmonicMap(p), t, x)[0],
+                       harmonic_v(p, xi), atol=1e-13)
 
 
 def test_boosted_phi_jet_matches_finite_differences():
@@ -318,7 +324,7 @@ def test_boosted_phi_jet_matches_finite_differences():
     fld = BoostedHarmonicMap(p)
 
     def value(t, x):
-        return fld.jet(SpacetimePoint(t, x)).value
+        return jet_row(fld, t, x)[0]
 
     rng = np.random.default_rng(3)
     for _ in range(4):
@@ -326,29 +332,38 @@ def test_boosted_phi_jet_matches_finite_differences():
         x = rng.uniform(-0.6, 0.6, 3)
         if np.hypot(x[0], x[1]) < 0.2:
             continue
-        jet = fld.jet(SpacetimePoint(t, x))
-        assert np.allclose(jet.dt, fd_time_derivative(value, t, x), atol=1e-7)
-        assert np.allclose(jet.grad, fd_gradient(value, t, x), atol=1e-7)
+        _, dt, grad = jet_row(fld, t, x)
+        assert np.allclose(dt, fd_time_derivative(value, t, x), atol=1e-7)
+        assert np.allclose(grad, fd_gradient(value, t, x), atol=1e-7)
 
 
 def test_boosted_map_field_interface():
     fld = BoostedHarmonicMap(MapParams(2.0, 0.6))
-    on_line = SpacetimePoint(0.5, np.array([0.0, 0.0, 0.3]))
-    assert not fld.in_domain(on_line)
-    with pytest.raises(ValueError):
-        fld.jet(on_line)
-    off_line = SpacetimePoint(0.5, np.array([0.2, 0.0, 0.3]))
-    assert fld.in_domain(off_line)
-
     rng = np.random.default_rng(4)
     ts = rng.uniform(-0.1, 0.1, 10)
     xs = rng.uniform(0.2, 0.7, (10, 3))
     values, dts, grads = fld.jets_at(ts, xs)
     for k in range(10):
-        jet = fld.jet(SpacetimePoint(ts[k], xs[k]))
-        assert np.allclose(values[k], jet.value, atol=1e-13)
-        assert np.allclose(dts[k], jet.dt, atol=1e-13)
-        assert np.allclose(grads[k], jet.grad, atol=1e-13)
+        value, dt, grad = jet_row(fld, ts[k], xs[k])
+        assert np.allclose(values[k], value, atol=1e-13)
+        assert np.allclose(dts[k], dt, atol=1e-13)
+        assert np.allclose(grads[k], grad, atol=1e-13)
+
+
+def test_boosted_map_is_its_limit_on_the_singular_line():
+    # on the moving singular line (t, (0, 0, nu t)), and within the
+    # exclusion radius of it, the jet is the limit (0, 0, -1) with zero
+    # derivatives
+    p = MapParams(2.0, 0.6)
+    ts = np.concatenate([np.linspace(-0.2, 0.5, 8), [0.5, 0.1]])
+    xs = np.zeros((len(ts), 3))
+    xs[:, 2] = p.nu * ts
+    xs[-2] = [0.0, 0.0, 0.3]
+    xs[-1, 0] = 0.5 * ANALYTIC_EXCLUSION
+    values, dts, grads = BoostedHarmonicMap(p).jets_at(ts, xs)
+    assert np.all(values == [0.0, 0.0, -1.0])
+    assert np.all(dts == 0.0)
+    assert np.all(grads == 0.0)
 
 
 def test_initial_data_properties():
@@ -362,7 +377,7 @@ def test_initial_data_properties():
     assert np.allclose(np.sum(fv * gv, axis=1), 0.0, atol=1e-12)
 
     def value(t, y):
-        return phi.jet(SpacetimePoint(t, y)).value
+        return jet_row(phi, t, y)[0]
 
     for k in range(3):
         assert np.allclose(gv[k], fd_time_derivative(value, 0.0, xs[k]),
@@ -419,13 +434,12 @@ def test_grid_field_interpolation_accuracy():
     pw, grid = _plane_wave_slab()
     rng = np.random.default_rng(6)
     for _ in range(6):
-        pt = SpacetimePoint(rng.uniform(0.02, 0.1),
-                            rng.uniform(-0.4, 0.4, 3))
-        exact = pw.jet(pt)
-        jet = grid.jet(pt)
-        assert np.allclose(jet.value, exact.value, atol=5e-3)
-        assert np.allclose(jet.dt, exact.dt, atol=5e-2)
-        assert np.allclose(jet.grad, exact.grad, atol=5e-2)
+        t, x = rng.uniform(0.02, 0.1), rng.uniform(-0.4, 0.4, 3)
+        exact_value, exact_dt, exact_grad = jet_row(pw, t, x)
+        value, dt, grad = jet_row(grid, t, x)
+        assert np.allclose(value, exact_value, atol=5e-3)
+        assert np.allclose(dt, exact_dt, atol=5e-2)
+        assert np.allclose(grad, exact_grad, atol=5e-2)
 
 
 def _interp_reference(arr, idx, w):
@@ -494,10 +508,10 @@ def test_grid_field_batch_matches_scalar():
     xs = rng.uniform(-0.3, 0.3, (5, 3))
     values, dts, grads = grid.jets_at(ts, xs)
     for k in range(5):
-        jet = grid.jet(SpacetimePoint(ts[k], xs[k]))
-        assert np.allclose(values[k], jet.value, atol=1e-12)
-        assert np.allclose(dts[k], jet.dt, atol=1e-12)
-        assert np.allclose(grads[k], jet.grad, atol=1e-12)
+        value, dt, grad = jet_row(grid, ts[k], xs[k])
+        assert np.allclose(values[k], value, atol=1e-12)
+        assert np.allclose(dts[k], dt, atol=1e-12)
+        assert np.allclose(grads[k], grad, atol=1e-12)
 
 
 EVALUATORS = {
@@ -514,8 +528,9 @@ EVALUATORS = {
 
 @pytest.mark.parametrize("name", sorted(EVALUATORS))
 def test_jet_and_box_are_rows_of_one_batch_call(name):
-    # jet and box are the 1-point forms of jets_at and box_at, bit for bit;
-    # the batch is large enough for numpy to take its blocked paths
+    # a node's jet and box do not depend on its batch: a 1-row call gives
+    # the row of the 300-node call, bit for bit; the batch is large enough
+    # for numpy to take its blocked paths
     fld = EVALUATORS[name]()
     rng = np.random.default_rng(14)
     n = 300
@@ -525,16 +540,16 @@ def test_jet_and_box_are_rows_of_one_batch_call(name):
     has_box = type(fld).box_at is not FieldEvaluator.box_at
     boxes = fld.box_at(ts, xs) if has_box else None
     for k in range(n):
-        pt = SpacetimePoint(ts[k], xs[k])
-        jet = fld.jet(pt)
-        assert np.array_equal(jet.value, values[k])
-        assert np.array_equal(jet.dt, dts[k])
-        assert np.array_equal(jet.grad, grads[k])
+        value, dt, grad = jet_row(fld, ts[k], xs[k])
+        assert np.array_equal(value, values[k])
+        assert np.array_equal(dt, dts[k])
+        assert np.array_equal(grad, grads[k])
         if has_box:
-            assert np.array_equal(fld.box(pt), boxes[k])
+            assert np.array_equal(fld.box_at(ts[k:k + 1], xs[k:k + 1])[0],
+                                  boxes[k])
     if not has_box:
         with pytest.raises(NotImplementedError, match=type(fld).__name__):
-            fld.box(SpacetimePoint(ts[0], xs[0]))
+            fld.box_at(ts[:1], xs[:1])
 
 
 @pytest.mark.parametrize("axis", range(4))
@@ -578,21 +593,18 @@ def test_grid_field_jets_allocate_no_derivative_grid():
 def test_grid_field_short_axis_raises_on_jets_only():
     data = np.random.default_rng(12).normal(size=(2, 4, 4, 4, 3))
     grid = GridField(t0=0.0, dt=0.25, origin=np.zeros(3), h=0.125, data=data)
-    pt = SpacetimePoint(0.1, np.full(3, 0.2))
-    assert np.all(np.isfinite(grid.values_at([pt.t], [pt.x])))
+    t, x = 0.1, np.full(3, 0.2)
+    assert np.all(np.isfinite(grid.values_at([t], [x])))
     with pytest.raises(ValueError, match="too small to calculate a numerical"):
-        grid.jets_at([pt.t], [pt.x])
+        grid.jets_at([t], [x])
 
 
 def test_grid_field_domain_checks():
     _, grid = _plane_wave_slab(nt=3, n=9, h=1.0 / 8.0)
-    assert grid.in_domain(SpacetimePoint(0.01, np.zeros(3)))
-    assert not grid.in_domain(SpacetimePoint(-0.5, np.zeros(3)))
-    assert not grid.in_domain(SpacetimePoint(0.01, np.array([2.0, 0.0, 0.0])))
     with pytest.raises(ValueError, match="outside the grid slab"):
-        grid.jet(SpacetimePoint(0.01, np.array([2.0, 0.0, 0.0])))
-    pt = SpacetimePoint(0.01, np.array([0.1, -0.2, 0.3]))
-    assert np.array_equal(grid.values_at([pt.t], [pt.x])[0], grid.jet(pt).value)
+        jet_row(grid, 0.01, np.array([2.0, 0.0, 0.0]))
+    t, x = 0.01, np.array([0.1, -0.2, 0.3])
+    assert np.array_equal(grid.values_at([t], [x])[0], jet_row(grid, t, x)[0])
 
 
 def test_grid_field_save_load_round_trip(tmp_path):

@@ -7,10 +7,23 @@ from wavemaplab.manufactured import (ComposedWithBoost, ConstantMap,
 from wavemaplab.spacetime import LorentzBoost, SpacetimePoint
 
 
+def jet_row(field, t, x):
+    """(value, dt, grad) of ``field`` at one node: row 0 of a 1-row
+    ``jets_at`` call."""
+    values, dts, grads = field.jets_at(np.array([t], float),
+                                       np.asarray(x, float)[None])
+    return values[0], dts[0], grads[0]
+
+
+def box_row(field, t, x):
+    """box u at one node: row 0 of a 1-row ``box_at`` call."""
+    return field.box_at(np.array([t], float), np.asarray(x, float)[None])[0]
+
+
 def fd_jet(field, pt, h=1e-5):
     """Finite-difference (dt, grad) oracle from jet values."""
     def value(t, x):
-        return field.jet(SpacetimePoint(t, x)).value
+        return jet_row(field, t, x)[0]
 
     dt = (value(pt.t + h, pt.x) - value(pt.t - h, pt.x)) / (2.0 * h)
     grad = np.empty((3, 3))
@@ -23,7 +36,7 @@ def fd_jet(field, pt, h=1e-5):
 
 def fd_box(field, pt, h=1e-3):
     def value(t, x):
-        return field.jet(SpacetimePoint(t, x)).value
+        return jet_row(field, t, x)[0]
 
     out = (value(pt.t + h, pt.x) - 2.0 * value(pt.t, pt.x)
            + value(pt.t - h, pt.x)) / h**2
@@ -42,33 +55,34 @@ POINTS = [SpacetimePoint(0.2, np.array([0.3, -0.1, 0.15])),
 
 def test_constant_map():
     cm = ConstantMap((0.0, 1.0, 0.0))
-    jet = cm.jet(POINTS[0])
-    assert np.array_equal(jet.value, [0.0, 1.0, 0.0])
-    assert np.all(jet.dt == 0.0) and np.all(jet.grad == 0.0)
-    assert np.all(cm.box(POINTS[0]) == 0.0)
+    pt = POINTS[0]
+    value, dt, grad = jet_row(cm, pt.t, pt.x)
+    assert np.array_equal(value, [0.0, 1.0, 0.0])
+    assert np.all(dt == 0.0) and np.all(grad == 0.0)
+    assert np.all(box_row(cm, pt.t, pt.x) == 0.0)
 
 
 def test_plane_wave_is_sphere_valued_and_solves_wave_equation():
     pw = GeodesicPlaneWave(np.array([2.0, -1.0, 0.5]))
     assert pw.omega == pytest.approx(np.sqrt(5.25))
     for pt in POINTS:
-        jet = pw.jet(pt)
-        assert np.dot(jet.value, jet.value) == pytest.approx(1.0, abs=1e-14)
+        value, dt, grad = jet_row(pw, pt.t, pt.x)
+        assert np.dot(value, value) == pytest.approx(1.0, abs=1e-14)
         # w = |k|: box u = 0 and the Lagrangian density vanishes, so the
         # sphere-valued wave-map equation holds exactly
-        assert np.allclose(pw.box(pt), 0.0, atol=1e-13)
-        lag = float(np.sum(jet.grad**2) - np.dot(jet.dt, jet.dt))
+        assert np.allclose(box_row(pw, pt.t, pt.x), 0.0, atol=1e-13)
+        lag = float(np.sum(grad**2) - np.dot(dt, dt))
         assert lag == pytest.approx(0.0, abs=1e-13)
 
 
 def test_plane_wave_jets_match_finite_differences():
     pw = GeodesicPlaneWave(np.array([1.0, 2.0, 3.0]), omega=1.7, phase=0.3)
     for pt in POINTS:
-        jet = pw.jet(pt)
+        _, jet_dt, jet_grad = jet_row(pw, pt.t, pt.x)
         dt, grad = fd_jet(pw, pt)
-        assert np.allclose(jet.dt, dt, atol=1e-8)
-        assert np.allclose(jet.grad, grad, atol=1e-8)
-        assert np.allclose(pw.box(pt), fd_box(pw, pt), atol=1e-5)
+        assert np.allclose(jet_dt, dt, atol=1e-8)
+        assert np.allclose(jet_grad, grad, atol=1e-8)
+        assert np.allclose(box_row(pw, pt.t, pt.x), fd_box(pw, pt), atol=1e-5)
 
 
 def test_plane_wave_batch_matches_scalar():
@@ -78,11 +92,11 @@ def test_plane_wave_batch_matches_scalar():
     values, dts, grads = pw.jets_at(ts, xs)
     boxes = pw.box_at(ts, xs)
     for k, pt in enumerate(POINTS):
-        jet = pw.jet(pt)
-        assert np.allclose(values[k], jet.value, atol=1e-14)
-        assert np.allclose(dts[k], jet.dt, atol=1e-14)
-        assert np.allclose(grads[k], jet.grad, atol=1e-14)
-        assert np.allclose(boxes[k], pw.box(pt), atol=1e-14)
+        value, dt, grad = jet_row(pw, pt.t, pt.x)
+        assert np.allclose(values[k], value, atol=1e-14)
+        assert np.allclose(dts[k], dt, atol=1e-14)
+        assert np.allclose(grads[k], grad, atol=1e-14)
+        assert np.allclose(boxes[k], box_row(pw, pt.t, pt.x), atol=1e-14)
 
 
 def bump_value(x, center, scale):
@@ -129,36 +143,36 @@ def test_bump_profile_support_and_derivatives():
 def test_time_squared_bump_initial_slice_and_box():
     fld = TimeSquaredBump(center=(0.1, 0.0, 0.0), scale=1.2,
                           direction=(1.0, 1.0, 0.0))
-    jet0 = fld.jet(SpacetimePoint(0.0, np.array([0.2, 0.1, 0.0])))
-    assert np.all(jet0.value == 0.0)
-    assert np.all(jet0.dt == 0.0) and np.all(jet0.grad == 0.0)
+    value0, dt0, grad0 = jet_row(fld, 0.0, np.array([0.2, 0.1, 0.0]))
+    assert np.all(value0 == 0.0)
+    assert np.all(dt0 == 0.0) and np.all(grad0 == 0.0)
     for pt in POINTS:
-        jet = fld.jet(pt)
+        _, jet_dt, jet_grad = jet_row(fld, pt.t, pt.x)
         dt, grad = fd_jet(fld, pt)
-        assert np.allclose(jet.dt, dt, atol=1e-8)
-        assert np.allclose(jet.grad, grad, atol=1e-8)
-        assert np.allclose(fld.box(pt), fd_box(fld, pt), atol=1e-4)
+        assert np.allclose(jet_dt, dt, atol=1e-8)
+        assert np.allclose(jet_grad, grad, atol=1e-8)
+        assert np.allclose(box_row(fld, pt.t, pt.x), fd_box(fld, pt), atol=1e-4)
     ts = np.array([p.t for p in POINTS])
     xs = np.stack([p.x for p in POINTS])
     values, dts, grads = fld.jets_at(ts, xs)
     boxes = fld.box_at(ts, xs)
     for k, pt in enumerate(POINTS):
-        jet = fld.jet(pt)
-        assert np.allclose(values[k], jet.value, atol=1e-14)
-        assert np.allclose(dts[k], jet.dt, atol=1e-14)
-        assert np.allclose(grads[k], jet.grad, atol=1e-14)
-        assert np.allclose(boxes[k], fld.box(pt), atol=1e-12)
+        value, dt, grad = jet_row(fld, pt.t, pt.x)
+        assert np.allclose(values[k], value, atol=1e-14)
+        assert np.allclose(dts[k], dt, atol=1e-14)
+        assert np.allclose(grads[k], grad, atol=1e-14)
+        assert np.allclose(boxes[k], box_row(fld, pt.t, pt.x), atol=1e-12)
 
 
 def test_quadratic_null_field_exact():
     q = QuadraticNullField()
     pt = POINTS[0]
-    jet = q.jet(pt)
-    assert jet.value[0] == pytest.approx(pt.t**2 - np.dot(pt.x, pt.x))
+    value, jet_dt, jet_grad = jet_row(q, pt.t, pt.x)
+    assert value[0] == pytest.approx(pt.t**2 - np.dot(pt.x, pt.x))
     dt, grad = fd_jet(q, pt)
-    assert np.allclose(jet.dt, dt, atol=1e-8)
-    assert np.allclose(jet.grad, grad, atol=1e-8)
-    assert np.array_equal(q.box(pt), [8.0, 0.0, 0.0])
+    assert np.allclose(jet_dt, dt, atol=1e-8)
+    assert np.allclose(jet_grad, grad, atol=1e-8)
+    assert np.array_equal(box_row(q, pt.t, pt.x), [8.0, 0.0, 0.0])
     assert np.allclose(fd_box(q, pt), [8.0, 0.0, 0.0], atol=1e-8)
 
 
@@ -167,20 +181,20 @@ def test_composed_with_boost_chain_rule():
     boost = LorentzBoost(0.6)
     comp = ComposedWithBoost(base, boost.matrix)
     for pt in POINTS:
-        jet = comp.jet(pt)
+        value, jet_dt, jet_grad = jet_row(comp, pt.t, pt.x)
         img = SpacetimePoint.from_vector(boost.matrix @ pt.as_vector())
-        assert np.allclose(jet.value, base.jet(img).value, atol=1e-14)
+        assert np.allclose(value, jet_row(base, img.t, img.x)[0], atol=1e-14)
         dt, grad = fd_jet(comp, pt)
-        assert np.allclose(jet.dt, dt, atol=1e-7)
-        assert np.allclose(jet.grad, grad, atol=1e-7)
+        assert np.allclose(jet_dt, dt, atol=1e-7)
+        assert np.allclose(jet_grad, grad, atol=1e-7)
     ts = np.array([p.t for p in POINTS])
     xs = np.stack([p.x for p in POINTS])
     values, dts, grads = comp.jets_at(ts, xs)
     for k, pt in enumerate(POINTS):
-        jet = comp.jet(pt)
-        assert np.allclose(values[k], jet.value, atol=1e-13)
-        assert np.allclose(dts[k], jet.dt, atol=1e-13)
-        assert np.allclose(grads[k], jet.grad, atol=1e-13)
+        value, dt, grad = jet_row(comp, pt.t, pt.x)
+        assert np.allclose(values[k], value, atol=1e-13)
+        assert np.allclose(dts[k], dt, atol=1e-13)
+        assert np.allclose(grads[k], grad, atol=1e-13)
 
 
 def test_composed_with_boost_leaves_plane_wave_a_plane_wave():
@@ -189,7 +203,7 @@ def test_composed_with_boost_leaves_plane_wave_a_plane_wave():
     pw = GeodesicPlaneWave(np.array([1.5, 0.0, 1.0]))
     comp = ComposedWithBoost(pw, LorentzBoost(-0.4).matrix)
     for pt in POINTS:
-        jet = comp.jet(pt)
-        assert np.dot(jet.value, jet.value) == pytest.approx(1.0, abs=1e-14)
-        lag = float(np.sum(jet.grad**2) - np.dot(jet.dt, jet.dt))
+        value, dt, grad = jet_row(comp, pt.t, pt.x)
+        assert np.dot(value, value) == pytest.approx(1.0, abs=1e-14)
+        lag = float(np.sum(grad**2) - np.dot(dt, dt))
         assert lag == pytest.approx(0.0, abs=1e-12)

@@ -57,3 +57,29 @@ def test_every_export_is_used_by_the_package():
     exported = {a.asname or a.name for node in init.body
                 if isinstance(node, ast.ImportFrom) for a in node.names}
     assert sorted(exported - used - UNCALLED_EXPORTS) == []
+
+
+# the reader of the container that GridField.save writes, which the README
+# documents
+UNCALLED_METHODS = {"GridField.load"}
+
+
+def test_every_public_method_is_used_by_the_package():
+    # a use is an attribute that a src function with a different name refers
+    # to, so an override that calls the method it overrides is not one
+    trees = [ast.parse(path.read_text()) for path in SRC.glob("*.py")]
+    users: dict = {}  # attribute -> names of the functions that refer to it
+    for tree in trees:
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Attribute):
+                        users.setdefault(node.attr, set()).add(fn.name)
+    unused = {f"{cls.name}.{fn.name}"
+              for tree in trees for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef)
+              for fn in cls.body
+              if isinstance(fn, ast.FunctionDef)
+              and not fn.name.startswith("_")
+              and not users.get(fn.name, set()) - {fn.name}}
+    assert sorted(unused - UNCALLED_METHODS) == []

