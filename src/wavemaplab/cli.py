@@ -41,7 +41,8 @@ from .stress_energy import (BumpTest, comp_identity_check, recover_point_charge,
 
 @dataclass(frozen=True)
 class ConeRequest:
-    """A truncated backward cone given by its base disk and time interval."""
+    """One ``[cones]`` line, base disk and interval [s, t], kept as parsed so
+    that ``ExperimentConfig`` compares and hashes; commands use ``build()``."""
 
     center: tuple
     base_radius: float
@@ -49,8 +50,10 @@ class ConeRequest:
     t: float
 
     def build(self) -> ConeSpec:
-        return ConeSpec.from_base(np.asarray(self.center, dtype=float),
-                                  self.base_radius, self.s, self.t - self.s)
+        # truncated at t itself: s + (t - s) can be one ulp off t
+        apex = ConeSpec.from_base(np.asarray(self.center, dtype=float),
+                                  self.base_radius, self.s, self.t - self.s).apex
+        return ConeSpec(apex, self.s, self.t)
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,11 @@ class ConfigError(ValueError):
 
 
 def _parse_floats(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
+    values = tuple(float(tok) for tok in text.replace(";", ",").split(",")
+                   if tok.strip())
+    if not values:
+        raise ConfigError(f"expected a list of numbers, got {text!r}")
+    return values
 
 
 def _parse_cone(text: str) -> ConeRequest:
@@ -142,6 +149,8 @@ def load_config(path: str | None) -> tuple[ExperimentConfig, str]:
     raw = Path(path).read_text()
     parser = configparser.ConfigParser()
     parser.read_string(raw)
+    if parser.defaults():  # configparser would copy these into every section
+        raise ConfigError("unknown config section [DEFAULT]")
     updates: dict = {}
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -259,60 +268,56 @@ def expected_defect(lam: float, nu: float, dt: float) -> float:
     return nu * abs(s_lambda(lam)) / 2.0 * dt
 
 
-def _crossing_interval(req: ConeRequest, nu: float):
-    """Times in [s, t] at which the singular line sits strictly inside the
-    cone slice; returns None when it never does."""
-    cone = req.build()
-    taus = np.linspace(req.s, req.t, 65)
+def _crossing_interval(cone: ConeSpec, nu: float):
+    """Times in the cone's truncation at which the singular line sits
+    strictly inside the cone slice; returns None when it never does."""
+    taus = np.linspace(cone.t_min, cone.t_max, 65)
     line = np.stack([np.zeros_like(taus), np.zeros_like(taus), nu * taus], axis=1)
     inside = np.linalg.norm(line - cone.apex.x, axis=1) < cone.radius(taus) - 1e-12
     if not np.any(inside):
         return None
     if not np.all(inside):
         return "partial"
-    return (req.s, req.t)
+    return (cone.t_min, cone.t_max)
 
 
-def analytic_balance(cfg: ExperimentConfig, req: ConeRequest,
+def analytic_balance(cfg: ExperimentConfig, cone: ConeSpec,
                      params: MapParams):
     """BalanceReport of the closed-form boosted map on one cone, grading the
     disk quadrature into the singular point when the line crosses."""
-    crossing = _crossing_interval(req, params.nu)
+    crossing = _crossing_interval(cone, params.nu)
     singular = None
     if crossing is not None:
         def singular(tau, nu=params.nu):
             return np.array([0.0, 0.0, nu * tau])
     fld = BoostedHarmonicMap(params)
-    rep = energy_balance(fld, req.build(), req.s, req.t, cfg.rule(),
-                         singular_point=singular)
+    rep = energy_balance(fld, cone, cfg.rule(), singular_point=singular)
     return rep, crossing
 
 
-def solver_cone_interval(cfg: ExperimentConfig, req: ConeRequest):
-    """Shrink the requested time interval so every quadrature node stays
-    strictly inside the stored solver slab (one stored-level margin); the
-    base shrinks with it, so the request still describes the same cone."""
+def solver_cone_interval(cfg: ExperimentConfig, cone: ConeSpec) -> ConeSpec:
+    """The same cone, its truncation shrunk so every quadrature node stays
+    strictly inside the stored solver slab (one stored-level margin)."""
     margin = cfg.T_end / 10.0
-    s = max(req.s, margin)
-    t = min(req.t, cfg.T_end - margin)
+    s = max(cone.t_min, margin)
+    t = min(cone.t_max, cfg.T_end - margin)
     if not s < t:
         raise ConfigError("cone interval too short for the solver slab")
-    return dataclasses.replace(req, base_radius=req.base_radius - (s - req.s),
-                               s=s, t=t)
+    return ConeSpec(cone.apex, s, t)
 
 
-def smoothing_tolerance(cfg: ExperimentConfig, req: ConeRequest,
+def smoothing_tolerance(cfg: ExperimentConfig, cone: ConeSpec,
                         params: MapParams, penalty_n: float) -> float:
     """Discretization tolerance for cone balances of solver output: the
     analytic energy within two smoothing lengths (max of h and the penalty
     layer width 1/n) of the singular point at the base time; zero when the
     cone does not meet the singular line."""
-    if _crossing_interval(req, params.nu) is None:
+    if _crossing_interval(cone, params.nu) is None:
         return 0.0
     ell = max(cfg.h, 1.0 / penalty_n if penalty_n > 0 else 0.0)
-    center = np.array([0.0, 0.0, params.nu * req.s])
+    center = np.array([0.0, 0.0, params.nu * cone.t_min])
     fld = BoostedHarmonicMap(params)
-    return energy_on_disk(fld, DiskSpec(req.s, center, 2.0 * ell),
+    return energy_on_disk(fld, DiskSpec(cone.t_min, center, 2.0 * ell),
                           cfg.rule(), singular_center=center)
 
 
@@ -356,14 +361,15 @@ def cmd_cone_balance(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentRe
     params = cfg.params
     rows = []
     for i, req in enumerate(cfg.cones):
-        rep, crossing = analytic_balance(cfg, req, params)
+        cone = req.build()
+        rep, crossing = analytic_balance(cfg, cone, params)
         entry = {"cone": dataclasses.asdict(req), "crossing": str(crossing),
                  **_balance_dict(rep)}
         report.results[f"cone_{i}"] = entry
         rows.append([i, req.base_radius, req.s, req.t, str(crossing),
                      rep.balance, rep.error_estimate])
-        if crossing == (req.s, req.t):
-            target = expected_defect(params.lam, params.nu, req.t - req.s)
+        if crossing == (cone.t_min, cone.t_max):
+            target = expected_defect(params.lam, params.nu, cone.t_max - cone.t_min)
             report.add(Verdict.close(
                 f"cone_{i}_defect_magnitude", abs(rep.balance), target,
                 0.02 * target + rep.error_estimate,
@@ -380,12 +386,14 @@ def cmd_cone_balance(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentRe
 def cmd_nonuniq_demo(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentReport:
     report = _new_report("nonuniq-demo", cfg, raw,
                          penalties=list(cfg.penalties))
+    if len(cfg.penalties) < 2:
+        raise ConfigError("nonuniq-demo compares penalties: it needs at least "
+                          f"two, got {len(cfg.penalties)}")
     params = cfg.params
-    req = cfg.cones[0]
-    cone = req.build()
+    cone = cfg.cones[0].build()
     solver_cfg = cfg.solver_config()
     trusted_region(solver_cfg, cone)  # raises if the cone is untrusted
-    inner = solver_cone_interval(cfg, req)  # raises if it is too short
+    inner = solver_cone_interval(cfg, cone)  # raises if it is too short
 
     sweep = penalization_sweep(cfg.penalties, BoostedHarmonicMap(params),
                                solver_cfg, cone,
@@ -405,8 +413,7 @@ def cmd_nonuniq_demo(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentRe
 
     # (a) solver output: penalized balance ~ 0, unpenalized inequality >= -tol
     tol = smoothing_tolerance(cfg, inner, params, n_max)
-    pen_rep = energy_balance(slab, cone, inner.s, inner.t, cfg.rule(),
-                             penalty_n=n_max)
+    pen_rep = energy_balance(slab, inner, cfg.rule(), penalty_n=n_max)
     unpen_rep = pen_rep.unpenalized
     report.results["solver_penalized"] = _balance_dict(pen_rep)
     report.results["solver_unpenalized"] = _balance_dict(unpen_rep)
@@ -417,11 +424,11 @@ def cmd_nonuniq_demo(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentRe
                                 -(tol + unpen_rep.error_estimate)))
 
     # (b) the analytic boosted map on the same cone: nonzero defect
-    ana_rep, crossing = analytic_balance(cfg, req, params)
+    ana_rep, crossing = analytic_balance(cfg, cone, params)
     report.results["analytic"] = {**_balance_dict(ana_rep),
                                   "crossing": str(crossing)}
-    if params.lam != 1.0 and crossing == (req.s, req.t):
-        target = expected_defect(params.lam, params.nu, req.t - req.s)
+    if params.lam != 1.0 and crossing == (cone.t_min, cone.t_max):
+        target = expected_defect(params.lam, params.nu, cone.t_max - cone.t_min)
         report.results["defect_expected"] = target
         report.results["defect_quoted_target"] = 2.0 * params.theta * target
         report.add(Verdict.close("analytic_defect_magnitude",
@@ -431,9 +438,8 @@ def cmd_nonuniq_demo(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentRe
         report.add(Verdict.at_most("analytic_conserved", abs(ana_rep.balance),
                                    ana_rep.error_estimate + max(tol, 1e-10)))
 
-    # in-cone L2 distance solver vs analytic at the final sample time
-    t_ref = inner.t
-    dist, disc_est = _incone_distance(cfg, slab, params, cone, t_ref)
+    # in-cone L2 distance solver vs analytic at the top of the inner cone
+    dist, disc_est = _incone_distance(cfg, slab, params, inner)
     report.results["incone_l2_distance"] = dist
     report.results["incone_l2_estimate"] = disc_est
     if params.lam != 1.0:
@@ -444,11 +450,12 @@ def cmd_nonuniq_demo(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentRe
 
 
 def _incone_distance(cfg: ExperimentConfig, slab: GridField, params: MapParams,
-                     cone: ConeSpec, t_ref: float):
+                     cone: ConeSpec):
     """L2 distance between solver output and the analytic map over the cone
-    slice at t_ref, with a discretization estimate: the same distance for the
-    analytic map's own grid sampling (interpolation error plus the h-scale
-    core the grid cannot carry)."""
+    slice at t_ref = t_max, with a discretization estimate: the same distance
+    for the analytic map's own grid sampling (interpolation error plus the
+    h-scale core the grid cannot carry)."""
+    t_ref = cone.t_max
     sing = np.array([0.0, 0.0, params.nu * t_ref])
     disk = DiskSpec(t_ref, cone.apex.x, cone.radius(t_ref) - 2.0 * cfg.h)
     center = sing if np.linalg.norm(sing - disk.center) < disk.radius else None

@@ -185,12 +185,11 @@ def energy_on_disk(field: FieldEvaluator, disk: DiskSpec, rule: ProductRule,
     return _disk_energies(field, disk, rule, singular_center, (penalty_n,))[0]
 
 
-def _cone_slices(cone: ConeSpec, s: float, t: float, rule: ProductRule):
-    """Gauss-Legendre time slices of the cone's side between s and t: yields
-    (tau, weight, radius, nodes), the nodes being the sphere rule's scaled to
-    the slice's radius about the apex."""
-    if not (cone.t_min - 1e-12 <= s < t <= cone.t_max + 1e-12):
-        raise ValueError("interval outside the cone truncation")
+def _cone_slices(cone: ConeSpec, rule: ProductRule):
+    """Gauss-Legendre time slices of the cone's side over its truncation
+    [t_min, t_max]: yields (tau, weight, radius, nodes), the nodes being the
+    sphere rule's scaled to the slice's radius about the apex."""
+    s, t = cone.t_min, cone.t_max
     xt, wt = np.polynomial.legendre.leggauss(rule.n_time)
     taus = s + 0.5 * (t - s) * (xt + 1.0)
     wtau = 0.5 * (t - s) * wt
@@ -200,13 +199,13 @@ def _cone_slices(cone: ConeSpec, s: float, t: float, rule: ProductRule):
         yield tau, wk, r, cone.apex.x[None, :] + r * sph.nodes
 
 
-def _cone_fluxes(field: FieldEvaluator, cone: ConeSpec, interval,
-                 rule: ProductRule, penalties) -> list[float]:
+def _cone_fluxes(field: FieldEvaluator, cone: ConeSpec, rule: ProductRule,
+                 penalties) -> list[float]:
     """``flux_on_cone`` for each penalty in ``penalties`` (None: no penalty),
     all from one evaluation of the nodes."""
     sph = rule.sphere
     totals = [0.0] * len(penalties)
-    for tau, wk, r, xs in _cone_slices(cone, *interval, rule):
+    for tau, wk, r, xs in _cone_slices(cone, rule):
         values, dts, grads = field.jets_at(np.full(len(xs), tau), xs)
         dens0 = flux_density(dts, grads, sph.nodes)
         for k, n in enumerate(penalties):
@@ -215,28 +214,26 @@ def _cone_fluxes(field: FieldEvaluator, cone: ConeSpec, interval,
     return totals
 
 
-def flux_on_cone(field: FieldEvaluator, cone: ConeSpec, interval,
-                 rule: ProductRule, penalty_n: float | None = None) -> float:
+def flux_on_cone(field: FieldEvaluator, cone: ConeSpec, rule: ProductRule,
+                 penalty_n: float | None = None) -> float:
     """(1/(2 sqrt 2)) int |grad u - n u_t|^2 dsigma over the lateral surface
-    between the two interval times; with a penalty, the density 2 n^2 F(u) is
-    added under the same measure so that the penalized local balance is exact
-    for solutions of the penalized equation."""
-    return _cone_fluxes(field, cone, interval, rule, (penalty_n,))[0]
+    between the cone's truncation times t_min and t_max; with a penalty, the
+    density 2 n^2 F(u) is added under the same measure so that the penalized
+    local balance is exact for solutions of the penalized equation."""
+    return _cone_fluxes(field, cone, rule, (penalty_n,))[0]
 
 
-def energy_balance(field: FieldEvaluator, cone: ConeSpec, s: float, t: float,
-                   rule: ProductRule, penalty_n: float | None = None,
+def energy_balance(field: FieldEvaluator, cone: ConeSpec, rule: ProductRule,
+                   penalty_n: float | None = None,
                    singular_point=None) -> BalanceReport:
-    """BalanceReport for E(D_s) - E(D_t) - Flux(M_s^t), with the error
-    estimate taken as the difference between the given rule and one
-    refinement.  ``singular_point``, if given, maps a time to the field's
-    singular location so disk quadratures can grade toward it.
+    """BalanceReport for E(D_s) - E(D_t) - Flux(M_s^t), [s, t] the cone's
+    truncation, with the error estimate taken as the difference between the
+    given rule and one refinement.  ``singular_point``, if given, maps a time
+    to the field's singular location so disk quadratures can grade toward it.
 
     With ``penalty_n`` the report is the penalized balance, and its
     ``unpenalized`` field holds the balance without the penalty terms, taken
     from the same evaluation of every node."""
-    if not s < t:
-        raise ValueError("need s < t")
     penalties = (None,) if penalty_n is None else (penalty_n, None)
 
     def center(at):
@@ -247,14 +244,14 @@ def energy_balance(field: FieldEvaluator, cone: ConeSpec, s: float, t: float,
             return None
         return c
 
+    def energies(at, r: ProductRule):
+        return _disk_energies(field, DiskSpec(at, cone.apex.x, cone.radius(at)),
+                              r, center(at), penalties)
+
     def compute(r: ProductRule):
         """(e_base, e_top, flux) for each of ``penalties``."""
-        e_base = _disk_energies(field, DiskSpec(s, cone.apex.x, cone.radius(s)),
-                                r, center(s), penalties)
-        e_top = _disk_energies(field, DiskSpec(t, cone.apex.x, cone.radius(t)),
-                               r, center(t), penalties)
-        fl = _cone_fluxes(field, cone, (s, t), r, penalties)
-        return list(zip(e_base, e_top, fl))
+        return list(zip(energies(cone.t_min, r), energies(cone.t_max, r),
+                        _cone_fluxes(field, cone, r, penalties)))
 
     coarse = compute(rule)
     fine = compute(rule.refine())
@@ -285,6 +282,6 @@ def mollified_flux(field: FieldEvaluator, base_center, base_radius: float,
     base_center = np.asarray(base_center, dtype=float)
     for delta, wk, psi in zip(deltas, wdelta, psis):
         cone = ConeSpec.from_base(base_center, base_radius + delta, 0.0, t)
-        raw = 2.0 * SQRT2 * flux_on_cone(field, cone, (0.0, t), rule)
+        raw = 2.0 * SQRT2 * flux_on_cone(field, cone, rule)
         total += wk / eps * psi * raw
     return total

@@ -67,6 +67,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.boundary not in ("clamped", "periodic"):
             raise ValueError("boundary must be 'clamped' or 'periodic'")
+        if self.penalty_n < 0.0:  # the force is n^2, the CFL bound 1/n
+            raise ValueError(f"penalty_n must be >= 0, got {self.penalty_n}")
         n_cells = round(2.0 * self.box_half_width / self.h)
         if abs(n_cells * self.h - 2.0 * self.box_half_width) > 1e-9 * self.h:
             raise ValueError("h must divide the box width")

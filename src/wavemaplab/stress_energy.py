@@ -226,7 +226,7 @@ def comp_identity_check(u: FieldEvaluator, w: FieldEvaluator, R: float,
     # right side: bulk term minus lateral flux-form term
     bulk = 0.0
     lateral = 0.0
-    for tk, wk, rt, xb in _cone_slices(cone, 0.0, T, rule):
+    for tk, wk, rt, xb in _cone_slices(cone, rule):
         xs, weights = ball_nodes(rt)
         ts = np.full(len(xs), tk)
         _, du_t, _ = u.jets_at(ts, xs)

@@ -72,9 +72,9 @@ def default_sweep_analysis():
     n_max = float(cfg.penalties[-1])
     cones = {}
     for i, req in enumerate(cfg.cones):
-        inner = solver_cone_interval(cfg, req)
-        pen = energy_balance(sweep.final_slab, req.build(), inner.s, inner.t,
-                             cfg.rule(), penalty_n=n_max)
+        inner = solver_cone_interval(cfg, req.build())
+        pen = energy_balance(sweep.final_slab, inner, cfg.rule(),
+                             penalty_n=n_max)
         unp = pen.unpenalized
         smoothing = smoothing_tolerance(cfg, inner, params, n_max)
         # combined tolerance: unresolved-core energy + quadrature error +
@@ -115,7 +115,7 @@ def test_criterion_2_crossing_cone_defect():
     lam, nu = 2.0, 0.6
     fld = BoostedHarmonicMap(MapParams(lam, nu))
     cone = ConeSpec.from_base(np.zeros(3), 0.5, 0.0, 0.2)
-    rep = energy_balance(fld, cone, 0.0, 0.2, ProductRule(16, 24, 16),
+    rep = energy_balance(fld, cone, ProductRule(16, 24, 16),
                          singular_point=lambda tau: np.array([0, 0, nu * tau]))
     target = 1.6375
     tol = 0.02 * target + rep.error_estimate
@@ -125,7 +125,7 @@ def test_criterion_2_crossing_cone_defect():
                 f"sign {np.sign(rep.balance):+.0f}, "
                 f"quoted/measured={target / abs(rep.balance):.3f}")]
     ctrl = ConeSpec.from_base(np.array([0.3, 0.3, 0.0]), 0.25, 0.0, 0.1)
-    crep = energy_balance(fld, ctrl, 0.0, 0.1, ProductRule(16, 24, 16))
+    crep = energy_balance(fld, ctrl, ProductRule(16, 24, 16))
     clauses.append(("non-crossing |balance| <= error estimate",
                     abs(crep.balance) <= crep.error_estimate,
                     f"|balance|={abs(crep.balance):.1e} vs "
@@ -149,7 +149,7 @@ def test_criterion_3_smooth_conservation():
         for _ in range(3):
             eb = energy_on_disk(pw, DiskSpec(0.0, c, R), rule)
             et = energy_on_disk(pw, DiskSpec(T, c, R - T), rule)
-            fl = flux_on_cone(pw, cone, (0.0, T), rule)
+            fl = flux_on_cone(pw, cone, rule)
             errs.append(abs(eb - et - fl))
             rule = rule.refine()
         order = _observed_order(errs)
@@ -219,7 +219,7 @@ def test_criterion_6_nonuniqueness_demo(default_sweep_analysis):
                 c0["unp"].balance >= -(c0["tol"] + c0["unp"].error_estimate),
                 f"balance={c0['unp'].balance:+.4f}, tol {c0['tol']:.4f}")]
 
-    ana = energy_balance(BoostedHarmonicMap(params), cone, req.s, req.t,
+    ana = energy_balance(BoostedHarmonicMap(params), cone,
                          cfg.rule(), singular_point=lambda tau: np.array(
                              [0, 0, params.nu * tau]))
     target = 1.6375
@@ -229,9 +229,8 @@ def test_criterion_6_nonuniqueness_demo(default_sweep_analysis):
                     f"|balance|={abs(ana.balance):.5f}, measured law gives "
                     f"{expected_defect(params.lam, params.nu, req.t - req.s):.5f}"))
 
-    t_ref = c0["inner"].t
-    dist, est = _incone_distance(cfg, a["sweep"].final_slab, params, cone,
-                                 t_ref)
+    dist, est = _incone_distance(cfg, a["sweep"].final_slab, params,
+                                 c0["inner"])
     clauses.append(("in-cone L2 distance > 10x discretization estimate",
                     dist >= 10.0 * est, f"dist={dist:.4f}, est={est:.4f}"))
 
@@ -241,8 +240,8 @@ def test_criterion_6_nonuniqueness_demo(default_sweep_analysis):
     fine_scfg = dataclasses.replace(fine.solver_config(penalty_n=64.0),
                                     dt=fine.T_end / 60.0, store_stride=12)
     fine_slab, _ = run(fine_scfg, BoostedHarmonicMap(params))
-    fine_dist, fine_est = _incone_distance(fine, fine_slab, params, cone,
-                                           t_ref)
+    fine_dist, fine_est = _incone_distance(fine, fine_slab, params,
+                                           c0["inner"])
     clauses.append(("distance does not shrink under refinement",
                     fine_dist >= 0.8 * dist and fine_dist >= 10.0 * fine_est,
                     f"refined dist={fine_dist:.4f} (est {fine_est:.4f})"))

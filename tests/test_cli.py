@@ -69,6 +69,33 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("beside", [
+    "",
+    "[solver]\nboundary = clamped\n",
+    "[experiment]\nname = demo\n",
+    "[cones]\nc0 = 0,0,0 ; 0.5 ; 0,0.2\n",
+], ids=["alone", "solver", "experiment", "cones"])
+def test_config_rejects_default_section_keys(beside, tmp_path):
+    # configparser copies [DEFAULT] keys into every section
+    path = tmp_path / "default.ini"
+    path.write_text("[DEFAULT]\nh = 0.03125\n\n" + beside)
+    with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("section, key", [("solver", "penalties"),
+                                          ("map", "lambdas")])
+def test_config_rejects_empty_lists(section, key, tmp_path, capsys):
+    path = tmp_path / "empty.ini"
+    path.write_text(f"[{section}]\n{key} =\n")
+    with pytest.raises(ConfigError, match="expected a list of numbers"):
+        load_config(str(path))
+    assert main(["s-table", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cone_parsing_errors():
     with pytest.raises(ConfigError):
         _parse_cone("0,0,0 ; 0.4")
@@ -104,33 +131,33 @@ def test_expected_defect_formula():
 
 def test_crossing_interval_classification():
     nu = 0.6
-    assert _crossing_interval(ConeRequest((0, 0, 0), 0.5, 0.0, 0.2), nu) \
-        == (0.0, 0.2)
-    assert _crossing_interval(ConeRequest((0.3, 0.3, 0), 0.25, 0.0, 0.1), nu) \
-        is None
+    assert _crossing_interval(
+        ConeRequest((0, 0, 0), 0.5, 0.0, 0.2).build(), nu) == (0.0, 0.2)
+    assert _crossing_interval(
+        ConeRequest((0.3, 0.3, 0), 0.25, 0.0, 0.1).build(), nu) is None
     # line enters the slices only part of the time
-    assert _crossing_interval(ConeRequest((0.28, 0, 0), 0.3, 0.0, 0.25), nu) \
-        == "partial"
+    assert _crossing_interval(
+        ConeRequest((0.28, 0, 0), 0.3, 0.0, 0.25).build(), nu) == "partial"
 
 
 def test_solver_cone_interval_margins():
     cfg = ExperimentConfig()
-    inner = solver_cone_interval(cfg, cfg.cones[0])
-    assert inner.s == pytest.approx(0.02)
-    assert inner.t == pytest.approx(0.18)
+    inner = solver_cone_interval(cfg, cfg.cones[0].build())
+    assert inner.t_min == pytest.approx(0.02)
+    assert inner.t_max == pytest.approx(0.18)
     with pytest.raises(ConfigError):
-        solver_cone_interval(cfg, ConeRequest((0, 0, 0), 0.5, 0.0, 0.015))
+        solver_cone_interval(cfg,
+                             ConeRequest((0, 0, 0), 0.5, 0.0, 0.015).build())
 
 
 def test_narrowed_interval_keeps_the_cone():
     # the line leaves this cone at tau = 0.0125, before the narrowed interval
     # [0.02, 0.18] starts; a cone moved up with the interval would meet it
     cfg = ExperimentConfig()
-    req = _parse_cone("0,0,-0.28 ; 0.3 ; 0,0.2")
-    inner = solver_cone_interval(cfg, req)
-    apex, inner_apex = req.build().apex, inner.build().apex
-    assert inner_apex.t == pytest.approx(apex.t)
-    assert np.array_equal(inner_apex.x, apex.x)
+    cone = _parse_cone("0,0,-0.28 ; 0.3 ; 0,0.2").build()
+    inner = solver_cone_interval(cfg, cone)
+    assert inner.apex.t == cone.apex.t
+    assert np.array_equal(inner.apex.x, cone.apex.x)
     assert _crossing_interval(inner, cfg.nu) is None
     assert smoothing_tolerance(cfg, inner, cfg.params,
                                cfg.penalties[-1]) == 0.0
@@ -165,6 +192,47 @@ def test_cone_past_the_trusted_region_fails_before_the_sweep(tmp_path,
                  "--out", str(tmp_path / "out")]) == 2
 
 
+def test_one_penalty_fails_before_the_sweep(tmp_path, monkeypatch, capsys):
+    # nonuniq-demo compares successive penalties, so it needs two of them
+    path = tmp_path / "one.ini"
+    path.write_text("[solver]\npenalties = 64\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("sweep run with a single penalty")
+
+    monkeypatch.setattr(cli, "penalization_sweep", never)
+    assert main(["nonuniq-demo", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "at least two" in capsys.readouterr().err
+
+
+class _RunReached(Exception):
+    pass
+
+
+def _reach_run(*args, **kwargs):
+    raise _RunReached
+
+
+@pytest.mark.parametrize("command", ["stationary-demo", "penalized-run"])
+def test_one_penalty_reaches_the_solver(command, tmp_path, monkeypatch):
+    path = tmp_path / "one.ini"
+    path.write_text("[solver]\npenalties = 64\n")
+    monkeypatch.setattr(cli, "run", _reach_run)
+    with pytest.raises(_RunReached):
+        main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+def test_negative_penalty_fails_before_sampling(tmp_path, monkeypatch, capsys):
+    # n < 0 would skip the 1/|n| CFL bound while the force still scales as n^2
+    path = tmp_path / "negative.ini"
+    path.write_text("[solver]\nh = 0.0625\npenalties = -256\n")
+    monkeypatch.setattr(cli, "run", _reach_run)
+    assert main(["penalized-run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "penalty_n must be >= 0" in capsys.readouterr().err
+
+
 def _incone_reference(cfg, slab, params, cone, t_ref):
     # the in-cone distance with its estimate as first written: the analytic
     # map sampled on the whole solver grid at three levels, as a GridField
@@ -197,9 +265,9 @@ def test_incone_distance_samples_only_the_corners_it_reads(monkeypatch):
     cfg = ExperimentConfig(h=1.0 / 32.0, n_radial=8, n_polar=8,
                            penalties=(16.0,))
     params = cfg.params
-    req = cfg.cones[0]
-    cone = req.build()
-    t_ref = solver_cone_interval(cfg, req).t
+    cone = cfg.cones[0].build()
+    inner = solver_cone_interval(cfg, cone)
+    t_ref = inner.t_max
     slab, _ = run(cfg.solver_config(penalty_n=16.0), BoostedHarmonicMap(params))
     want = _incone_reference(cfg, slab, params, cone, t_ref)
 
@@ -211,7 +279,7 @@ def test_incone_distance_samples_only_the_corners_it_reads(monkeypatch):
         return batch(p, xs)
 
     monkeypatch.setattr(fields, "harmonic_v_jet_batch", counted)
-    assert _incone_distance(cfg, slab, params, cone, t_ref) == want
+    assert _incone_distance(cfg, slab, params, inner) == want
     assert 0 < sum(nodes) < cfg.solver_config().n_cells ** 3
 
 

@@ -1,9 +1,12 @@
 """The README's examples stay in step with the package: its config block
-loads, its library sketch names only what ``wavemaplab`` exports, and the
-package exports only names its own code uses."""
+loads, its library sketch calls only what ``wavemaplab`` exports, with
+arguments its signatures accept, and the package exports only names its own
+code uses."""
 
 import ast
 import dataclasses
+import functools
+import inspect
 import re
 from pathlib import Path
 
@@ -34,9 +37,28 @@ def test_readme_config_loads_to_the_defaults(tmp_path):
 
 
 def test_readme_sketch_names_exported_attributes():
-    names = set(re.findall(r"\bwm\.(\w+)", _block("python")))
+    sketch = _block("python")
+    names = set(re.findall(r"\bwm\.(\w+)", sketch))
     assert names
     assert sorted(n for n in names if not hasattr(wavemaplab, n)) == []
+    # each wm.X(...) and wm.X.Y(...) call binds to the signature of X or X.Y
+    called, stale = [], []
+    for node in ast.walk(ast.parse(sketch)):
+        path, func = [], getattr(node, "func", None)
+        while isinstance(func, ast.Attribute):
+            path.insert(0, func.attr)
+            func = func.value
+        if not (isinstance(func, ast.Name) and func.id == "wm" and path):
+            continue
+        called.append(".".join(path))
+        target = functools.reduce(getattr, path, wavemaplab)
+        try:
+            inspect.signature(target).bind(
+                *node.args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as exc:
+            stale.append(f"wm.{called[-1]}: {exc}")
+    assert "energy_balance" in called
+    assert stale == []
 
 
 def test_every_export_is_used_by_the_package():

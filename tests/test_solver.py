@@ -48,6 +48,14 @@ def test_cfl_limit_includes_penalty_frequency():
     assert stiff.cfl_limit == pytest.approx(0.5 / 64.0)
 
 
+def test_negative_penalty_is_refused():
+    # the force scales as n^2, so a negative n must not drop the 1/n bound
+    with pytest.raises(ValueError, match="penalty_n must be >= 0"):
+        SolverConfig(box_half_width=0.5, h=1 / 16, T_end=0.1, penalty_n=-256.0)
+    assert SolverConfig(box_half_width=0.5, h=1 / 16, T_end=0.1,
+                        penalty_n=0.0).cfl_limit > 0.0
+
+
 def test_grid_geometry():
     cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.1)
     assert cfg.n_cells == 8

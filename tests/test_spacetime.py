@@ -105,3 +105,13 @@ def test_cone_from_base_height_bounds():
         ConeSpec.from_base(np.zeros(3), 0.5, 0.0, 0.5)   # degenerates to apex
     with pytest.raises(ValueError):
         ConeSpec.from_base(np.zeros(3), 0.5, 0.0, -0.1)
+
+
+def test_cone_truncation_validation():
+    # the truncation is the interval every cone quadrature covers
+    apex = SpacetimePoint(0.5, np.zeros(3))
+    with pytest.raises(ValueError):
+        ConeSpec(apex, 0.2, 0.1)
+    with pytest.raises(ValueError):
+        ConeSpec(apex, 0.0, apex.t + 0.1)
+    assert ConeSpec(apex, 0.0, apex.t).t_max == apex.t
