@@ -108,6 +108,14 @@ def _parse_floats(text: str) -> tuple:
     return values
 
 
+def _parse_penalties(text: str) -> tuple:
+    """A strictly ascending list: commands take the last as the strongest."""
+    values = _parse_floats(text)
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise ConfigError(f"penalties must strictly ascend, got {text!r}")
+    return values
+
+
 def _parse_cone(text: str) -> ConeRequest:
     parts = [p.strip() for p in text.split(";")]
     if len(parts) != 3:
@@ -132,7 +140,7 @@ _KEYS = {
     ("solver", "h"): ("h", float),
     ("solver", "t_end"): ("T_end", float),
     ("solver", "boundary"): ("boundary", str),
-    ("solver", "penalties"): ("penalties", _parse_floats),
+    ("solver", "penalties"): ("penalties", _parse_penalties),
     ("quadrature", "n_time"): ("n_time", int),
     ("quadrature", "n_radial"): ("n_radial", int),
     ("quadrature", "n_polar"): ("n_polar", int),
@@ -396,8 +404,7 @@ def cmd_nonuniq_demo(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentRe
     inner = solver_cone_interval(cfg, cone)  # raises if it is too short
 
     sweep = penalization_sweep(cfg.penalties, BoostedHarmonicMap(params),
-                               solver_cfg, cone,
-                               sample_times=[cfg.T_end / 2.0, cfg.T_end])
+                               solver_cfg, cone)
     slab = sweep.final_slab
     n_max = float(cfg.penalties[-1])
 
@@ -461,7 +468,7 @@ def _incone_distance(cfg: ExperimentConfig, slab: GridField, params: MapParams,
     center = sing if np.linalg.norm(sing - disk.center) < disk.radius else None
     xs, w = _disk_nodes(disk, cfg.rule(), center)
     ts = np.full(len(xs), t_ref)
-    u_vals = slab.values_at(ts, xs)
+    u_vals = slab.jets_at(ts, xs)[0]
     fld = BoostedHarmonicMap(params)
     a_vals = fld.jets_at(ts, xs)[0]
     dist = float(np.sqrt(np.dot(w, np.sum((u_vals - a_vals)**2, axis=1))))
@@ -617,7 +624,9 @@ def cmd_penalized_run(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentR
     slab, ledger = run(solver_cfg, BoostedHarmonicMap(cfg.params))
     out.mkdir(parents=True, exist_ok=True)
     slab.save(out / "penalized_run.wmgf")
-    ledger.to_csv(out / "penalized_run_ledger.csv")
+    _write_csv(out / "penalized_run_ledger.csv",
+               ["step", "time", "kinetic", "gradient", "penalty", "total"],
+               [(*row, row[2] + row[3] + row[4]) for row in ledger.rows])
     totals = ledger.totals()
     pen = np.asarray(ledger.rows, dtype=float)[:, 4]
     report.results["total_energy_initial"] = float(totals[0])

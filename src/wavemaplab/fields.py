@@ -22,8 +22,8 @@ ANALYTIC_EXCLUSION = 1e-8
 
 # Batch kernels work through their nodes in blocks of this many, so that
 # their scratch memory does not grow with the query: harmonic_v_jet_batch,
-# GridField.jets_at / values_at, and the disk energies of quadrature, which
-# evaluate a disk block by block.
+# GridField.jets_at, and the disk energies of quadrature, which evaluate a
+# disk block by block.
 _BLOCK = 2048
 
 
@@ -284,13 +284,13 @@ class GridField(FieldEvaluator):
     time spacing on smooth fields.  No derivative grid is stored, so the field
     holds only its samples.  Write-once: filled by the solver, then read-only.
 
-    Every query goes through one batch kernel, ``jets_at`` or, for values
-    alone, ``values_at``.  A node at fractional grid
-    coordinates (ft, fx, fy, fz) reads the 16 corners of its cell, corner c
-    taking bit b of c as its offset along axis b (bit 0 is time, so time
-    varies fastest).  Corner c has the weight ``1 * w_t * w_x * w_y * w_z``,
-    multiplied in that order, with w = 1 - frac for offset 0 and frac for
-    offset 1; each interpolated array is the sum of ``weight * corner`` over
+    Every query, values alone included, goes through one batch kernel,
+    ``jets_at``.  A node at fractional grid coordinates (ft, fx, fy, fz)
+    reads the 16 corners of its cell, corner c taking bit b of c as its
+    offset along axis b (bit 0 is time, so time varies fastest).  Corner c
+    has the weight ``1 * w_t * w_x * w_y * w_z``, multiplied in that order,
+    with w = 1 - frac for offset 0 and frac for offset 1; each interpolated
+    array is the sum of ``weight * corner`` over
     c = 0..15, added in that order to zeros.  The weights are formed once per
     node and shared by the values and the four derivatives.  For each axis
     the derivatives also read the samples one step below and one step above
@@ -318,10 +318,6 @@ class GridField(FieldEvaluator):
     def t_max(self) -> float:
         return self.t0 + (self.data.shape[0] - 1) * self.dt
 
-    def _corners(self, ts, xs):
-        return _slab_corners(self.shape, self.t0, self.dt, self.origin,
-                             self.h, ts, xs)
-
     def jets_at(self, ts, xs):
         ts = np.asarray(ts, dtype=float)
         xs = np.asarray(xs, dtype=float)
@@ -334,22 +330,9 @@ class GridField(FieldEvaluator):
                              grads[part])
         return values, dts, grads
 
-    def values_at(self, ts, xs) -> np.ndarray:
-        """Interpolated values (N, 3), with the rows, weights and order of
-        ``jets_at``; unlike the jets they need no third point along any
-        axis."""
-        ts = np.asarray(ts, dtype=float)
-        xs = np.asarray(xs, dtype=float)
-        values = np.empty((len(ts), 3))
-        table = _row_table(self.data)
-        for lo in range(0, len(ts), _BLOCK):
-            part = slice(lo, lo + _BLOCK)
-            _, rows, weights = self._corners(ts[part], xs[part])
-            _weighted_sum(_gather(table, rows), weights, values[part])
-        return values
-
     def _jets_block(self, ts, xs, values, dts, grads):
-        idx, rows, weights = self._corners(ts, xs)
+        idx, rows, weights = _slab_corners(self.shape, self.t0, self.dt,
+                                           self.origin, self.h, ts, xs)
         if min(self.shape) < 3:
             raise ValueError("Shape of array too small to calculate a numerical "
                              "gradient, at least (edge_order + 1) elements are "

@@ -66,21 +66,6 @@ def bump_profile_ds(s: np.ndarray) -> np.ndarray:
     return out
 
 
-_BUMP_NORMS: dict[int, float] = {}
-
-
-def _bump_norm(dim: int) -> float:
-    """1 / integral of the unit bump over the unit ball in `dim` dimensions."""
-    if dim not in _BUMP_NORMS:
-        areas = {1: 2.0, 3: 4.0 * np.pi, 4: 2.0 * np.pi**2}
-        xs, ws = np.polynomial.legendre.leggauss(80)
-        r = 0.5 * (xs + 1.0)
-        w = 0.5 * ws
-        vals = bump_profile(r**2)
-        _BUMP_NORMS[dim] = 1.0 / (areas[dim] * float(np.sum(w * vals * r**(dim - 1))))
-    return _BUMP_NORMS[dim]
-
-
 class TimeSquaredBump(FieldEvaluator):
     """u(t, x) = t^2 * b(x) * e, with b a spatial bump; Du(0) = 0 on the
     initial slice, which is what the cone-identity checks require."""

@@ -3,7 +3,9 @@ the energy-balance report that decides whether the local energy inequality
 holds.
 
 One resolution, ``ProductRule(n_time, n_radial, n_polar)``, sizes the disks
-and the cone's side; ``_cone_slices`` builds the side's time slices.
+and the cone's side; ``_cone_slices`` builds the side's time slices.  Every
+Gauss-Legendre rule on an interval comes from ``_gauss``; only the sphere's
+cos(theta) rule stays on its native [-1, 1].
 
 The energy, flux and flux-form densities are batch forms on jets
 (dts (N, 3), grads (N, 3, 3)), one value per row; the disks, the cone's side
@@ -27,10 +29,16 @@ import numpy as np
 
 from . import fields
 from .fields import FieldEvaluator
-from .manufactured import _bump_norm, bump_profile
+from .manufactured import bump_profile
 from .spacetime import ConeSpec, DiskSpec
 
 SQRT2 = np.sqrt(2.0)
+
+
+def _gauss(n: int, a: float, b: float):
+    """The n-point Gauss-Legendre nodes and weights on [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return a + 0.5 * (b - a) * (x + 1.0), 0.5 * (b - a) * w
 
 
 class SphereRule:
@@ -63,8 +71,8 @@ class SphereRule:
 @dataclass(frozen=True)
 class ProductRule:
     """The quadrature resolution of one truncated cone: Gauss-Legendre nodes
-    in time along its side, Gauss-Legendre radial nodes in its disks (stored
-    on [0, 1], scaled per use), and a sphere rule for the angles of both."""
+    in time along its side, Gauss-Legendre radial nodes in its disks, and a
+    sphere rule for the angles of both."""
 
     n_time: int
     n_radial: int
@@ -76,10 +84,6 @@ class ProductRule:
     @property
     def sphere(self) -> SphereRule:
         return SphereRule(self.n_polar)
-
-    def radial_reference(self):
-        x, w = np.polynomial.legendre.leggauss(self.n_radial)
-        return 0.5 * (x + 1.0), 0.5 * w
 
 
 @dataclass(frozen=True)
@@ -137,8 +141,9 @@ def _disk_nodes(disk: DiskSpec, rule: ProductRule, singular_center=None):
     If a singular point inside the ball is supplied, spherical coordinates are
     taken about it, with the angle-dependent outer radius reaching the ball
     boundary; the radial direction then absorbs the 1/r^2 density blow-up.
+    Radial nodes: ``_gauss`` on [0, 1], scaled to each direction's radius.
     """
-    u, wu = rule.radial_reference()
+    u, wu = _gauss(rule.n_radial, 0.0, 1.0)
     sph = rule.sphere
     if singular_center is None:
         c = np.asarray(disk.center, dtype=float)
@@ -189,10 +194,7 @@ def _cone_slices(cone: ConeSpec, rule: ProductRule):
     """Gauss-Legendre time slices of the cone's side over its truncation
     [t_min, t_max]: yields (tau, weight, radius, nodes), the nodes being the
     sphere rule's scaled to the slice's radius about the apex."""
-    s, t = cone.t_min, cone.t_max
-    xt, wt = np.polynomial.legendre.leggauss(rule.n_time)
-    taus = s + 0.5 * (t - s) * (xt + 1.0)
-    wtau = 0.5 * (t - s) * wt
+    taus, wtau = _gauss(rule.n_time, cone.t_min, cone.t_max)
     sph = rule.sphere
     for tau, wk in zip(taus, wtau):
         r = cone.radius(tau)
@@ -265,17 +267,28 @@ def energy_balance(field: FieldEvaluator, cone: ConeSpec, rule: ProductRule,
     return dataclasses.replace(reports[0], unpenalized=reports[1])
 
 
+_BUMP_NORMS: dict[int, float] = {}
+
+
+def _bump_norm(dim: int) -> float:
+    """1 / integral of the unit bump over the unit ball in `dim` dimensions."""
+    if dim not in _BUMP_NORMS:
+        areas = {1: 2.0, 3: 4.0 * np.pi, 4: 2.0 * np.pi**2}
+        r, w = _gauss(80, 0.0, 1.0)
+        vals = bump_profile(r**2)
+        _BUMP_NORMS[dim] = 1.0 / (areas[dim] * float(np.sum(w * vals * r**(dim - 1))))
+    return _BUMP_NORMS[dim]
+
+
 def mollified_flux(field: FieldEvaluator, base_center, base_radius: float,
-                   t: float, eps: float, rule: ProductRule,
-                   n_delta: int = 8) -> float:
+                   t: float, eps: float, rule: ProductRule) -> float:
     """Bump-averaged unnormalized flux over cones with base radii r + delta,
-    |delta| < eps; converges to 2 sqrt(2) times the flux over the radius-r
-    cone as eps -> 0 for fields smooth near the surface."""
+    |delta| < eps, on an 8-point rule in delta; converges to 2 sqrt(2) times
+    the flux over the radius-r cone as eps -> 0 for fields smooth near the
+    surface."""
     if not eps < base_radius - t:
         raise ValueError("eps must leave all perturbed cones tall enough")
-    xd, wd = np.polynomial.legendre.leggauss(n_delta)
-    deltas = eps * xd
-    wdelta = eps * wd
+    deltas, wdelta = _gauss(8, -eps, eps)
     psis = _bump_norm(1) * bump_profile((deltas / eps)**2)
 
     total = 0.0

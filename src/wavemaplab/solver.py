@@ -30,7 +30,6 @@ and one ``_Work``.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import os
 from dataclasses import dataclass, field
@@ -54,7 +53,6 @@ class SolverConfig:
     h: float
     T_end: float
     penalty_n: float = 0.0
-    c_cfl: float = 0.5
     dt: float | None = None
     boundary: str = "clamped"       # "clamped" (to initial data) or "periodic"
     store_stride: int | None = None  # None: auto, about 12 stored intervals
@@ -87,7 +85,7 @@ class SolverConfig:
         bounds = [self.h / np.sqrt(3.0)]
         if self.penalty_n > 0.0:
             bounds.append(1.0 / self.penalty_n)
-        return self.c_cfl * min(bounds)
+        return 0.5 * min(bounds)  # Courant number 1/2
 
     @property
     def origin(self) -> np.ndarray:
@@ -120,14 +118,6 @@ class EnergyLedger:
         if tot[0] == 0.0:
             return float(np.max(np.abs(tot)))
         return float(np.max(np.abs(tot - tot[0])) / abs(tot[0]))
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["step", "time", "kinetic", "gradient", "penalty",
-                         "total"])
-            for step, time, kin, grad, pen in self.rows:
-                wr.writerow([step, time, kin, grad, pen, kin + grad + pen])
 
 
 def _step_plan(cfg: SolverConfig) -> tuple[int, int]:
@@ -269,7 +259,7 @@ def step(u_prev: np.ndarray, u: np.ndarray, cfg: SolverConfig,
         unew = _apply_clamp(unew, u_prev)
     if not np.all(np.isfinite(unew)):
         raise FloatingPointError(
-            "solver blow-up: check dt <= c_cfl * min(h/sqrt(3), 1/n) "
+            "solver blow-up: check dt <= 0.5 * min(h/sqrt(3), 1/n) "
             f"(limit {cfg.cfl_limit}, dt {dt})")
     return unew
 
@@ -378,7 +368,7 @@ def _integrate(cfg: SolverConfig, u0: np.ndarray, g0: np.ndarray):
 @dataclass(frozen=True)
 class SweepReport:
     penalties: list
-    sample_times: list
+    sample_times: list            # times of the two stored levels read
     violations: np.ndarray        # (n_penalties, n_times): int (|u|^2-1)^2 dx
     pair_distances: np.ndarray    # (n_penalties - 1,): in-cone L2 distances
     final_slab: GridField = None  # output of the strongest-penalty run
@@ -391,45 +381,47 @@ def constraint_violation(u: np.ndarray, cfg: SolverConfig) -> float:
     return float(np.sum((np.sum(u**2, axis=-1) - 1.0)**2)) * cfg.h**3
 
 
-def _cone_mask(cfg: SolverConfig, cone: ConeSpec, t: float,
-               margin: float) -> np.ndarray:
+def _cone_mask(cfg: SolverConfig, cone: ConeSpec, t: float) -> np.ndarray:
+    """The cells at least 2 h inside the cone's slice at time t."""
     d = _cell_centres(cfg) - cone.apex.x
     r = np.sqrt(d[:, 0]**2 + d[:, 1]**2 + d[:, 2]**2)
-    return (r <= cone.radius(t) - margin).reshape((cfg.n_cells,) * 3)
+    return (r <= cone.radius(t) - 2.0 * cfg.h).reshape((cfg.n_cells,) * 3)
 
 
 def penalization_sweep(schedule, field: FieldEvaluator,
                        cfg_template: SolverConfig,
-                       cone: ConeSpec, sample_times) -> SweepReport:
+                       cone: ConeSpec) -> SweepReport:
     """Run the solver from the Cauchy data of ``field`` for each penalty
     strength on a shared spatial grid (dt adapted per n); report constraint
-    violations at the sample times and pairwise in-cone L2 distances between
-    consecutive runs."""
+    violations on the stored levels nearest T_end / 2 and T_end, with the
+    last run's level times as ``sample_times`` (no interpolation; a run with
+    another dt, as when n > sqrt(3) / h, may read T_end / 2 elsewhere), and
+    pairwise in-cone L2 distances between consecutive runs at T_end."""
     cfgs = [dataclasses.replace(cfg_template, penalty_n=float(n), dt=None)
             for n in schedule]
     for cfg in cfgs:
         _check_memory(cfg)  # fail on an oversized run before any sampling
     # the Cauchy data is the same for every penalty: sample it once
     u0, g0 = _cauchy_data(field, cfg_template)
-    violations = np.zeros((len(schedule), len(sample_times)))
+    targets = (cfg_template.T_end / 2.0, cfg_template.T_end)
+    violations = np.zeros((len(schedule), len(targets)))
     dists = np.zeros(max(0, len(schedule) - 1))
-    t_ref = sample_times[-1]
-    mask = _cone_mask(cfg_template, cone, t_ref, margin=2.0 * cfg_template.h)
+    mask = _cone_mask(cfg_template, cone, cfg_template.T_end)
     ref = slab = None
     for i, cfg in enumerate(cfgs):
         del slab  # the previous slab goes before this run stores its own
         slab, _ = _integrate(cfg, u0, g0)
-        nearest = [int(round((t - slab.t0) / slab.dt)) for t in sample_times]
+        nearest = [int(round(t / slab.dt)) for t in targets]  # slab.t0 = 0
         for j, lvl in enumerate(nearest):
             violations[i, j] = constraint_violation(slab.data[lvl], cfg)
-        # only the in-cone cells of the level at t_ref carry over
-        cur = slab.data[int(round((t_ref - slab.t0) / slab.dt))][mask]
+        # only the in-cone cells of the level at T_end carry over
+        cur = slab.data[nearest[-1]][mask]
         if ref is not None:
             diff = ref - cur
             dists[i - 1] = float(np.sqrt(np.sum(diff**2) * cfg_template.h**3))
         ref = cur
-    return SweepReport(list(schedule), list(sample_times), violations, dists,
-                       final_slab=slab)
+    return SweepReport(list(schedule), [lvl * slab.dt for lvl in nearest],
+                       violations, dists, final_slab=slab)
 
 
 def trusted_region(cfg: SolverConfig, cone: ConeSpec) -> None:

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FieldEvaluator, MapParams, harmonic_v_jet_batch
-from .manufactured import (ComposedWithBoost, _bump_norm, bump_profile,
-                           bump_profile_ds)
-from .quadrature import (ProductRule, _cone_slices, _disk_nodes, energy_form,
-                         flux_form_Q)
+from .manufactured import ComposedWithBoost, bump_profile, bump_profile_ds
+from .quadrature import (ProductRule, _bump_norm, _cone_slices, _disk_nodes,
+                         _gauss, energy_form, flux_form_Q)
 from .spacetime import ETA, ConeSpec, DiskSpec, LorentzBoost, SpacetimePoint
 
 
@@ -120,16 +119,13 @@ def weak_residual(field: FieldEvaluator, test: BumpTest,
     c = test.center.as_vector()
     t0, x0, sigma = c[0], c[1:], test.scale
 
-    xt, wt = np.polynomial.legendre.leggauss(rule.n_time)
-
     res = np.zeros(3)
-    for k in range(rule.n_time):
-        t = t0 + sigma * xt[k]
+    for t, wt in zip(*_gauss(rule.n_time, t0 - sigma, t0 + sigma)):
         rho = np.sqrt(max(sigma**2 - (t - t0)**2, 0.0))
         if rho == 0.0:
             continue
         xs, w = _disk_nodes(DiskSpec(t, x0, rho), rule)
-        weights = sigma * wt[k] * w
+        weights = wt * w
         ts = np.full(len(xs), t)
         values, dts, grads = field.jets_at(ts, xs)
         psi, dpsi = test.batch(np.column_stack([ts, xs]))
@@ -141,25 +137,22 @@ def weak_residual(field: FieldEvaluator, test: BumpTest,
     return res
 
 
-def recover_point_charge(params: MapParams, test: BumpTest, rule: ProductRule,
-                         rho: float = 1e-2) -> np.ndarray:
+def recover_point_charge(params: MapParams, test: BumpTest,
+                         rule: ProductRule) -> np.ndarray:
     """Distributional divergence of the spatial stress tensor of the dilated
     hedgehog, paired with a spatial test bump centered at the origin:
 
         J_j = - int S_ij d_i(psi) dx  ->  (0, 0, s(lambda) psi(0)).
 
-    The quadrature excludes a ball of radius rho around the singular point and
-    Richardson-extrapolates rho -> 0 (the excluded contribution is O(rho^2)
-    because the bump's gradient vanishes at its center).
+    The quadrature excludes a ball of radius rho = 1e-2 around the singular
+    point and Richardson-extrapolates rho -> 0 (the excluded contribution is
+    O(rho^2) because the bump's gradient vanishes at its center).
     """
     if test.dim != 3:
         raise ValueError("recover_point_charge needs a spatial bump")
-
-    def pairing(rho_excl: float) -> np.ndarray:
-        return _charge_pairing(params, test, rule, rho_excl)
-
-    f1 = pairing(rho)
-    f2 = pairing(rho / 2.0)
+    rho = 1e-2
+    f1 = _charge_pairing(params, test, rule, rho)
+    f2 = _charge_pairing(params, test, rule, rho / 2.0)
     return (4.0 * f2 - f1) / 3.0
 
 
@@ -167,9 +160,7 @@ def _charge_pairing(params: MapParams, test: BumpTest, rule: ProductRule,
                     rho: float) -> np.ndarray:
     sigma = test.scale
     sph = rule.sphere
-    xr, wr = np.polynomial.legendre.leggauss(rule.n_radial)
-    r_nodes = rho + 0.5 * (sigma - rho) * (xr + 1.0)
-    r_weights = 0.5 * (sigma - rho) * wr
+    r_nodes, r_weights = _gauss(rule.n_radial, rho, sigma)
 
     xs = (r_nodes[:, None, None] * sph.nodes[None, :, :]).reshape(-1, 3)
     weights = (r_weights[:, None] * sph.weights[None, :]

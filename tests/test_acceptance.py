@@ -67,8 +67,7 @@ def default_sweep_analysis():
     params = cfg.params
     cone0 = cfg.cones[0].build()
     sweep = penalization_sweep(cfg.penalties, BoostedHarmonicMap(params),
-                               cfg.solver_config(), cone0,
-                               sample_times=[cfg.T_end / 2.0, cfg.T_end])
+                               cfg.solver_config(), cone0)
     n_max = float(cfg.penalties[-1])
     cones = {}
     for i, req in enumerate(cfg.cones):

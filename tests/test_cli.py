@@ -233,6 +233,25 @@ def test_negative_penalty_fails_before_sampling(tmp_path, monkeypatch, capsys):
     assert "penalty_n must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("penalties", ["64, 32, 16, 8", "8, 16, 16"],
+                         ids=["descending", "repeated"])
+@pytest.mark.parametrize("command", ["nonuniq-demo", "stationary-demo",
+                                     "penalized-run"])
+def test_descending_penalties_fail_before_sampling(command, penalties,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+    # each command takes the last penalty as the strongest one
+    path = tmp_path / "descending.ini"
+    path.write_text(f"[solver]\npenalties = {penalties}\n")
+    with pytest.raises(ConfigError, match="strictly ascend"):
+        load_config(str(path))
+    monkeypatch.setattr(cli, "run", _reach_run)
+    monkeypatch.setattr(cli, "penalization_sweep", _reach_run)
+    assert main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "penalties must strictly ascend" in capsys.readouterr().err
+
+
 def _incone_reference(cfg, slab, params, cone, t_ref):
     # the in-cone distance with its estimate as first written: the analytic
     # map sampled on the whole solver grid at three levels, as a GridField
@@ -350,6 +369,30 @@ def test_refine_below_one_exits_2(k, tmp_path, capsys):
     assert main(["s-table", "--refine", k, "--out", str(tmp_path)]) == 2
     assert f"--refine must be at least 1, got {k}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())  # no report written
+
+
+def test_ledger_csv_round_trip(tmp_path):
+    path = tmp_path / "coarse.ini"
+    path.write_text("[solver]\nh = 0.0625\n")
+    # the drift verdict may fail on so coarse a grid; the files are written
+    main(["penalized-run", "--config", str(path), "--out", str(tmp_path)])
+    rows = (tmp_path / "penalized_run_ledger.csv").read_text().splitlines()
+    assert rows[0] == "step,time,kinetic,gradient,penalty,total"
+    table = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+    assert np.array_equal(table[:, 0], np.arange(len(table)))
+    assert np.array_equal(table[:, 5], table[:, 2] + table[:, 3] + table[:, 4])
+
+
+def test_constraint_violation_header_names_the_levels_read(tmp_path):
+    # 11 stored intervals up to t_end = 0.19 for every penalty: the column
+    # for t_end / 2 is read on level 6, at t = 6 * 0.19 / 11
+    path = tmp_path / "coarse.ini"
+    path.write_text("[solver]\nh = 0.0625\nt_end = 0.19\n"
+                    "penalties = 4, 8, 16\n")
+    main(["nonuniq-demo", "--config", str(path), "--out", str(tmp_path)])
+    rows = (tmp_path / "constraint_violation.csv").read_text().splitlines()
+    assert rows[0] == f"n,t={6 * 0.19 / 11:g},t=0.19"
+    assert len(rows) == 1 + 3
 
 
 def test_identity_checks_command(tmp_path, capsys):

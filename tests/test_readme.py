@@ -105,3 +105,34 @@ def test_every_public_method_is_used_by_the_package():
               and not fn.name.startswith("_")
               and not users.get(fn.name, set()) - {fn.name}}
     assert sorted(unused - UNCALLED_METHODS) == []
+
+
+def _callers(last: str) -> set:
+    """(module, top-level def or class) of each src call whose callee's last
+    dotted part is ``last``, as in ``np.polynomial.legendre.leggauss``; a
+    call outside any def or class has the owner None."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) \
+                        else getattr(func, "id", None)
+                    if name == last:
+                        found.add((path.stem, getattr(top, "name", None)))
+    return found
+
+
+def test_one_interval_rule_and_one_csv_writer():
+    # every Gauss-Legendre interval rule comes from quadrature._gauss; the
+    # sphere's cos(theta) rule stays on its native [-1, 1]
+    assert _callers("leggauss") == {("quadrature", "_gauss"),
+                                    ("quadrature", "SphereRule")}
+    # every CSV file is written by the command layer's one writer
+    assert _callers("writer") == {("cli", "_write_csv")}
+    importers = {path.stem for path in SRC.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Import)
+                 and "csv" in {a.name for a in node.names}}
+    assert importers == {"cli"}

@@ -125,8 +125,8 @@ def test_finite_propagation_speed():
 
 def test_unstable_step_raises():
     rng = np.random.default_rng(3)
-    noisy = CauchyData(lambda xs: rng.uniform(-1.0, 1.0, (len(xs), 3)))
-    cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=4.0, c_cfl=4.0,
+    noisy = CauchyData(lambda xs: rng.uniform(-10.0, 10.0, (len(xs), 3)))
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=4.0,
                        penalty_n=8.0, boundary="periodic")
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError):
@@ -316,7 +316,7 @@ def test_oversized_slab_fails_before_sampling(monkeypatch):
         run(cfg, fld)
     cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
     with pytest.raises(ValueError, match=r"GiB .*stride"):
-        penalization_sweep((4.0, 8.0), fld, cfg, cone, [0.1])
+        penalization_sweep((4.0, 8.0), fld, cfg, cone)
 
 
 def test_preflight_counts_the_working_grids(monkeypatch):
@@ -337,7 +337,7 @@ def test_preflight_counts_the_working_grids(monkeypatch):
         run(cfg, fld)
     cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
     with pytest.raises(ValueError, match=r"GiB .*stride.*working grids"):
-        penalization_sweep((4.0, 8.0), fld, cfg, cone, [0.1])
+        penalization_sweep((4.0, 8.0), fld, cfg, cone)
 
 
 def test_memory_is_checked_once_per_run(monkeypatch):
@@ -354,7 +354,7 @@ def test_memory_is_checked_once_per_run(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
-    penalization_sweep((4.0, 8.0), phi, cfg, cone, [0.1])
+    penalization_sweep((4.0, 8.0), phi, cfg, cone)
     assert len(calls) == 2
 
 
@@ -388,15 +388,10 @@ def test_store_plan_keeps_a_stride_near_its_target(knobs, plan):
 # ledger
 
 
-def test_ledger_csv_round_trip(tmp_path):
+def test_ledger_relative_drift():
     led = EnergyLedger()
     led.add(0, 0.0, 1.0, 2.0, 0.5)
     led.add(1, 0.1, 1.1, 1.9, 0.4)
-    path = tmp_path / "ledger.csv"
-    led.to_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "step,time,kinetic,gradient,penalty,total"
-    assert [float(v) for v in rows[1].split(",")] == [0, 0.0, 1.0, 2.0, 0.5, 3.5]
     assert led.relative_drift() == pytest.approx(0.1 / 3.5)
 
 
@@ -409,7 +404,7 @@ def test_penalization_sweep_trends():
     cfg = SolverConfig(box_half_width=0.5, h=1 / 16, T_end=0.1)
     cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
     sweep = penalization_sweep((4.0, 8.0, 16.0), BoostedHarmonicMap(params),
-                               cfg, cone, sample_times=[0.05, 0.1])
+                               cfg, cone)
     assert sweep.violations.shape == (3, 2)
     final = sweep.violation_final()
     assert np.all(np.diff(final) < 0.0)  # stronger penalty, smaller violation
@@ -417,6 +412,26 @@ def test_penalization_sweep_trends():
     assert np.all(sweep.pair_distances > 0.0)
     assert sweep.final_slab is not None
     assert sweep.final_slab.t_max == pytest.approx(0.1)
+
+
+def test_penalization_sweep_labels_the_levels_it_reads():
+    # 7 stored intervals: T_end / 2 falls midway between two levels, and the
+    # sweep reports the time of the level it reads, not the time asked for
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 16, T_end=0.11)
+    cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
+    phi = BoostedHarmonicMap(MapParams(2.0, 0.6))
+    sweep = penalization_sweep((4.0, 8.0), phi, cfg, cone)
+    slab = sweep.final_slab
+    assert slab.data.shape[0] == 8
+    t_half, t_end = sweep.sample_times
+    k = int(round(t_half / slab.dt))
+    assert t_half == k * slab.dt
+    assert abs(t_half - 0.055) <= 0.5 * slab.dt * (1.0 + 1e-12)  # nearest
+    assert t_half != pytest.approx(0.055)
+    assert t_end == pytest.approx(0.11)
+    last = dataclasses.replace(cfg, penalty_n=8.0)
+    assert sweep.violations[-1, 0] == constraint_violation(slab.data[k], last)
+    assert sweep.violations[-1, 1] == constraint_violation(slab.data[-1], last)
 
 
 def test_penalization_sweep_samples_data_once():
@@ -431,11 +446,10 @@ def test_penalization_sweep_samples_data_once():
     cfg = SolverConfig(box_half_width=0.5, h=1 / 16, T_end=0.1)
     cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
     penalties = (4.0, 8.0, 16.0)
-    sweep = penalization_sweep(penalties, Counted(), cfg, cone,
-                               sample_times=[0.05, 0.1])
+    sweep = penalization_sweep(penalties, Counted(), cfg, cone)
     assert calls == [cfg.n_cells**3]
     # distances equal those of whole slabs from independent runs
-    mask = solver._cone_mask(cfg, cone, 0.1, margin=2.0 * cfg.h)
+    mask = solver._cone_mask(cfg, cone, 0.1)
     last = []
     for n in penalties:
         slab, _ = run(dataclasses.replace(cfg, penalty_n=n), phi)
