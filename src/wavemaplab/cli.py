@@ -68,7 +68,6 @@ class ExperimentConfig:
     box_half_width: float = 0.75
     h: float = 1.0 / 64.0
     T_end: float = 0.2
-    boundary: str = "clamped"
     penalties: tuple = (8.0, 16.0, 32.0, 64.0)
     n_time: int = 16
     n_radial: int = 24
@@ -89,8 +88,7 @@ class ExperimentConfig:
 
     def solver_config(self, penalty_n: float = 0.0) -> SolverConfig:
         return SolverConfig(box_half_width=self.box_half_width, h=self.h,
-                            T_end=self.T_end, penalty_n=penalty_n,
-                            boundary=self.boundary)
+                            T_end=self.T_end, penalty_n=penalty_n)
 
     def rule(self) -> ProductRule:
         return ProductRule(self.n_time, self.n_radial, self.n_polar)
@@ -139,7 +137,6 @@ _KEYS = {
     ("solver", "box_half_width"): ("box_half_width", float),
     ("solver", "h"): ("h", float),
     ("solver", "t_end"): ("T_end", float),
-    ("solver", "boundary"): ("boundary", str),
     ("solver", "penalties"): ("penalties", _parse_penalties),
     ("quadrature", "n_time"): ("n_time", int),
     ("quadrature", "n_radial"): ("n_radial", int),
@@ -224,15 +221,7 @@ class ExperimentReport:
         return all(v.passed for v in self.verdicts)
 
     def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "experiment": self.experiment,
-            "provenance": self.provenance,
-            "parameters": self.parameters,
-            "results": self.results,
-            "verdicts": [dataclasses.asdict(v) for v in self.verdicts],
-            "all_passed": self.all_passed,
-        }
+        return {**dataclasses.asdict(self), "all_passed": self.all_passed}
 
     def write(self, out_dir: Path) -> Path:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -238,7 +238,8 @@ def _slab_corners(shape, t0: float, dt: float, origin, h: float, ts, xs):
     wgt = f[:, 0]
     for ax in range(1, 4):  # axis ax is index 3 - ax of (b3, b2, b1, b0)
         wgt = f[(slice(None),) + (None,) * ax + (ax,)] * wgt
-    # one copy per component, so that weight * corner runs over whole rows
+    # one copy per component, so that weight * corner runs over whole rows:
+    # 238 us per (16, 2048) weighted sum, 445 us with a (16, N, 1) weight
     weights = np.empty((16, len(fr), 3))
     for k in range(3):
         weights[:, :, k] = wgt.reshape(16, -1)
@@ -250,21 +251,11 @@ def _strides(dims) -> np.ndarray:
                      dims[3], 1])
 
 
-def _row_table(arr: np.ndarray) -> np.ndarray:
-    """A C-contiguous (..., 3) float array as one 24-byte item per row, so
-    that a gather copies whole rows."""
-    return arr.reshape(-1, 3).view(np.dtype((np.void, 24))).reshape(-1)
-
-
-def _gather(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The rows of ``table`` (``_row_table``) at ``rows``, shape rows + (3,)."""
-    return np.take(table, rows).view(float).reshape(rows.shape + (3,))
-
-
 def _weighted_sum(corners: np.ndarray, weights: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Sum of ``weight * corner`` over the 16 corners (16, N, 3), added in
-    corner order to zeros."""
+    corner order to zeros.  Not np.sum(axis=0): numpy does not promise its
+    summation order, and the ``GridField`` docstring's arithmetic rests on it."""
     if out is None:
         out = np.empty(corners.shape[1:])
     out[...] = 0.0
@@ -331,14 +322,17 @@ class GridField(FieldEvaluator):
         return values, dts, grads
 
     def _jets_block(self, ts, xs, values, dts, grads):
+        # np.take(axis=0), numpy 2.4.6 on 2 vCPU: a (16, 2048) gather from an
+        # 18x72^3 slab 458 us, through a 24-byte void view of the rows 474 us;
+        # jets_at on 200,000 nodes 0.838 s against 0.821 s, within the spread
         idx, rows, weights = _slab_corners(self.shape, self.t0, self.dt,
                                            self.origin, self.h, ts, xs)
         if min(self.shape) < 3:
             raise ValueError("Shape of array too small to calculate a numerical "
                              "gradient, at least (edge_order + 1) elements are "
                              "required.")
-        table = _row_table(self.data)
-        corners = _gather(table, rows)
+        table = self.data.reshape(-1, 3)
+        corners = np.take(table, rows, axis=0)
         _weighted_sum(corners, weights, values)
         strides = _strides(self.shape)
         for ax, sp in enumerate((self.dt, self.h, self.h, self.h)):
@@ -347,7 +341,7 @@ class GridField(FieldEvaluator):
                                     strides[ax], ax, sp)
             if ax == 0:
                 _weighted_sum(d, weights, dts)
-            else:  # summed contiguously: adds into a strided view are slow
+            else:  # summed contiguously: 229 us, 1,018 us into the view
                 grads[:, ax - 1, :] = _weighted_sum(d, weights)
 
     @staticmethod
@@ -365,8 +359,8 @@ class GridField(FieldEvaluator):
         f_lo, f_hi = split(corners)
         # one step below / above the cell; on a face any row of the slab
         # does, since the one-sided formula replaces the difference there
-        below = _gather(table, rows_lo - stride * ~first)
-        above = _gather(table, rows_hi + stride * ~last)
+        below = np.take(table, rows_lo - stride * ~first, axis=0)
+        above = np.take(table, rows_hi + stride * ~last, axis=0)
         out = np.empty_like(corners)
         d_lo, d_hi = split(out)
         np.subtract(f_hi, below, out=d_lo)

@@ -23,6 +23,7 @@ forms are normalized per r^2 dtau dOmega: ``flux_density`` is
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,27 +46,28 @@ class SphereRule:
     """Product rule on the unit sphere: Gauss-Legendre in cos(theta) times a
     uniform (trapezoid) rule in the azimuth; weights sum to 4 pi."""
 
-    _cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
     def __init__(self, n_polar: int):
         self.n_polar = int(n_polar)
-        if self.n_polar not in self._cache:
-            mu, wmu = np.polynomial.legendre.leggauss(self.n_polar)
-            n_az = 2 * self.n_polar
-            phi = 2.0 * np.pi * (np.arange(n_az) + 0.5) / n_az
-            st = np.sqrt(1.0 - mu**2)
-            nodes = np.empty((self.n_polar * n_az, 3))
-            weights = np.empty(self.n_polar * n_az)
-            for i in range(self.n_polar):
-                sl = slice(i * n_az, (i + 1) * n_az)
-                nodes[sl, 0] = st[i] * np.cos(phi)
-                nodes[sl, 1] = st[i] * np.sin(phi)
-                nodes[sl, 2] = mu[i]
-                weights[sl] = wmu[i] * 2.0 * np.pi / n_az
-            nodes.setflags(write=False)
-            weights.setflags(write=False)
-            self._cache[self.n_polar] = (nodes, weights)
-        self.nodes, self.weights = self._cache[self.n_polar]
+        self.nodes, self.weights = self._build(self.n_polar)
+
+    @staticmethod
+    @functools.cache
+    def _build(n_polar: int):
+        mu, wmu = np.polynomial.legendre.leggauss(n_polar)
+        n_az = 2 * n_polar
+        phi = 2.0 * np.pi * (np.arange(n_az) + 0.5) / n_az
+        st = np.sqrt(1.0 - mu**2)
+        nodes = np.empty((n_polar * n_az, 3))
+        weights = np.empty(n_polar * n_az)
+        for i in range(n_polar):
+            sl = slice(i * n_az, (i + 1) * n_az)
+            nodes[sl, 0] = st[i] * np.cos(phi)
+            nodes[sl, 1] = st[i] * np.sin(phi)
+            nodes[sl, 2] = mu[i]
+            weights[sl] = wmu[i] * 2.0 * np.pi / n_az
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
+        return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -267,17 +269,13 @@ def energy_balance(field: FieldEvaluator, cone: ConeSpec, rule: ProductRule,
     return dataclasses.replace(reports[0], unpenalized=reports[1])
 
 
-_BUMP_NORMS: dict[int, float] = {}
-
-
+@functools.cache
 def _bump_norm(dim: int) -> float:
     """1 / integral of the unit bump over the unit ball in `dim` dimensions."""
-    if dim not in _BUMP_NORMS:
-        areas = {1: 2.0, 3: 4.0 * np.pi, 4: 2.0 * np.pi**2}
-        r, w = _gauss(80, 0.0, 1.0)
-        vals = bump_profile(r**2)
-        _BUMP_NORMS[dim] = 1.0 / (areas[dim] * float(np.sum(w * vals * r**(dim - 1))))
-    return _BUMP_NORMS[dim]
+    areas = {1: 2.0, 3: 4.0 * np.pi, 4: 2.0 * np.pi**2}
+    r, w = _gauss(80, 0.0, 1.0)
+    vals = bump_profile(r**2)
+    return 1.0 / (areas[dim] * float(np.sum(w * vals * r**(dim - 1))))
 
 
 def mollified_flux(field: FieldEvaluator, base_center, base_radius: float,

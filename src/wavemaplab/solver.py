@@ -368,7 +368,7 @@ def _integrate(cfg: SolverConfig, u0: np.ndarray, g0: np.ndarray):
 @dataclass(frozen=True)
 class SweepReport:
     penalties: list
-    sample_times: list            # times of the two stored levels read
+    sample_times: list            # times of the two levels read, every run
     violations: np.ndarray        # (n_penalties, n_times): int (|u|^2-1)^2 dx
     pair_distances: np.ndarray    # (n_penalties - 1,): in-cone L2 distances
     final_slab: GridField = None  # output of the strongest-penalty run
@@ -392,12 +392,14 @@ def penalization_sweep(schedule, field: FieldEvaluator,
                        cfg_template: SolverConfig,
                        cone: ConeSpec) -> SweepReport:
     """Run the solver from the Cauchy data of ``field`` for each penalty
-    strength on a shared spatial grid (dt adapted per n); report constraint
-    violations on the stored levels nearest T_end / 2 and T_end, with the
-    last run's level times as ``sample_times`` (no interpolation; a run with
-    another dt, as when n > sqrt(3) / h, may read T_end / 2 elsewhere), and
-    pairwise in-cone L2 distances between consecutive runs at T_end."""
-    cfgs = [dataclasses.replace(cfg_template, penalty_n=float(n), dt=None)
+    strength on a shared grid, every run with the strongest penalty's CFL
+    step, so that all runs store the same levels; report constraint
+    violations on the stored levels nearest T_end / 2 and T_end, whose times
+    are ``sample_times`` (no interpolation), and pairwise in-cone L2
+    distances between consecutive runs at T_end."""
+    dt = dataclasses.replace(cfg_template, penalty_n=float(max(schedule)),
+                             dt=None).cfl_limit
+    cfgs = [dataclasses.replace(cfg_template, penalty_n=float(n), dt=dt)
             for n in schedule]
     for cfg in cfgs:
         _check_memory(cfg)  # fail on an oversized run before any sampling

@@ -142,7 +142,7 @@ def recover_point_charge(params: MapParams, test: BumpTest,
     """Distributional divergence of the spatial stress tensor of the dilated
     hedgehog, paired with a spatial test bump centered at the origin:
 
-        J_j = - int S_ij d_i(psi) dx  ->  (0, 0, s(lambda) psi(0)).
+        J_j = - int S_ij d_i(psi) dx  ->  (0, 0, -s(lambda) psi(0) / 2).
 
     The quadrature excludes a ball of radius rho = 1e-2 around the singular
     point and Richardson-extrapolates rho -> 0 (the excluded contribution is

@@ -6,8 +6,8 @@ covers one criterion at its stated tolerances.  Criteria 1, 2 and the defect
 clause of 6 assert quoted reference constants; the measured values disagree
 with those constants by exact factors (-1/2 for the point charge, 1/(2*Theta)
 for the crossing-cone defect) that are reproduced by several independent
-methods, so those assertions fail honestly — see the failure detail and the
-project notes.  All remaining criteria pass.
+methods, so those assertions fail honestly — see the failure detail and
+``NOTES.md``, which derives both factors.  All remaining criteria pass.
 """
 
 import dataclasses

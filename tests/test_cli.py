@@ -39,7 +39,6 @@ lambdas = 1, 2
 [solver]
 h = 0.03125
 t_end = 0.15
-boundary = periodic
 penalties = 4, 8
 
 [quadrature]
@@ -53,7 +52,7 @@ only = 0.1, 0, 0 ; 0.4 ; 0, 0.15
     assert cfg.lam == 1.5 and cfg.nu == 0.5
     assert cfg.lambdas == (1.0, 2.0)
     assert cfg.h == 0.03125 and cfg.T_end == 0.15
-    assert cfg.boundary == "periodic" and cfg.penalties == (4.0, 8.0)
+    assert cfg.penalties == (4.0, 8.0)
     assert cfg.n_polar == 12 and cfg.n_radial == 24  # untouched default
     assert cfg.cones == (ConeRequest((0.1, 0.0, 0.0), 0.4, 0.0, 0.15),)
     assert raw == path.read_text()
@@ -67,11 +66,16 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text("[nonsense]\nlam = 1\n")
     with pytest.raises(ConfigError):
         load_config(str(path))
+    # the commands all start from the boosted hedgehog, which is not
+    # periodic on the box: the boundary is not a config key
+    path.write_text("[solver]\nboundary = periodic\n")
+    with pytest.raises(ConfigError, match="unknown key 'boundary'"):
+        load_config(str(path))
 
 
 @pytest.mark.parametrize("beside", [
     "",
-    "[solver]\nboundary = clamped\n",
+    "[solver]\nh = 0.015625\n",
     "[experiment]\nname = demo\n",
     "[cones]\nc0 = 0,0,0 ; 0.5 ; 0,0.2\n",
 ], ids=["alone", "solver", "experiment", "cones"])

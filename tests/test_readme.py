@@ -136,3 +136,19 @@ def test_one_interval_rule_and_one_csv_writer():
                  if isinstance(node, ast.Import)
                  and "csv" in {a.name for a in node.names}}
     assert importers == {"cli"}
+
+
+def test_memos_are_functools_cache():
+    # a module- or class-level empty dict is a hand-rolled memo: the job of
+    # functools.cache, as in quadrature's _bump_norm and SphereRule._build
+    bodies = []
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        bodies.append((path.stem, tree.body))
+        bodies += [(f"{path.stem}.{cls.name}", cls.body)
+                   for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)]
+    memos = [(owner, ast.unparse(stmt)) for owner, body in bodies
+             for stmt in body
+             if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+             and isinstance(stmt.value, ast.Dict) and not stmt.value.keys]
+    assert memos == []

@@ -434,6 +434,27 @@ def test_penalization_sweep_labels_the_levels_it_reads():
     assert sweep.violations[-1, 1] == constraint_violation(slab.data[-1], last)
 
 
+def test_every_sweep_run_stores_the_same_levels(monkeypatch):
+    # at h = 1/16 the penalties 32 and 64 exceed sqrt(3) / h, so their own
+    # CFL steps would be shorter; every run takes the strongest one's step,
+    # and the sample times name the same levels in every row
+    plans = []
+    integrate = solver._integrate
+
+    def spy(cfg, u0, g0):
+        plans.append((cfg.n_steps, cfg.stride, cfg.dt_effective))
+        return integrate(cfg, u0, g0)
+
+    monkeypatch.setattr(solver, "_integrate", spy)
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 16, T_end=0.1)
+    cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
+    sweep = penalization_sweep((8.0, 16.0, 32.0, 64.0),
+                               BoostedHarmonicMap(MapParams(2.0, 0.6)),
+                               cfg, cone)
+    assert len(plans) == 4 and len(set(plans)) == 1
+    assert np.all(np.diff(sweep.violation_final()) < 0.0)
+
+
 def test_penalization_sweep_samples_data_once():
     phi = BoostedHarmonicMap(MapParams(2.0, 0.6))
     calls = []
