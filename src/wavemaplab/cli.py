@@ -120,10 +120,12 @@ def _parse_cone(text: str) -> ConeRequest:
         raise ConfigError(f"cone must be 'cx,cy,cz ; R ; s,t', got {text!r}")
     center = _parse_floats(parts[0])
     radius = float(parts[1])
-    s, t = _parse_floats(parts[2])
+    interval = _parse_floats(parts[2])
     if len(center) != 3:
         raise ConfigError(f"cone center must be a 3-vector, got {parts[0]!r}")
-    return ConeRequest(center, radius, s, t)
+    if len(interval) != 2:
+        raise ConfigError(f"cone interval must be 's,t', got {parts[2]!r}")
+    return ConeRequest(center, radius, *interval)
 
 
 # (section, key) -> (ExperimentConfig field, parser).  The [cones] section
@@ -169,6 +171,8 @@ def load_config(path: str | None) -> tuple[ExperimentConfig, str]:
             updates[name] = parse(value)
     if parser.has_section("cones"):
         updates["cones"] = tuple(_parse_cone(v) for _, v in parser.items("cones"))
+        if not updates["cones"]:
+            raise ConfigError("[cones] must list at least one cone")
     return dataclasses.replace(cfg, **updates), raw
 
 
@@ -612,7 +616,7 @@ def cmd_penalized_run(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentR
     solver_cfg = cfg.solver_config(penalty_n=n)
     slab, ledger = run(solver_cfg, BoostedHarmonicMap(cfg.params))
     out.mkdir(parents=True, exist_ok=True)
-    slab.save(out / "penalized_run.wmgf")
+    slab.save(out / "penalized_run.npz")
     _write_csv(out / "penalized_run_ledger.csv",
                ["step", "time", "kinetic", "gradient", "penalty", "total"],
                [(*row, row[2] + row[3] + row[4]) for row in ledger.rows])

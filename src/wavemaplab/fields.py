@@ -9,7 +9,6 @@ and tangency to the sphere reads ``grad @ value == 0``.
 
 from __future__ import annotations
 
-import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -298,6 +297,11 @@ class GridField(FieldEvaluator):
         self.dt = float(dt)
         self.origin = np.asarray(origin, dtype=float)  # coords of cell (0,0,0)
         self.h = float(h)
+        if not (np.isfinite([self.t0, self.dt, self.h]).all()
+                and self.dt > 0.0 and self.h > 0.0):
+            raise ValueError("t0 must be finite, dt and h finite and positive")
+        if self.origin.shape != (3,) or not np.isfinite(self.origin).all():
+            raise ValueError("origin must be a finite 3-vector")
         self.data = data
         self.data.setflags(write=False)
 
@@ -378,33 +382,17 @@ class GridField(FieldEvaluator):
                                   + c * f_hi[..., last, :])
         return out
 
-    # Binary container: magic, version, dims (4 x u64), h, dt, t0, origin (3),
-    # then the payload as little-endian float64, level-major, within each level
-    # component-major, then z, y, x with x fastest.
-    _MAGIC = b"WMGF"
-    _VERSION = 1
-
     def save(self, path):
-        nt, nx, ny, nz = self.shape
-        header = self._MAGIC + struct.pack(
-            "<I4Q6d", self._VERSION, nt, nx, ny, nz,
-            self.h, self.dt, self.t0, *self.origin)
+        """Write the slab and its grid to ``path`` as an uncompressed ``.npz``
+        with the keys data, t0, dt, origin and h.  Written through the open
+        file, since ``np.savez`` appends ``.npz`` to a bare path lacking it."""
         with open(path, "wb") as fh:
-            fh.write(header)
-            for level in self.data:  # one level's copy at a time
-                fh.write(np.ascontiguousarray(level.transpose(3, 2, 1, 0),
-                                              dtype="<f8"))
+            np.savez(fh, data=self.data, t0=self.t0, dt=self.dt,
+                     origin=self.origin, h=self.h)
 
     @classmethod
     def load(cls, path) -> "GridField":
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != cls._MAGIC:
-                raise ValueError("not a grid-field container")
-            version, nt, nx, ny, nz, h, dt, t0, ox, oy, oz = struct.unpack(
-                "<I4Q6d", fh.read(struct.calcsize("<I4Q6d")))
-            if version != cls._VERSION:
-                raise ValueError(f"unsupported container version {version}")
-            raw = np.frombuffer(fh.read(), dtype="<f8")
-        data = raw.reshape(nt, 3, nz, ny, nx).transpose(0, 4, 3, 2, 1)
-        return cls(t0, dt, (ox, oy, oz), h, np.ascontiguousarray(data))
+        """Read a slab that ``save`` wrote; object arrays are refused, since
+        ``np.load`` does not unpickle by default."""
+        with np.load(path) as f:
+            return cls(f["t0"], f["dt"], f["origin"], f["h"], f["data"])

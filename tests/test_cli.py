@@ -100,11 +100,23 @@ def test_config_rejects_empty_lists(section, key, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_cone_parsing_errors():
+def test_cone_parsing_errors(tmp_path, capsys):
     with pytest.raises(ConfigError):
         _parse_cone("0,0,0 ; 0.4")
     with pytest.raises(ConfigError):
         _parse_cone("0,0 ; 0.4 ; 0,0.1")
+    with pytest.raises(ConfigError, match="'s,t'"):
+        _parse_cone("0,0,0 ; 0.4 ; 0,0.1,0.2")
+    # an empty [cones] section would leave nothing to verify
+    path = tmp_path / "no_cones.ini"
+    path.write_text("[cones]\n")
+    with pytest.raises(ConfigError, match=r"\[cones\]"):
+        load_config(str(path))
+    for command in ("cone-balance", "nonuniq-demo"):
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_refined_config_scales_resolutions():
@@ -385,6 +397,14 @@ def test_ledger_csv_round_trip(tmp_path):
     table = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
     assert np.array_equal(table[:, 0], np.arange(len(table)))
     assert np.array_equal(table[:, 5], table[:, 2] + table[:, 3] + table[:, 4])
+    # the stored slab loads back bit for bit, one level per stored level
+    report = json.loads((tmp_path / "penalized_run_report.json").read_text())
+    back = GridField.load(tmp_path / "penalized_run.npz")
+    assert back.data.shape[0] == report["results"]["stored_levels"]
+    cfg, _ = load_config(str(path))
+    slab, _ = run(cfg.solver_config(penalty_n=cfg.penalties[-1]),
+                  BoostedHarmonicMap(cfg.params))
+    assert np.array_equal(back.data, slab.data)
 
 
 def test_constraint_violation_header_names_the_levels_read(tmp_path):

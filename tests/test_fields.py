@@ -1,4 +1,3 @@
-import struct
 import tracemalloc
 
 import numpy as np
@@ -612,16 +611,43 @@ def test_grid_field_save_load_round_trip(tmp_path):
     assert np.array_equal(back.data, grid.data)  # bit-exact
 
 
-def test_grid_field_save_bytes_match_one_shot_layout(tmp_path):
+def test_grid_field_save_is_a_plain_npz(tmp_path):
     _, grid = _plane_wave_slab(nt=3, n=9, h=1.0 / 8.0)
-    path = tmp_path / "slab.wmgf"
-    grid.save(path)
-    # the whole-slab formula the per-level writer replaced
-    payload = np.ascontiguousarray(
-        grid.data.transpose(0, 4, 3, 2, 1)).astype("<f8").tobytes()
-    raw = path.read_bytes()
-    assert raw[len(raw) - len(payload):] == payload
-    assert len(raw) == 4 + struct.calcsize("<I4Q6d") + len(payload)
+    grid.save(tmp_path / "slab.bin")
+    # written exactly at the path given, with no ".npz" appended
+    assert [p.name for p in tmp_path.iterdir()] == ["slab.bin"]
+    with np.load(tmp_path / "slab.bin") as f:
+        assert sorted(f.files) == ["data", "dt", "h", "origin", "t0"]
+        assert np.array_equal(f["data"], grid.data)
+
+
+def test_grid_field_load_never_unpickles(tmp_path):
+    path = tmp_path / "slab.npz"
+    np.savez(path, data=np.empty((3, 4, 4, 4, 3), dtype=object), t0=0.0,
+             dt=0.25, origin=np.zeros(3), h=0.125)
+    with pytest.raises(ValueError, match="allow_pickle"):
+        GridField.load(path)
+
+
+@pytest.mark.parametrize("bad", [
+    {"dt": np.nan}, {"dt": -0.1}, {"dt": 0.0}, {"dt": np.inf},
+    {"h": 0.0}, {"h": np.nan}, {"t0": np.inf},
+    {"origin": np.zeros(2)}, {"origin": [0.0, np.nan, 0.0]},
+], ids=["dt-nan", "dt-negative", "dt-zero", "dt-inf", "h-zero", "h-nan",
+        "t0-inf", "origin-2d", "origin-nan"])
+def test_grid_field_rejects_bad_grid(bad):
+    grid = {"t0": 0.0, "dt": 0.25, "origin": np.zeros(3), "h": 0.125}
+    with pytest.raises(ValueError, match="finite"):
+        GridField(data=np.zeros((3, 4, 4, 4, 3)), **{**grid, **bad})
+
+
+def test_grid_field_load_rejects_a_nan_dt(tmp_path):
+    _, grid = _plane_wave_slab(nt=3, n=9, h=1.0 / 8.0)
+    path = tmp_path / "slab.npz"
+    np.savez(path, data=grid.data, t0=grid.t0, dt=np.nan,
+             origin=grid.origin, h=grid.h)
+    with pytest.raises(ValueError, match="dt and h finite"):
+        GridField.load(path)
 
 
 def test_grid_field_load_rejects_garbage(tmp_path):

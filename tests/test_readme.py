@@ -81,8 +81,8 @@ def test_every_export_is_used_by_the_package():
     assert sorted(exported - used - UNCALLED_EXPORTS) == []
 
 
-# the reader of the container that GridField.save writes, which the README
-# documents
+# the reader of the .npz slab that GridField.save writes, which the README
+# documents; no command reads a slab back
 UNCALLED_METHODS = {"GridField.load"}
 
 
