@@ -6,12 +6,12 @@ __version__ = "0.1.0"
 
 from .spacetime import ConeSpec, DiskSpec, LorentzBoost, SpacetimePoint
 from .fields import (BoostedHarmonicMap, FieldEvaluator, GridField, MapParams,
-                     harmonic_v, s_lambda, stereographic, stereographic_inv)
+                     s_lambda)
 from .stress_energy import (BumpTest, comp_identity_check, divergence_T,
                             recover_point_charge, stress_tensor,
                             transformation_check, weak_residual)
 from .quadrature import (BalanceReport, ProductRule, SphereRule, energy_balance,
                          energy_density, energy_on_disk, flux_density,
-                         flux_form_Q, flux_on_cone, mollified_flux)
+                         flux_form_Q, flux_on_cone)
 from .solver import (EnergyLedger, SolverConfig, SweepReport, init_from_data,
                      penalization_sweep, run, step, trusted_region)

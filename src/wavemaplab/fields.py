@@ -1,6 +1,7 @@
 """Field abstraction (first-order jets) and the closed-form sphere-valued maps:
-stereographic projection, the dilated hedgehog harmonic maps, their boosted
-wave-map cousins, the point-charge strength s(lambda), and grid-sampled fields.
+the dilated hedgehog harmonic maps, evaluated in batches through their
+stereographic form, their boosted wave-map cousins, the point-charge strength
+s(lambda), and grid-sampled fields.
 
 Jet convention: ``grad[i, j]`` holds the spatial derivative d_i u^j, so each
 row of ``grad`` is the derivative of the target vector along one space axis,
@@ -16,7 +17,7 @@ import numpy as np
 
 # Exclusion radius around the singular point/line of the analytic maps:
 # |grad| ~ 1/r is square-integrable but pointwise infinite, so closer than
-# this harmonic_v raises and the jet kernels return the limiting value.
+# this the jet kernels return the limiting value with a zero gradient.
 ANALYTIC_EXCLUSION = 1e-8
 
 # Batch kernels work through their nodes in blocks of this many, so that
@@ -60,40 +61,6 @@ class MapParams:
     @property
     def theta(self) -> float:
         return 1.0 / np.sqrt(1.0 - self.nu**2)
-
-
-def stereographic(x) -> np.ndarray:
-    """Project a unit 3-vector (not the south pole) to the equatorial plane."""
-    x = np.asarray(x, dtype=float)
-    d = 1.0 + x[2]
-    if d <= 0.0:
-        raise ValueError("stereographic projection undefined at the south pole")
-    return x[:2] / d
-
-
-def stereographic_inv(y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    s = float(np.dot(y, y))
-    return np.array([2.0 * y[0], 2.0 * y[1], 1.0 - s]) / (1.0 + s)
-
-
-def _check_off_singularity(r: float):
-    if r < ANALYTIC_EXCLUSION:
-        raise ValueError(
-            f"evaluation within {ANALYTIC_EXCLUSION} of the map singularity")
-
-
-def harmonic_v(params: MapParams, x) -> np.ndarray:
-    """The dilated hedgehog map: project x/|x| stereographically, scale by
-    lambda, project back.  0-homogeneous, sphere-valued, singular at x = 0."""
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    _check_off_singularity(r)
-    w = x / r
-    if 1.0 + w[2] <= 0.0:
-        # south-pole ray: limiting value (measure-zero set)
-        return np.array([0.0, 0.0, -1.0])
-    return stereographic_inv(params.lam * stereographic(w))
 
 
 def harmonic_v_jet_batch(params: MapParams, xs: np.ndarray):
@@ -295,7 +262,8 @@ class GridField(FieldEvaluator):
             raise ValueError("data must have shape (nt, nx, ny, nz, 3)")
         self.t0 = float(t0)
         self.dt = float(dt)
-        self.origin = np.asarray(origin, dtype=float)  # coords of cell (0,0,0)
+        # coords of cell (0,0,0); a copy, so the caller's array cannot move it
+        self.origin = np.array(origin, dtype=float)
         self.h = float(h)
         if not (np.isfinite([self.t0, self.dt, self.h]).all()
                 and self.dt > 0.0 and self.h > 0.0):
@@ -304,6 +272,7 @@ class GridField(FieldEvaluator):
             raise ValueError("origin must be a finite 3-vector")
         self.data = data
         self.data.setflags(write=False)
+        self.origin.setflags(write=False)
 
     @property
     def shape(self):
@@ -392,7 +361,14 @@ class GridField(FieldEvaluator):
 
     @classmethod
     def load(cls, path) -> "GridField":
-        """Read a slab that ``save`` wrote; object arrays are refused, since
-        ``np.load`` does not unpickle by default."""
-        with np.load(path) as f:
+        """Read a slab that ``save`` wrote.  Anything else is a ``ValueError``:
+        a lone ``.npy`` array, an archive lacking one of the five keys, or
+        object arrays, since ``np.load`` does not unpickle by default."""
+        f = np.load(path)
+        if not isinstance(f, np.lib.npyio.NpzFile):
+            raise ValueError(f"{path} holds one array, not an .npz slab")
+        with f:
+            missing = sorted({"data", "t0", "dt", "origin", "h"} - set(f.files))
+            if missing:
+                raise ValueError(f"{path} lacks the slab keys {missing}")
             return cls(f["t0"], f["dt"], f["origin"], f["h"], f["data"])

@@ -1,6 +1,5 @@
-"""Quadrature over balls, lateral cone surfaces, mollified flux families, and
-the energy-balance report that decides whether the local energy inequality
-holds.
+"""Quadrature over balls and lateral cone surfaces, and the energy-balance
+report that decides whether the local energy inequality holds.
 
 One resolution, ``ProductRule(n_time, n_radial, n_polar)``, sizes the disks
 and the cone's side; ``_cone_slices`` builds the side's time slices.  Every
@@ -32,8 +31,6 @@ from . import fields
 from .fields import FieldEvaluator
 from .manufactured import bump_profile
 from .spacetime import ConeSpec, DiskSpec
-
-SQRT2 = np.sqrt(2.0)
 
 
 def _gauss(n: int, a: float, b: float):
@@ -277,22 +274,3 @@ def _bump_norm(dim: int) -> float:
     vals = bump_profile(r**2)
     return 1.0 / (areas[dim] * float(np.sum(w * vals * r**(dim - 1))))
 
-
-def mollified_flux(field: FieldEvaluator, base_center, base_radius: float,
-                   t: float, eps: float, rule: ProductRule) -> float:
-    """Bump-averaged unnormalized flux over cones with base radii r + delta,
-    |delta| < eps, on an 8-point rule in delta; converges to 2 sqrt(2) times
-    the flux over the radius-r cone as eps -> 0 for fields smooth near the
-    surface."""
-    if not eps < base_radius - t:
-        raise ValueError("eps must leave all perturbed cones tall enough")
-    deltas, wdelta = _gauss(8, -eps, eps)
-    psis = _bump_norm(1) * bump_profile((deltas / eps)**2)
-
-    total = 0.0
-    base_center = np.asarray(base_center, dtype=float)
-    for delta, wk, psi in zip(deltas, wdelta, psis):
-        cone = ConeSpec.from_base(base_center, base_radius + delta, 0.0, t)
-        raw = 2.0 * SQRT2 * flux_on_cone(field, cone, rule)
-        total += wk / eps * psi * raw
-    return total

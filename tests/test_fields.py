@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from wavemaplab.fields import (ANALYTIC_EXCLUSION, BoostedHarmonicMap,
                                FieldEvaluator, GridField, MapParams,
-                               harmonic_v, harmonic_v_jet_batch, s_lambda,
-                               stereographic, stereographic_inv)
+                               harmonic_v_jet_batch, s_lambda)
 from wavemaplab import fields, solver
 from wavemaplab.manufactured import (ComposedWithBoost, ConstantMap,
                                      GeodesicPlaneWave, QuadraticNullField,
@@ -16,6 +15,45 @@ from wavemaplab.manufactured import (ComposedWithBoost, ConstantMap,
 from wavemaplab.quadrature import SphereRule
 from wavemaplab.solver import SolverConfig, run
 from wavemaplab.spacetime import LorentzBoost
+
+
+# The scalar value oracle of the dilated hedgehog: written pointwise from the
+# stereographic definition, independently of harmonic_v_jet_batch, so the
+# batch kernel's values and finite-difference gradients are checked against it.
+
+
+def stereographic(x) -> np.ndarray:
+    """Project a unit 3-vector (not the south pole) to the equatorial plane."""
+    x = np.asarray(x, dtype=float)
+    d = 1.0 + x[2]
+    if d <= 0.0:
+        raise ValueError("stereographic projection undefined at the south pole")
+    return x[:2] / d
+
+
+def stereographic_inv(y) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    s = float(np.dot(y, y))
+    return np.array([2.0 * y[0], 2.0 * y[1], 1.0 - s]) / (1.0 + s)
+
+
+def _check_off_singularity(r: float):
+    if r < ANALYTIC_EXCLUSION:
+        raise ValueError(
+            f"evaluation within {ANALYTIC_EXCLUSION} of the map singularity")
+
+
+def harmonic_v(params: MapParams, x) -> np.ndarray:
+    """The dilated hedgehog map: project x/|x| stereographically, scale by
+    lambda, project back.  0-homogeneous, sphere-valued, singular at x = 0."""
+    x = np.asarray(x, dtype=float)
+    r = float(np.linalg.norm(x))
+    _check_off_singularity(r)
+    w = x / r
+    if 1.0 + w[2] <= 0.0:
+        # south-pole ray: limiting value (measure-zero set)
+        return np.array([0.0, 0.0, -1.0])
+    return stereographic_inv(params.lam * stereographic(w))
 
 
 def jet_row(fld, t, x):
@@ -265,6 +303,8 @@ def test_s_lambda_reference_values():
     assert s_lambda(1.5) == pytest.approx(-6.64813727, abs=1e-7)
     assert s_lambda(2.0) == pytest.approx(-10.91778876, abs=1e-7)
     assert s_lambda(3.0) == pytest.approx(-15.88466121, abs=1e-7)
+    # s(1/lam) = -s(lam): the charge changes sign across lam = 1
+    assert s_lambda(0.5) == pytest.approx(-s_lambda(2.0), rel=1e-12)
 
 
 def test_s_lambda_sphere_integral_oracle():
@@ -601,9 +641,19 @@ def test_grid_field_domain_checks():
         jet_row(grid, 0.01, np.array([2.0, 0.0, 0.0]))
 
 
+def test_grid_field_origin_is_a_read_only_copy():
+    o = np.zeros(3)
+    grid = GridField(t0=0.0, dt=0.25, origin=o, h=0.125,
+                     data=np.zeros((3, 4, 4, 4, 3)))
+    o[0] = 5.0
+    assert np.array_equal(grid.origin, np.zeros(3))
+    with pytest.raises(ValueError, match="read-only"):
+        grid.origin[0] = 1.0
+
+
 def test_grid_field_save_load_round_trip(tmp_path):
     _, grid = _plane_wave_slab(nt=3, n=9, h=1.0 / 8.0)
-    path = tmp_path / "slab.wmgf"
+    path = tmp_path / "slab.npz"
     grid.save(path)
     back = GridField.load(path)
     assert back.t0 == grid.t0 and back.dt == grid.dt and back.h == grid.h
@@ -650,8 +700,26 @@ def test_grid_field_load_rejects_a_nan_dt(tmp_path):
         GridField.load(path)
 
 
-def test_grid_field_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.wmgf"
+def _write_garbage(path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(ValueError):
+
+
+def _write_lone_npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros((3, 4, 4, 4, 3)))
+
+
+def _write_npz_without_origin(path):
+    with open(path, "wb") as fh:
+        np.savez(fh, data=np.zeros((3, 4, 4, 4, 3)), t0=0.0, dt=0.25, h=0.125)
+
+
+@pytest.mark.parametrize("write, match", [
+    (_write_garbage, None), (_write_lone_npy, "one array"),
+    (_write_npz_without_origin, "origin"),
+], ids=["garbage", "npy", "npz-without-origin"])
+def test_grid_field_load_rejects_garbage(tmp_path, write, match):
+    path = tmp_path / "bad.npz"
+    write(path)
+    with pytest.raises(ValueError, match=match):
         GridField.load(path)
