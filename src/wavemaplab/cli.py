@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fields import (BoostedHarmonicMap, GridField, MapParams, _slab_corners,
-                     _weighted_sum, s_lambda)
+from .fields import (BoostedHarmonicMap, GridField, MapParams, _dot,
+                     _slab_corners, _weighted_sum, s_lambda)
 from .manufactured import (ComposedWithBoost, ConstantMap, GeodesicPlaneWave,
                            QuadraticNullField, TimeSquaredBump)
 from .quadrature import ProductRule, _disk_nodes, energy_balance, energy_on_disk
@@ -464,7 +464,7 @@ def _incone_distance(cfg: ExperimentConfig, slab: GridField, params: MapParams,
     u_vals = slab.jets_at(ts, xs)[0]
     fld = BoostedHarmonicMap(params)
     a_vals = fld.jets_at(ts, xs)[0]
-    dist = float(np.sqrt(np.dot(w, np.sum((u_vals - a_vals)**2, axis=1))))
+    dist = float(np.sqrt(_dot(w, np.sum((u_vals - a_vals)**2, axis=1))))
 
     # estimate: distance between the analytic map and its own sampled-and-
     # interpolated version on the same grid (pure discretization effect).
@@ -484,7 +484,7 @@ def _incone_distance(cfg: ExperimentConfig, slab: GridField, params: MapParams,
         pts = np.stack([c[ix], c[iy], c[iz]], axis=1)
         samples[on] = fld.jets_at(np.full(len(pts), t), pts)[0]
     i_vals = _weighted_sum(samples[inverse.reshape(rows.shape)], weights)
-    est = float(np.sqrt(np.dot(w, np.sum((i_vals - a_vals)**2, axis=1))))
+    est = float(np.sqrt(_dot(w, np.sum((i_vals - a_vals)**2, axis=1))))
     return dist, est
 
 

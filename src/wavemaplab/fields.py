@@ -217,6 +217,14 @@ def _strides(dims) -> np.ndarray:
                      dims[3], 1])
 
 
+def _dot(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Sum of ``w[n] * a[n]`` over the first axis, the one node reduction of
+    the package.  einsum's own loop, in a fixed order: np.dot and ``@`` hand
+    a long sum to BLAS, which splits it across its threads, so the last bits
+    would follow the BLAS thread count."""
+    return np.einsum("n,n...->...", w, a)
+
+
 def _weighted_sum(corners: np.ndarray, weights: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Sum of ``weight * corner`` over the 16 corners (16, N, 3), added in
@@ -240,6 +248,9 @@ class GridField(FieldEvaluator):
     interpolated the same way, which is second order in h and in the stored
     time spacing on smooth fields.  No derivative grid is stored, so the field
     holds only its samples.  Write-once: filled by the solver, then read-only.
+    The field shares memory with a C-contiguous float ``data``, so that no
+    slab is copied: ``grid.data`` is a read-only view of the caller's array,
+    which stays writeable, and a write to it shows in the field.
 
     Every query, values alone included, goes through one batch kernel,
     ``jets_at``.  A node at fractional grid coordinates (ft, fx, fy, fz)
@@ -270,7 +281,7 @@ class GridField(FieldEvaluator):
             raise ValueError("t0 must be finite, dt and h finite and positive")
         if self.origin.shape != (3,) or not np.isfinite(self.origin).all():
             raise ValueError("origin must be a finite 3-vector")
-        self.data = data
+        self.data = data.view()
         self.data.setflags(write=False)
         self.origin.setflags(write=False)
 

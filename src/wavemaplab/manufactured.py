@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import FieldEvaluator
+from .fields import FieldEvaluator, _dot
 
 
 class ConstantMap(FieldEvaluator):
@@ -34,7 +34,7 @@ class GeodesicPlaneWave(FieldEvaluator):
     def jets_at(self, ts, xs):
         ts = np.asarray(ts, dtype=float)
         xs = np.asarray(xs, dtype=float)
-        th = self.omega * ts + xs @ self.k + self.phase
+        th = self.omega * ts + _dot(self.k, xs.T) + self.phase
         c, s = np.cos(th), np.sin(th)
         values = np.stack([c, s, np.zeros_like(c)], axis=1)
         tangent = np.stack([-s, c, np.zeros_like(c)], axis=1)
@@ -44,7 +44,7 @@ class GeodesicPlaneWave(FieldEvaluator):
 
     def box_at(self, ts, xs):
         values, _, _ = self.jets_at(ts, xs)
-        return (float(np.dot(self.k, self.k)) - self.omega**2) * values
+        return (float(_dot(self.k, self.k)) - self.omega**2) * values
 
 
 def bump_profile(s: np.ndarray) -> np.ndarray:

@@ -152,8 +152,9 @@ def _disk_nodes(disk: DiskSpec, rule: ProductRule, singular_center=None):
         off = c - np.asarray(disk.center, dtype=float)
         if np.linalg.norm(off) >= disk.radius:
             raise ValueError("singular point outside the disk")
-        proj = sph.nodes @ off
-        rmax = -proj + np.sqrt(proj**2 + disk.radius**2 - float(np.dot(off, off)))
+        proj = fields._dot(off, sph.nodes.T)
+        rmax = -proj + np.sqrt(proj**2 + disk.radius**2
+                               - float(fields._dot(off, off)))
     r = rmax[None, :] * u[:, None]                      # (K, M)
     w = (wu[:, None] * rmax[None, :] * sph.weights[None, :]) * r**2
     xs = c[None, None, :] + r[:, :, None] * sph.nodes[None, :, :]
@@ -168,7 +169,7 @@ def _disk_energies(field: FieldEvaluator, disk: DiskSpec, rule: ProductRule,
     The nodes are evaluated block by block, one ``jets_at`` call of at most
     ``fields._BLOCK`` nodes each, so the scratch memory does not grow with
     the disk.  Each block writes its densities into one (penalties, N) array,
-    and each energy is still one dot over the whole disk."""
+    and each energy is still one ``fields._dot`` over the whole disk."""
     xs, w = _disk_nodes(disk, rule, singular_center)
     dens = np.empty((len(penalties), len(xs)))
     for lo in range(0, len(xs), fields._BLOCK):
@@ -179,7 +180,7 @@ def _disk_energies(field: FieldEvaluator, disk: DiskSpec, rule: ProductRule,
         for k, n in enumerate(penalties):
             dens[k, part] = dens0 if n is None else \
                 dens0 + _penalty_density(values, n)
-    return [float(np.dot(w, d)) for d in dens]
+    return [float(fields._dot(w, d)) for d in dens]
 
 
 def energy_on_disk(field: FieldEvaluator, disk: DiskSpec, rule: ProductRule,
@@ -211,7 +212,7 @@ def _cone_fluxes(field: FieldEvaluator, cone: ConeSpec, rule: ProductRule,
         dens0 = flux_density(dts, grads, sph.nodes)
         for k, n in enumerate(penalties):
             dens = dens0 if n is None else dens0 + _penalty_density(values, n)
-            totals[k] += wk * r**2 * float(np.dot(sph.weights, dens))
+            totals[k] += wk * r**2 * float(fields._dot(sph.weights, dens))
     return totals
 
 

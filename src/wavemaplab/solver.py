@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import FieldEvaluator, GridField
+from .fields import FieldEvaluator, GridField, _dot
 from .spacetime import ConeSpec
 
 
@@ -63,6 +63,11 @@ class SolverConfig:
     dt_effective: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("box_half_width", "h", "T_end"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value}")
         if self.boundary not in ("clamped", "periodic"):
             raise ValueError("boundary must be 'clamped' or 'periodic'")
         if self.penalty_n < 0.0:  # the force is n^2, the CFL bound 1/n
@@ -265,9 +270,8 @@ def step(u_prev: np.ndarray, u: np.ndarray, cfg: SolverConfig,
 
 
 def _sumsq(a: np.ndarray) -> float:
-    # einsum's own loop: np.dot would wake a second BLAS thread for no gain
     flat = a.reshape(-1)
-    return float(np.einsum("i,i->", flat, flat))
+    return float(_dot(flat, flat))
 
 
 def _grad_energy(u: np.ndarray, cfg: SolverConfig,

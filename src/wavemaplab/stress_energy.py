@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldEvaluator, MapParams, harmonic_v_jet_batch
+from .fields import FieldEvaluator, MapParams, _dot, harmonic_v_jet_batch
 from .manufactured import ComposedWithBoost, bump_profile, bump_profile_ds
 from .quadrature import (ProductRule, _bump_norm, _cone_slices, _disk_nodes,
                          _gauss, energy_form, flux_form_Q)
@@ -133,7 +133,7 @@ def weak_residual(field: FieldEvaluator, test: BumpTest,
         integrand = (dts * dpsi[:, 0][:, None]
                      - np.einsum("nij,ni->nj", grads, dpsi[:, 1:])
                      + (lag * psi)[:, None] * values)
-        res += weights @ integrand
+        res += _dot(weights, integrand)
     return res
 
 
@@ -171,7 +171,7 @@ def _charge_pairing(params: MapParams, test: BumpTest, rule: ProductRule,
     tr = np.einsum("nii->n", cross)
     S = -cross + 0.5 * tr[:, None, None] * np.eye(3)[None]
     _, dpsi = test.batch(xs)
-    return -np.einsum("n,nij,ni->j", weights, S, dpsi)
+    return -_dot(weights, np.einsum("nij,ni->nj", S, dpsi))
 
 
 @dataclass(frozen=True)
@@ -209,7 +209,7 @@ def comp_identity_check(u: FieldEvaluator, w: FieldEvaluator, R: float,
         ts = np.full(len(xs), t)
         _, du_t, du_g = u.jets_at(ts, xs)
         _, dw_t, dw_g = w.jets_at(ts, xs)
-        return float(np.dot(weights, energy_form(du_t, du_g, dw_t, dw_g)))
+        return float(_dot(weights, energy_form(du_t, du_g, dw_t, dw_g)))
 
     # left side: Du . Dw over the top disk
     lhs = ball_integral_dudw(T, R - T)
@@ -224,13 +224,13 @@ def comp_identity_check(u: FieldEvaluator, w: FieldEvaluator, R: float,
         _, dw_t, _ = w.jets_at(ts, xs)
         dens = (np.sum(u.box_at(ts, xs) * dw_t, axis=1)
                 + np.sum(w.box_at(ts, xs) * du_t, axis=1))
-        bulk += wk * float(np.dot(weights, dens))
+        bulk += wk * float(_dot(weights, dens))
 
         tb = np.full(len(xb), tk)
         _, du_t, du_g = u.jets_at(tb, xb)
         _, dw_t, dw_g = w.jets_at(tb, xb)
         q = flux_form_Q(du_t, du_g, dw_t, dw_g, sph.nodes)
-        lateral += wk * rt**2 * float(np.dot(sph.weights, q))
+        lateral += wk * rt**2 * float(_dot(sph.weights, q))
 
     # Dw on the base, sampled
     xs, _ = ball_nodes(R)

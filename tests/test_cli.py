@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +243,15 @@ def test_one_penalty_reaches_the_solver(command, tmp_path, monkeypatch):
         main([command, "--config", str(path), "--out", str(tmp_path / "out")])
 
 
+def test_empty_time_span_fails_before_sampling(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "empty.ini"
+    path.write_text("[solver]\nt_end = 0\n")
+    monkeypatch.setattr(cli, "run", _reach_run)
+    assert main(["penalized-run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "T_end must be finite and positive" in capsys.readouterr().err
+
+
 def test_negative_penalty_fails_before_sampling(tmp_path, monkeypatch, capsys):
     # n < 0 would skip the 1/|n| CFL bound while the force still scales as n^2
     path = tmp_path / "negative.ini"
@@ -279,7 +292,8 @@ def _incone_reference(cfg, slab, params, cone, t_ref):
     u_vals = slab.jets_at(ts, xs)[0]
     fld = BoostedHarmonicMap(params)
     a_vals = fld.jets_at(ts, xs)[0]
-    dist = float(np.sqrt(np.dot(w, np.sum((u_vals - a_vals)**2, axis=1))))
+    dist = float(np.sqrt(np.einsum("n,n->", w,
+                                   np.sum((u_vals - a_vals)**2, axis=1))))
 
     scfg = cfg.solver_config()
     c = scfg.cell_centers_1d()
@@ -292,7 +306,8 @@ def _incone_reference(cfg, slab, params, cone, t_ref):
     interp = GridField(t0=t_ref - cfg.h, dt=cfg.h, origin=scfg.origin, h=cfg.h,
                        data=np.stack(levels))
     i_vals = interp.jets_at(ts, xs)[0]
-    est = float(np.sqrt(np.dot(w, np.sum((i_vals - a_vals)**2, axis=1))))
+    est = float(np.sqrt(np.einsum("n,n->", w,
+                                  np.sum((i_vals - a_vals)**2, axis=1))))
     return dist, est
 
 
@@ -346,6 +361,24 @@ def test_s_table_deterministic(tmp_path):
     assert main(["s-table", "--out", str(out2)]) == 0
     assert (out1 / "s_table_report.json").read_bytes() \
         == (out2 / "s_table_report.json").read_bytes()
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # every node sum runs in einsum's own fixed order, so a second BLAS
+    # thread moves no bit of the report
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "wavemaplab.cli", "cone-balance",
+                        "--out", str(out)], env=env, check=True,
+                       capture_output=True, timeout=300)
+        files.append([(out / name).read_bytes() for name in
+                      ("cone_balance_report.json", "cone_balance.csv")])
+    assert files[0] == files[1]
 
 
 def test_cone_balance_command_with_config(tmp_path, capsys):

@@ -651,6 +651,17 @@ def test_grid_field_origin_is_a_read_only_copy():
         grid.origin[0] = 1.0
 
 
+def test_grid_field_data_is_a_read_only_view():
+    # no copy of the slab, and the caller's own array keeps its flags
+    base = np.zeros((3, 4, 4, 4, 3))
+    grid = GridField(t0=0.0, dt=0.25, origin=np.zeros(3), h=0.125, data=base)
+    assert np.shares_memory(grid.data, base)
+    assert base.flags.writeable
+    assert not grid.data.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        grid.data[0, 0, 0, 0, 0] = 1.0
+
+
 def test_grid_field_save_load_round_trip(tmp_path):
     _, grid = _plane_wave_slab(nt=3, n=9, h=1.0 / 8.0)
     path = tmp_path / "slab.npz"

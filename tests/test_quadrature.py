@@ -118,12 +118,12 @@ def test_disk_energy_blocks_join_exactly(monkeypatch):
     args = (disk, rule, np.array([0.0, 0.0, 0.06]))
     whole = energy_on_disk(fld, *args, penalty_n=5.0)
     assert fld.sizes == [6 * 32]
-    # the same as one jets_at call over the disk with one dot
+    # the same as one jets_at call over the disk with one weighted sum
     xs, w = _disk_nodes(*args)
     values, dts, grads = fld.jets_at(np.full(len(xs), disk.time), xs)
     dens = 0.5 * (np.sum(dts**2, axis=1) + np.sum(grads**2, axis=(1, 2)))
     dens = dens + 5.0**2 * 0.25 * (np.sum(values**2, axis=1) - 1.0)**2
-    assert whole == float(np.dot(w, dens))
+    assert whole == float(np.einsum("n,n->", w, dens))
     monkeypatch.setattr(fields, "_BLOCK", 7)
     fld.sizes = []
     assert energy_on_disk(fld, *args, penalty_n=5.0) == whole
@@ -262,7 +262,7 @@ def _reference_balance(field, cone, rule, n):
         dens = 0.5 * (np.sum(dts**2, axis=1) + np.sum(grads**2, axis=(1, 2)))
         if n is not None:
             dens = dens + n**2 * 0.25 * (np.sum(values**2, axis=1) - 1.0)**2
-        return float(np.dot(w, dens))
+        return float(np.einsum("n,n->", w, dens))
 
     def flux(rule):
         xt, wt = np.polynomial.legendre.leggauss(rule.n_time)
@@ -278,7 +278,8 @@ def _reference_balance(field, cone, rule, n):
             if n is not None:
                 dens = dens + 2.0 * (n**2 * 0.25
                                      * (np.sum(values**2, axis=1) - 1.0)**2)
-            total += wk * r**2 * 0.5 * float(np.dot(sph.weights, dens))
+            total += wk * r**2 * 0.5 * float(np.einsum("n,n->", sph.weights,
+                                                         dens))
         return total
 
     def parts(r):

@@ -156,3 +156,24 @@ def test_memos_are_functools_cache():
              if isinstance(stmt, (ast.Assign, ast.AnnAssign))
              and isinstance(stmt.value, ast.Dict) and not stmt.value.keys]
     assert memos == []
+
+
+# the @ products that are no node sum: a slab cell's integer corner rows, the
+# per-jet (1, 3) @ (3, 1) and (4, 3) @ (3, 4) products of the stress tensor,
+# and the 4x4 boost of its transformation law
+MATMUL_SITES = {("fields", "_slab_corners"), ("stress_energy", "stress_tensor"),
+                ("stress_energy", "transformation_check")}
+
+
+def test_node_sums_run_no_blas():
+    # np.dot and @ hand a long sum to BLAS, which splits it across its
+    # threads, so a report's last bits would follow the thread count; every
+    # node sum goes through fields._dot, einsum's own fixed-order loop
+    for name in ("dot", "vdot", "inner", "matmul", "tensordot"):
+        assert _callers(name) == set(), name
+    matmuls = set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            if any(isinstance(node, ast.MatMult) for node in ast.walk(top)):
+                matmuls.add((path.stem, getattr(top, "name", None)))
+    assert matmuls == MATMUL_SITES

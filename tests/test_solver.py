@@ -48,6 +48,16 @@ def test_cfl_limit_includes_penalty_frequency():
     assert stiff.cfl_limit == pytest.approx(0.5 / 64.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("h", 0.0), ("h", float("nan")), ("box_half_width", 0.0),
+    ("box_half_width", float("inf")), ("T_end", 0.0), ("T_end", -0.1)])
+def test_grid_and_time_span_must_be_finite_and_positive(name, value):
+    kwargs = {"box_half_width": 0.5, "h": 1 / 8, "T_end": 0.1, name: value}
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be finite and positive"):
+        SolverConfig(**kwargs)
+
+
 def test_negative_penalty_is_refused():
     # the force scales as n^2, so a negative n must not drop the 1/n bound
     with pytest.raises(ValueError, match="penalty_n must be >= 0"):
