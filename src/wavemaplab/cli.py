@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .fields import (BoostedHarmonicMap, GridField, MapParams, _dot,
-                     _slab_corners, _weighted_sum, s_lambda)
+                     _slab_corners, s_lambda)
 from .manufactured import (ComposedWithBoost, ConstantMap, GeodesicPlaneWave,
                            QuadraticNullField, TimeSquaredBump)
 from .quadrature import ProductRule, _disk_nodes, energy_balance, energy_on_disk
@@ -483,7 +483,7 @@ def _incone_distance(cfg: ExperimentConfig, slab: GridField, params: MapParams,
         ix, iy, iz = np.unravel_index(cell[on], shape[1:])
         pts = np.stack([c[ix], c[iy], c[iz]], axis=1)
         samples[on] = fld.jets_at(np.full(len(pts), t), pts)[0]
-    i_vals = _weighted_sum(samples[inverse.reshape(rows.shape)], weights)
+    i_vals = _dot(weights, samples[inverse.reshape(rows.shape)])
     est = float(np.sqrt(_dot(w, np.sum((i_vals - a_vals)**2, axis=1))))
     return dist, est
 

@@ -273,5 +273,5 @@ def _bump_norm(dim: int) -> float:
     areas = {1: 2.0, 3: 4.0 * np.pi, 4: 2.0 * np.pi**2}
     r, w = _gauss(80, 0.0, 1.0)
     vals = bump_profile(r**2)
-    return 1.0 / (areas[dim] * float(np.sum(w * vals * r**(dim - 1))))
+    return 1.0 / (areas[dim] * float(fields._dot(w, vals * r**(dim - 1))))
 

@@ -63,15 +63,24 @@ class SolverConfig:
     dt_effective: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("box_half_width", "h", "T_end"):
+        for name in ("box_half_width", "h", "T_end", "dt"):
             value = getattr(self, name)
+            if name == "dt" and value is None:
+                continue
             if not (np.isfinite(value) and value > 0.0):
                 raise ValueError(
                     f"{name} must be finite and positive, got {value}")
+        if self.store_stride is not None and not (
+                isinstance(self.store_stride, (int, np.integer))
+                and self.store_stride >= 1):
+            raise ValueError(
+                f"store_stride must be an integer >= 1, got {self.store_stride}")
         if self.boundary not in ("clamped", "periodic"):
             raise ValueError("boundary must be 'clamped' or 'periodic'")
-        if self.penalty_n < 0.0:  # the force is n^2, the CFL bound 1/n
-            raise ValueError(f"penalty_n must be >= 0, got {self.penalty_n}")
+        # the force is n^2, the CFL bound 1/n
+        if not (np.isfinite(self.penalty_n) and self.penalty_n >= 0.0):
+            raise ValueError(
+                f"penalty_n must be >= 0 and finite, got {self.penalty_n}")
         n_cells = round(2.0 * self.box_half_width / self.h)
         if abs(n_cells * self.h - 2.0 * self.box_half_width) > 1e-9 * self.h:
             raise ValueError("h must divide the box width")
@@ -382,7 +391,7 @@ class SweepReport:
 
 
 def constraint_violation(u: np.ndarray, cfg: SolverConfig) -> float:
-    return float(np.sum((np.sum(u**2, axis=-1) - 1.0)**2)) * cfg.h**3
+    return _sumsq(np.sum(u**2, axis=-1) - 1.0) * cfg.h**3
 
 
 def _cone_mask(cfg: SolverConfig, cone: ConeSpec, t: float) -> np.ndarray:
@@ -424,7 +433,7 @@ def penalization_sweep(schedule, field: FieldEvaluator,
         cur = slab.data[nearest[-1]][mask]
         if ref is not None:
             diff = ref - cur
-            dists[i - 1] = float(np.sqrt(np.sum(diff**2) * cfg_template.h**3))
+            dists[i - 1] = float(np.sqrt(_sumsq(diff) * cfg_template.h**3))
         ref = cur
     return SweepReport(list(schedule), [lvl * slab.dt for lvl in nearest],
                        violations, dists, final_slab=slab)

@@ -26,11 +26,8 @@ def stress_tensor(dts: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """T_ab = 1/2 eta_ab (d^c u . d_c u) - d_a u . d_b u per row, indices
     down: a stack of symmetric (4, 4) arrays, one per jet."""
     D = np.concatenate([dts[:, None, :], grads], axis=1)  # D[:, a] = d_a u
-    # |u_t|^2 as a (1, 3) @ (3, 1) product: np.dot's rounding, which
-    # np.sum(dts**2, axis=1) does not reproduce
-    lag = np.sum(grads**2, axis=(1, 2)) \
-        - (dts[:, None, :] @ dts[:, :, None])[:, 0, 0]
-    return 0.5 * ETA * lag[:, None, None] - D @ D.transpose(0, 2, 1)
+    lag = np.sum(grads**2, axis=(1, 2)) - np.sum(dts**2, axis=1)
+    return 0.5 * ETA * lag[:, None, None] - np.einsum("nac,nbc->nab", D, D)
 
 
 def divergence_T(field: FieldEvaluator, pt: SpacetimePoint, h: float) -> np.ndarray:

@@ -262,6 +262,26 @@ def test_negative_penalty_fails_before_sampling(tmp_path, monkeypatch, capsys):
     assert "penalty_n must be >= 0" in capsys.readouterr().err
 
 
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("the Cauchy data was sampled")
+
+
+@pytest.mark.parametrize("command, penalties", [("penalized-run", "nan"),
+                                                ("nonuniq-demo", "8, nan")])
+def test_non_finite_penalty_fails_before_sampling(command, penalties,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+    # nan passes the ascending check and would blow the solver up
+    path = tmp_path / "nan.ini"
+    path.write_text(f"[solver]\nh = 0.0625\npenalties = {penalties}\n")
+    monkeypatch.setattr("wavemaplab.solver._cauchy_data", _no_sampling)
+    assert main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "penalty_n must be >= 0 and finite, got nan" in err
+
+
 @pytest.mark.parametrize("penalties", ["64, 32, 16, 8", "8, 16, 16"],
                          ids=["descending", "repeated"])
 @pytest.mark.parametrize("command", ["nonuniq-demo", "stationary-demo",
@@ -404,6 +424,21 @@ control = 0.3,0.3,0 ; 0.2 ; 0, 0.08
     bal = report["results"]["cone_0"]["balance"]
     assert bal == pytest.approx(expected_defect(1.5, 0.5, 0.15), rel=1e-4)
     assert abs(report["results"]["cone_1"]["balance"]) < 1e-8
+
+
+def test_cone_balance_reports_the_violation_below_lambda_one(tmp_path,
+                                                            capsys):
+    # s(1/2) = -s(2) > 0, so the crossing cone gains energy at the singular
+    # line: E(base) - E(top) - Flux < 0 violates the energy inequality
+    path = tmp_path / "lam.ini"
+    path.write_text("[map]\nlam = 0.5\n")
+    main(["cone-balance", "--config", str(path), "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "cone_balance_report.json").read_text())
+    bal = report["results"]["cone_0"]["balance"]
+    assert bal < 0.0
+    assert bal == pytest.approx(-0.6 * s_lambda(0.5) * 0.2 / 2.0, rel=1e-6)
+    verdicts = {v["name"]: v for v in report["verdicts"]}
+    assert verdicts["cone_1_conserved"]["passed"]
 
 
 def test_bad_config_exits_2(tmp_path, capsys):

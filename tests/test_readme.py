@@ -11,6 +11,7 @@ import re
 from pathlib import Path
 
 import wavemaplab
+from wavemaplab import fields
 from wavemaplab.cli import ExperimentConfig, load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -158,10 +159,9 @@ def test_memos_are_functools_cache():
     assert memos == []
 
 
-# the @ products that are no node sum: a slab cell's integer corner rows, the
-# per-jet (1, 3) @ (3, 1) and (4, 3) @ (3, 4) products of the stress tensor,
-# and the 4x4 boost of its transformation law
-MATMUL_SITES = {("fields", "_slab_corners"), ("stress_energy", "stress_tensor"),
+# the @ products that are no weighted sum: a slab cell's integer corner rows
+# and the 4x4 boost of the stress tensor's transformation law
+MATMUL_SITES = {("fields", "_slab_corners"),
                 ("stress_energy", "transformation_check")}
 
 
@@ -177,3 +177,18 @@ def test_node_sums_run_no_blas():
             if any(isinstance(node, ast.MatMult) for node in ast.walk(top)):
                 matmuls.add((path.stem, getattr(top, "name", None)))
     assert matmuls == MATMUL_SITES
+
+
+def test_every_weighted_sum_is_fields_dot():
+    # a whole-array sum over nodes, corners or cells is fields._dot; np.sum
+    # only reduces the components at one node or cell, along an axis it names
+    whole = []
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "sum" \
+                    and "axis" not in {k.arg for k in node.keywords}:
+                whole.append(f"{path.stem}:{node.lineno}")
+    assert whole == []
+    assert not hasattr(fields, "_weighted_sum")

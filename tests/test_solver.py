@@ -50,12 +50,29 @@ def test_cfl_limit_includes_penalty_frequency():
 
 @pytest.mark.parametrize("name, value", [
     ("h", 0.0), ("h", float("nan")), ("box_half_width", 0.0),
-    ("box_half_width", float("inf")), ("T_end", 0.0), ("T_end", -0.1)])
+    ("box_half_width", float("inf")), ("T_end", 0.0), ("T_end", -0.1),
+    ("dt", -0.01), ("dt", 0.0), ("dt", float("nan"))])
 def test_grid_and_time_span_must_be_finite_and_positive(name, value):
     kwargs = {"box_half_width": 0.5, "h": 1 / 8, "T_end": 0.1, name: value}
     with pytest.raises(ValueError,
                        match=f"^{name} must be finite and positive"):
         SolverConfig(**kwargs)
+
+
+@pytest.mark.parametrize("stride", [0, -2, 1.5])
+def test_store_stride_must_be_a_positive_integer(stride):
+    # 0 would read as "auto", -2 would store no level at all
+    with pytest.raises(ValueError,
+                       match="^store_stride must be an integer >= 1"):
+        SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.1,
+                     store_stride=stride)
+
+
+@pytest.mark.parametrize("n", [float("nan"), float("inf")])
+def test_penalty_must_be_finite(n):
+    # nan would drop out of the CFL bound and blow the solver up later
+    with pytest.raises(ValueError, match="penalty_n must be >= 0 and finite"):
+        SolverConfig(box_half_width=0.5, h=1 / 16, T_end=0.1, penalty_n=n)
 
 
 def test_negative_penalty_is_refused():
@@ -486,9 +503,9 @@ def test_penalization_sweep_samples_data_once():
         slab, _ = run(dataclasses.replace(cfg, penalty_n=n), phi)
         last.append(slab.data[-1][mask])
     for i in range(2):
-        d = last[i] - last[i + 1]
-        assert sweep.pair_distances[i] == float(np.sqrt(np.sum(d**2)
-                                                        * cfg.h**3))
+        d = (last[i] - last[i + 1]).ravel()
+        assert sweep.pair_distances[i] == float(np.sqrt(
+            np.einsum("n,n->", d, d) * cfg.h**3))
 
 
 def test_constraint_violation_zero_on_sphere_data():
