@@ -47,14 +47,15 @@ class FieldEvaluator(ABC):
 
 @dataclass(frozen=True)
 class MapParams:
-    """Dilation lambda > 0 and boost speed nu in [0, 1)."""
+    """Dilation lambda > 0, finite, and boost speed nu in [0, 1)."""
 
     lam: float
     nu: float = 0.0
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError("lambda must be positive")
+        if not (np.isfinite(self.lam) and self.lam > 0.0):
+            raise ValueError(
+                f"lambda must be finite and positive, got {self.lam}")
         if not 0.0 <= self.nu < 1.0:
             raise ValueError("boost speed must lie in [0, 1)")
 
@@ -141,8 +142,8 @@ def s_lambda(lam: float) -> float:
     """Point-charge strength of the dilated hedgehog:
     -8*pi/(lam^2-1)^2 * (lam^4 - 4*lam^2*log(lam) - 1), zero iff lam = 1,
     with a series switch near lam = 1 for numerical stability."""
-    if not lam > 0.0:
-        raise ValueError("lambda must be positive")
+    if not (np.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lambda must be finite and positive, got {lam}")
     eps = lam - 1.0
     if abs(eps) < 1e-3:
         return float(sum(c * eps**(k + 1) for k, c in enumerate(_S_TAYLOR)))

@@ -14,22 +14,35 @@ Data.  ``run`` and ``penalization_sweep`` start from any ``FieldEvaluator``:
 its value and time derivative at t = 0 on the cell centres, sampled with one
 ``jets_at`` call, are the Cauchy data (u^0, g^0), which no step writes.
 
-Buffers.  One in-place kernel, ``_accel``, forms Lap(u) - n^2 (|u|^2 - 1) u
-with the arithmetic of the plain formula, so every level is bit-identical to
-it.  The leapfrog state is two arrays, the previous and the current level.
+Buffers.  One in-place kernel, ``_advance``, takes a block of x-planes one
+step: it forms Lap(u) - n^2 (|u|^2 - 1) u there with the arithmetic of the
+plain formula, so every level is bit-identical to it, then the leapfrog
+update, the clamp and the finiteness check, and, when a ledger is kept, the
+block's parts of the kinetic, gradient and penalty sums.  The leapfrog state
+is two arrays, the previous and the current level.
 ``step(u_prev, u, cfg, out=, work=)`` returns the new level, written into
 ``out``, with its scratch in ``work`` (a ``_Work``), and writes nothing else;
 ``out`` and ``work`` must alias neither input.  Without ``out`` or ``work`` it
 allocates fresh ones.  A clamped step copies the box faces from ``u_prev``:
-every level shares the faces of u^0.  After a step (or ``init_from_data``),
-``work.constraint`` holds |u|^2 - 1 of the level it advanced, which the ledger
-reuses.  ``run`` preallocates everything: the stored levels in one
-(n_levels, N, N, N, 3) array, three time levels that rotate through ``out``,
-and one ``_Work``.
+every level shares the faces of u^0.  ``run`` preallocates everything: the
+stored levels in one (n_levels, N, N, N, 3) array, into which each stored
+level is stepped, three time levels that rotate through ``out``, and one
+``_Work``.
+
+Threads.  A clamped box is cut into 8 blocks of whole x-planes, a partition
+fixed by the grid alone; a periodic box, whose stencil wraps across x, is one
+block.  ``run`` opens one thread pool, as wide as the process's CPU affinity
+mask, for the length of the run, and every step runs its blocks on it
+(numpy's element-wise loops release the GIL) in a copy of the caller's
+context, so under its ``np.errstate``.  A ledger row adds the blocks' sums in
+block order, so it does not depend on the number of threads; the levels do
+not either, being element-wise.  ``step`` and ``init_from_data`` without a
+pooled ``work`` run the blocks in the calling thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import os
 from dataclasses import dataclass, field
@@ -167,22 +180,60 @@ def _cauchy_data(field: FieldEvaluator,
     return values.reshape(n, n, n, 3), dts.reshape(n, n, n, 3)
 
 
+# x-plane blocks of a clamped step: a count fixed by the grid alone, so every
+# ledger sum adds its block parts in one order on every machine
+_BLOCKS = 8
+
+
 class _Work:
-    """Scratch arrays for one grid, reused by every step of a run."""
+    """Scratch arrays for one grid, reused by every step of a run, with the
+    x-plane blocks a step runs in, the pool that runs them (None: the calling
+    thread, block after block) and whether a step sums its ledger row."""
 
-    def __init__(self, shape):
-        # zeros: the cells the clamped stencil skips must hold finite values
-        self.accel = np.zeros(shape)
-        self.tmp = np.empty(shape)
-        self.constraint = np.empty(shape[:-1])  # |u|^2 - 1
-        self.scalar = np.empty(shape[:-1])
+    def __init__(self, cfg: SolverConfig, pool=None, ledger: bool = False):
+        n = cfg.n_cells
+        self.accel = np.empty((n, n, n, 3))
+        self.tmp = np.empty((n, n, n, 3))
+        self.constraint = np.empty((n, n, n))  # |u|^2 - 1
+        self.scalar = np.empty((n, n, n))
+        if cfg.boundary == "clamped":
+            edges = [n * b // _BLOCKS for b in range(_BLOCKS + 1)]
+            self.blocks = [(i0, i1) for i0, i1 in zip(edges, edges[1:])
+                           if i0 < i1]
+        else:  # the periodic stencil wraps across x: one whole-array block
+            self.blocks = [(0, n)]
+        self.pool, self.ledger = pool, ledger
+        self.sums = None  # kinetic, gradient and penalty sums of a ledger row
+
+    def advance(self, u_prev, u, out, cfg: SolverConfig, g=None) -> None:
+        """``_advance`` on every block.  Every block finishes before an error
+        of any of them is raised; with a ledger, ``sums`` adds the blocks'
+        sums in block order."""
+        args = (u_prev, u, out, cfg, g, self)
+        if self.pool is None:
+            parts = [_advance(i0, i1, *args) for i0, i1 in self.blocks]
+        else:
+            # each block runs in a copy of the caller's context, so under
+            # its np.errstate
+            futures = [self.pool.submit(contextvars.copy_context().run,
+                                        _advance, i0, i1, *args)
+                       for i0, i1 in self.blocks]
+            for f in futures:
+                f.exception()  # waits for the block, raising nothing
+            parts = [f.result() for f in futures]
+        if self.ledger:
+            self.sums = [sum(col) for col in zip(*parts)]
 
 
-def _accel(u: np.ndarray, cfg: SolverConfig, work: _Work) -> np.ndarray:
-    """Lap(u) - n^2 (|u|^2 - 1) u into ``work.accel``, operation for
-    operation as the textbook formula; also sets ``work.constraint``."""
+def _accel(u: np.ndarray, cfg: SolverConfig, work: _Work, i0: int,
+           i1: int) -> tuple[int, int]:
+    """Lap(u) - n^2 (|u|^2 - 1) u into ``work.accel`` and |u|^2 - 1 into
+    ``work.constraint`` on the x-planes [i0, i1), operation for operation as
+    the textbook formula.  A clamped box skips its two x-faces, which the
+    clamp overwrites; returns the planes of ``work.accel`` written."""
     a, t = work.accel, work.tmp
-    if cfg.boundary == "periodic":
+    n = u.shape[0]
+    if cfg.boundary == "periodic":  # one block, the whole box
         # -6u + (u[i-1] + u[i+1]) per axis, the order of the np.roll form
         np.multiply(u, -6.0, out=a)
         for ax in range(3):
@@ -192,14 +243,15 @@ def _accel(u: np.ndarray, cfg: SolverConfig, work: _Work) -> np.ndarray:
             np.add(src[-2], src[0], out=dst[-1])
             a += t
         a /= cfg.h**2
+        j0, j1 = 0, n
     else:
         # The six neighbours of flat index p sit at p +- 3N^2, 3N, 3, so each
-        # term is one contiguous slice.  Cells on the box faces get
+        # term is one contiguous slice.  Cells on the y- and z-faces get
         # wrapped-around sums; the clamp overwrites them.
-        n = u.shape[0]
+        j0, j1 = max(i0, 1), min(i1, n - 1)
         v, o, s = u.reshape(-1), a.reshape(-1), t.reshape(-1)
         d0, d1, d2 = 3 * n * n, 3 * n, 3
-        lo, hi = d0, v.size - d0  # all cells but the first and last x-planes
+        lo, hi = j0 * d0, j1 * d0
         o_in = o[lo:hi]
         np.add(v[lo + d0:hi + d0], v[lo - d0:hi - d0], out=o_in)
         o_in += v[lo + d1:hi + d1]
@@ -209,18 +261,58 @@ def _accel(u: np.ndarray, cfg: SolverConfig, work: _Work) -> np.ndarray:
         np.multiply(v[lo:hi], 6.0, out=s[lo:hi])
         o_in -= s[lo:hi]
         o_in /= cfg.h**2
-    c, w = work.constraint, work.scalar
-    np.multiply(u[..., 0], u[..., 0], out=c)
-    np.multiply(u[..., 1], u[..., 1], out=w)
+    ub, c, w = u[i0:i1], work.constraint[i0:i1], work.scalar[i0:i1]
+    np.multiply(ub[..., 0], ub[..., 0], out=c)
+    np.multiply(ub[..., 1], ub[..., 1], out=w)
     c += w
-    np.multiply(u[..., 2], u[..., 2], out=w)
+    np.multiply(ub[..., 2], ub[..., 2], out=w)
     c += w
     c -= 1.0
     if cfg.penalty_n != 0.0:
-        np.multiply(c, cfg.penalty_n**2, out=w)
-        np.multiply(w[..., None], u, out=t)
-        a -= t
-    return a
+        w = work.scalar[j0:j1]
+        np.multiply(work.constraint[j0:j1], cfg.penalty_n**2, out=w)
+        np.multiply(w[..., None], u[j0:j1], out=t[j0:j1])
+        a[j0:j1] -= t[j0:j1]
+    return j0, j1
+
+
+def _advance(i0: int, i1: int, u_prev: np.ndarray | None, u: np.ndarray,
+             out: np.ndarray, cfg: SolverConfig, g: np.ndarray | None,
+             work: _Work):
+    """The x-planes [i0, i1) of the level after ``u``, written into ``out``:
+    the leapfrog step from ``u_prev`` or, when ``u_prev`` is None, the
+    second-order start from u^0 = ``u`` with time derivative ``g``.  A
+    clamped box copies its faces from ``u_prev`` (or u^0).  With
+    ``work.ledger``, returns the block's kinetic, gradient and penalty sums
+    of the ledger row of ``u``."""
+    dt = cfg.dt_effective
+    j0, j1 = _accel(u, cfg, work, i0, i1)
+    a, new = work.accel[j0:j1], out[j0:j1]
+    if u_prev is None:
+        a *= 0.5 * dt**2
+        np.multiply(g[j0:j1], dt, out=new)
+        new += u[j0:j1]
+        u_prev = u  # the faces of u^0
+    else:
+        a *= dt**2
+        np.multiply(u[j0:j1], 2.0, out=new)
+        new -= u_prev[j0:j1]
+    new += a
+    if cfg.boundary == "clamped":
+        _apply_clamp(out, u_prev, i0, i1)
+    if not np.all(np.isfinite(out[i0:i1])):
+        raise FloatingPointError(
+            "solver blow-up: check dt <= 0.5 * min(h/sqrt(3), 1/n) "
+            f"(limit {cfg.cfl_limit}, dt {dt})")
+    if not work.ledger:
+        return None
+    if g is not None:
+        vel = g[i0:i1]
+    else:  # midpoint velocity, summed before the gradient reuses work.tmp
+        vel = np.subtract(out[i0:i1], u_prev[i0:i1], out=work.tmp[i0:i1])
+        vel /= 2.0 * dt
+    return (_sumsq(vel), _grad_energy(u, cfg, work.tmp, i0, i1),
+            _sumsq(work.constraint[i0:i1]))
 
 
 def init_from_data(u0: np.ndarray, g0: np.ndarray, cfg: SolverConfig,
@@ -230,7 +322,6 @@ def init_from_data(u0: np.ndarray, g0: np.ndarray, cfg: SolverConfig,
 
     ``u0`` and ``g0`` are the value and time derivative of the data at the
     cell centres, shape (N, N, N, 3), and are not written."""
-    dt = cfg.dt_effective
     n = cfg.n_cells
     for a in (u0, g0):
         if a.shape != (n, n, n, 3):
@@ -238,21 +329,19 @@ def init_from_data(u0: np.ndarray, g0: np.ndarray, cfg: SolverConfig,
                              f"the grid needs {(n, n, n, 3)}")
     if not np.all(np.isfinite(u0)):
         raise ValueError("initial data not finite at some cell center")
-    a = _accel(u0, cfg, work if work is not None else _Work(u0.shape))
-    a *= 0.5 * dt**2
-    u1 = np.multiply(g0, dt)
-    u1 += u0
-    u1 += a
-    if cfg.boundary == "clamped":
-        u1 = _apply_clamp(u1, u0)
+    u1 = np.empty_like(u0)
+    (work if work is not None else _Work(cfg)).advance(None, u0, u1, cfg, g0)
     return u1
 
 
-def _apply_clamp(u: np.ndarray, u0: np.ndarray) -> np.ndarray:
-    u[0], u[-1] = u0[0], u0[-1]
-    u[:, 0], u[:, -1] = u0[:, 0], u0[:, -1]
-    u[:, :, 0], u[:, :, -1] = u0[:, :, 0], u0[:, :, -1]
-    return u
+def _apply_clamp(u: np.ndarray, u0: np.ndarray, i0: int, i1: int) -> None:
+    """The box faces of ``u0`` into ``u``, on the x-planes [i0, i1)."""
+    for i in (0, u.shape[0] - 1):
+        if i0 <= i < i1:
+            u[i] = u0[i]
+    ub, u0b = u[i0:i1], u0[i0:i1]
+    ub[:, 0], ub[:, -1] = u0b[:, 0], u0b[:, -1]
+    ub[:, :, 0], ub[:, :, -1] = u0b[:, :, 0], u0b[:, :, -1]
 
 
 def step(u_prev: np.ndarray, u: np.ndarray, cfg: SolverConfig,
@@ -263,19 +352,9 @@ def step(u_prev: np.ndarray, u: np.ndarray, cfg: SolverConfig,
 
     The new level is written into ``out`` and the scratch into ``work``;
     each is allocated when not given (see the module docstring)."""
-    dt = cfg.dt_effective
-    a = _accel(u, cfg, work if work is not None else _Work(u.shape))
-    a *= dt**2
-    unew = np.multiply(u, 2.0, out=out)
-    unew -= u_prev
-    unew += a
-    if cfg.boundary == "clamped":
-        unew = _apply_clamp(unew, u_prev)
-    if not np.all(np.isfinite(unew)):
-        raise FloatingPointError(
-            "solver blow-up: check dt <= 0.5 * min(h/sqrt(3), 1/n) "
-            f"(limit {cfg.cfl_limit}, dt {dt})")
-    return unew
+    out = out if out is not None else np.empty_like(u)
+    (work if work is not None else _Work(cfg)).advance(u_prev, u, out, cfg)
+    return out
 
 
 def _sumsq(a: np.ndarray) -> float:
@@ -283,29 +362,39 @@ def _sumsq(a: np.ndarray) -> float:
     return float(_dot(flat, flat))
 
 
-def _grad_energy(u: np.ndarray, cfg: SolverConfig,
-                 scratch: np.ndarray) -> float:
-    """One-sided differences along each axis, wrapping when periodic."""
+def _grad_energy(u: np.ndarray, cfg: SolverConfig, scratch: np.ndarray,
+                 i0: int, i1: int) -> float:
+    """Sum of the squared one-sided differences from the x-planes [i0, i1)
+    along each axis, wrapping when periodic (one whole-box block); the
+    gradient energy is h/2 times its sum over the blocks."""
     n = u.shape[0]
     v, s = u.reshape(-1), scratch.reshape(-1)
+    ub, sb = u[i0:i1], scratch[i0:i1]
+    b0, b1 = i0 * 3 * n * n, i1 * 3 * n * n
     total = 0.0
     for ax, d in enumerate((3 * n * n, 3 * n, 3)):
         # Flat neighbours d apart are neighbours along ``ax`` except where
-        # they wrap across the last face; that face of ``scratch`` holds
+        # they wrap across the last face; that face of the block holds
         # exactly those pairs plus the tail the subtraction leaves unset.
-        np.subtract(v[d:], v[:-d], out=s[:-d])
-        last = (slice(None),) * ax + (-1,)
-        if cfg.boundary == "periodic":
-            first = (slice(None),) * ax + (0,)
-            np.subtract(u[first], u[last], out=scratch[last])
-        else:
-            scratch[last] = 0.0
-        total += _sumsq(s)
-    return 0.5 * total * cfg.h  # (h^3 cells) * (1/h^2 differences)
+        e = min(b1, v.size - d)
+        np.subtract(v[b0 + d:e + d], v[b0:e], out=s[b0:e])
+        if ax > 0 or i1 == n:
+            last = (slice(None),) * ax + (-1,)
+            if cfg.boundary == "periodic":
+                first = (slice(None),) * ax + (0,)
+                np.subtract(ub[first], ub[last], out=sb[last])
+            else:
+                sb[last] = 0.0
+        total += _sumsq(sb)
+    return total
 
 
-def _penalty_energy(work: _Work, cfg: SolverConfig) -> float:
-    return cfg.penalty_n**2 * 0.25 * _sumsq(work.constraint) * cfg.h**3
+def _ledger_row(sums, cfg: SolverConfig) -> tuple[float, float, float]:
+    """Kinetic, gradient and penalty energies from a step's ledger sums."""
+    kin, grad, pen = sums
+    return (0.5 * kin * cfg.h**3,
+            0.5 * grad * cfg.h,  # (h^3 cells) * (1/h^2 differences)
+            cfg.penalty_n**2 * 0.25 * pen * cfg.h**3)
 
 
 def _physical_memory() -> int | None:
@@ -313,6 +402,14 @@ def _physical_memory() -> int | None:
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf here
         return None
+
+
+def _cores() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks here
+        return os.cpu_count() or 1
 
 
 def _check_memory(cfg: SolverConfig) -> None:
@@ -340,42 +437,44 @@ def run(cfg: SolverConfig, field: FieldEvaluator):
     return _integrate(cfg, *_cauchy_data(field, cfg))
 
 
-def _integrate(cfg: SolverConfig, u0: np.ndarray, g0: np.ndarray):
+def _integrate(cfg: SolverConfig, u0: np.ndarray, g0: np.ndarray,
+               ledger: bool = True):
     """``run`` from the sampled Cauchy data ``u0``, ``g0``, which are not
-    written; the caller has checked the memory."""
+    written; the caller has checked the memory.  Without ``ledger`` no
+    energy is summed and the ledger returned is None."""
+    # imported here, so that commands which run no solver do not pay the
+    # import (and its logging module) in start-up time and memory
+    from concurrent.futures import ThreadPoolExecutor
+
     dt, stride = cfg.dt_effective, cfg.stride
-    cell_vol = cfg.h**3
+    rows = EnergyLedger() if ledger else None
+    with ThreadPoolExecutor(_cores()) as pool:
+        work = _Work(cfg, pool, ledger)
+        u1 = init_from_data(u0, g0, cfg, work)
+        levels = np.empty((cfg.n_levels,) + u0.shape)
+        levels[0] = u0
+        if stride == 1:
+            levels[1] = u1
+        if ledger:
+            rows.add(0, 0.0, *_ledger_row(work.sums, cfg))
 
-    work = _Work(u0.shape)
-    u1 = init_from_data(u0, g0, cfg, work)
-    levels = np.empty((cfg.n_levels,) + u0.shape)
-    levels[0] = u0
-    ledger = EnergyLedger()
-    ledger.add(0, 0.0, 0.5 * _sumsq(g0) * cell_vol,
-               _grad_energy(u0, cfg, work.tmp), _penalty_energy(work, cfg))
-
-    # level k lives in bufs[k % 3] (k >= 1); u0 is never written
-    bufs = [np.empty_like(u0), u1, np.empty_like(u0)]
-    prev, cur, t = u0, u1, dt
-    for k in range(1, cfg.n_steps + 1):
-        # cur is level k, at time t (dt summed k times)
-        if k % stride == 0:
-            levels[k // stride] = cur
-        if k == cfg.n_steps:
-            break
-        nxt = step(prev, cur, cfg, out=bufs[(k + 1) % 3], work=work)
-        # midpoint kinetic energy collocated with level k, summed before the
-        # gradient term reuses work.tmp; work.constraint still holds level k
-        vel = np.subtract(nxt, prev, out=work.tmp)
-        vel /= 2.0 * dt
-        kin = 0.5 * _sumsq(vel) * cell_vol
-        ledger.add(k, t, kin, _grad_energy(cur, cfg, work.tmp),
-                   _penalty_energy(work, cfg))
-        prev, cur, t = cur, nxt, t + dt
+        # a stored level is stepped straight into its slot of ``levels``,
+        # any other level k into bufs[k % 3]; u0 is never written
+        bufs = [np.empty_like(u0), u1, np.empty_like(u0)]
+        prev, cur, t = u0, u1, dt
+        for k in range(1, cfg.n_steps):
+            # cur is level k, at time t (dt summed k times)
+            slot, skip = divmod(k + 1, stride)
+            out = bufs[(k + 1) % 3] if skip else levels[slot]
+            # the ledger row of level k needs level k + 1 for its velocity
+            nxt = step(prev, cur, cfg, out=out, work=work)
+            if ledger:
+                rows.add(k, t, *_ledger_row(work.sums, cfg))
+            prev, cur, t = cur, nxt, t + dt
 
     slab = GridField(t0=0.0, dt=stride * dt, origin=cfg.origin, h=cfg.h,
                      data=levels)
-    return slab, ledger
+    return slab, rows
 
 
 @dataclass(frozen=True)
@@ -409,7 +508,8 @@ def penalization_sweep(schedule, field: FieldEvaluator,
     step, so that all runs store the same levels; report constraint
     violations on the stored levels nearest T_end / 2 and T_end, whose times
     are ``sample_times`` (no interpolation), and pairwise in-cone L2
-    distances between consecutive runs at T_end."""
+    distances between consecutive runs at T_end.  The runs keep no energy
+    ledger."""
     dt = dataclasses.replace(cfg_template, penalty_n=float(max(schedule)),
                              dt=None).cfl_limit
     cfgs = [dataclasses.replace(cfg_template, penalty_n=float(n), dt=dt)
@@ -425,7 +525,7 @@ def penalization_sweep(schedule, field: FieldEvaluator,
     ref = slab = None
     for i, cfg in enumerate(cfgs):
         del slab  # the previous slab goes before this run stores its own
-        slab, _ = _integrate(cfg, u0, g0)
+        slab, _ = _integrate(cfg, u0, g0, ledger=False)
         nearest = [int(round(t / slab.dt)) for t in targets]  # slab.t0 = 0
         for j, lvl in enumerate(nearest):
             violations[i, j] = constraint_violation(slab.data[lvl], cfg)

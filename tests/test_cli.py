@@ -448,6 +448,17 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_infinite_lambda_exits_2(tmp_path, capsys):
+    path = tmp_path / "inf.ini"
+    path.write_text("[map]\nlam = inf\n")
+    assert main(["cone-balance", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "lambda must be finite and positive, got inf" in err
+    assert not (tmp_path / "out").exists()  # no NaN report written
+
+
 @pytest.mark.parametrize("k", ["0", "-3"])
 def test_refine_below_one_exits_2(k, tmp_path, capsys):
     assert main(["s-table", "--refine", k, "--out", str(tmp_path)]) == 2

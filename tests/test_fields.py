@@ -333,6 +333,8 @@ def test_s_lambda_validation():
         s_lambda(0.0)
     with pytest.raises(ValueError):
         s_lambda(-2.0)
+    with pytest.raises(ValueError, match="finite"):
+        s_lambda(np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +349,10 @@ def test_map_params_validation():
         MapParams(2.0, 1.0)
     with pytest.raises(ValueError):
         MapParams(2.0, -0.1)
+    # an infinite dilation would turn every energy into NaN
+    for lam in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            MapParams(lam)
     assert MapParams(2.0, 0.6).theta == pytest.approx(1.25)
 
 

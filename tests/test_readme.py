@@ -192,3 +192,26 @@ def test_every_weighted_sum_is_fields_dot():
                 whole.append(f"{path.stem}:{node.lineno}")
     assert whole == []
     assert not hasattr(fields, "_weighted_sum")
+
+
+def _names(path: Path) -> set:
+    """The names, attributes and imported modules that a src file uses."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def test_one_thread_pool_in_one_place():
+    # the solver's step runs its x-plane blocks on one ThreadPoolExecutor per
+    # run; no other module starts threads or processes
+    used = {path.stem: _names(path) for path in SRC.glob("*.py")}
+    assert {m for m, names in used.items()
+            if "ThreadPoolExecutor" in names} == {"solver"}
+    for banned in ("multiprocessing", "ProcessPoolExecutor", "Thread"):
+        assert sorted(m for m, names in used.items() if banned in names) == []

@@ -1,4 +1,8 @@
 import dataclasses
+import re
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -332,6 +336,89 @@ def test_run_bit_identical_to_reference(boundary, n):
     assert np.array_equal(g0, g0_copy)
 
 
+def _record_threads(monkeypatch):
+    """Spy on the block kernel: the threads that ran a block, and those in
+    which a block raised."""
+    ran, raised = set(), []
+    real = solver._advance
+
+    def spy(*args):
+        ran.add(threading.get_ident())
+        try:
+            return real(*args)
+        except FloatingPointError:
+            raised.append(threading.current_thread())
+            raise
+
+    monkeypatch.setattr(solver, "_advance", spy)
+    return ran, raised
+
+
+@pytest.mark.parametrize("cells", [8, 10, 13])
+def test_results_do_not_depend_on_the_pool_size(cells, monkeypatch):
+    # 8 cells give blocks of one plane, the first and last with no interior
+    # plane; 10 and 13 planes do not split evenly into the blocks.  The
+    # stored levels are stepped into the slab, the others into the buffers.
+    cfg = SolverConfig(box_half_width=0.5, h=1 / cells, T_end=0.25,
+                       penalty_n=16.0, store_stride=3)
+    assert cfg.stride > 1
+    u0, g0 = solver._cauchy_data(off_sphere_data(), cfg)
+    ref_levels, ref_rows = _ref_run(cfg, u0, g0)
+    ran, _ = _record_threads(monkeypatch)
+    rows = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # let the workers interleave as often as can be
+    try:
+        for size in (1, 2, 4):
+            monkeypatch.setattr(solver.os, "sched_getaffinity",
+                                lambda pid, size=size: set(range(size)))
+            threads = threading.active_count()
+            ran.clear()
+            slab, ledger = solver._integrate(cfg, u0, g0)
+            assert threading.active_count() == threads
+            assert 1 <= len(ran) <= size
+            assert threading.main_thread().ident not in ran
+            assert np.array_equal(slab.data, ref_levels[::cfg.stride])
+            rows.append(np.asarray(ledger.rows))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.all(np.abs(rows[0] - ref_rows) <= 1e-13 * np.abs(ref_rows))
+    assert all(np.all(r == rows[0]) for r in rows[1:])
+
+
+def test_blow_up_surfaces_from_a_worker(monkeypatch):
+    # test_unstable_step_raises on the clamped box, whose step runs in blocks
+    rng = np.random.default_rng(3)
+    noisy = CauchyData(lambda xs: rng.uniform(-10.0, 10.0, (len(xs), 3)))
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=4.0, penalty_n=8.0)
+    _, raised = _record_threads(monkeypatch)
+    threads = threading.active_count()
+    message = ("solver blow-up: check dt <= 0.5 * min(h/sqrt(3), 1/n) "
+               f"(limit {cfg.cfl_limit}, dt {cfg.dt_effective})")
+    # the workers step under the caller's errstate: no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match=re.escape(message)):
+                run(cfg, noisy)
+    assert raised
+    assert threading.main_thread() not in raised
+    assert threading.active_count() == threads
+
+
+def test_the_sweep_builds_no_ledger(monkeypatch):
+    def no_ledger(*args):
+        raise AssertionError("a sweep run summed a ledger row")
+
+    monkeypatch.setattr(solver, "_grad_energy", no_ledger)
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 16, T_end=0.1)
+    cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
+    sweep = penalization_sweep((8.0, 16.0),
+                               BoostedHarmonicMap(MapParams(2.0, 0.6)),
+                               cfg, cone)
+    assert sweep.violations.shape == (2, 2)
+
+
 def test_oversized_slab_fails_before_sampling(monkeypatch):
     def never(xs):
         raise AssertionError("data sampled before the slab-size check")
@@ -468,9 +555,9 @@ def test_every_sweep_run_stores_the_same_levels(monkeypatch):
     plans = []
     integrate = solver._integrate
 
-    def spy(cfg, u0, g0):
+    def spy(cfg, u0, g0, ledger=True):
         plans.append((cfg.n_steps, cfg.stride, cfg.dt_effective))
-        return integrate(cfg, u0, g0)
+        return integrate(cfg, u0, g0, ledger)
 
     monkeypatch.setattr(solver, "_integrate", spy)
     cfg = SolverConfig(box_half_width=0.5, h=1 / 16, T_end=0.1)
