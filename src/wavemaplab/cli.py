@@ -29,7 +29,8 @@ from .fields import (BoostedHarmonicMap, GridField, MapParams, _dot,
                      _slab_corners, s_lambda)
 from .manufactured import (ComposedWithBoost, ConstantMap, GeodesicPlaneWave,
                            QuadraticNullField, TimeSquaredBump)
-from .quadrature import ProductRule, _disk_nodes, energy_balance, energy_on_disk
+from .quadrature import (ProductRule, _disk_nodes, _singular_center,
+                         energy_balance, energy_on_disk)
 from .solver import SolverConfig, penalization_sweep, run, trusted_region
 from .spacetime import ConeSpec, DiskSpec, LorentzBoost, SpacetimePoint
 from .stress_energy import (BumpTest, comp_identity_check, recover_point_charge,
@@ -269,11 +270,11 @@ def expected_defect(lam: float, nu: float, dt: float) -> float:
     return nu * abs(s_lambda(lam)) / 2.0 * dt
 
 
-def _crossing_interval(cone: ConeSpec, nu: float):
-    """Times in the cone's truncation at which the singular line sits
-    strictly inside the cone slice; returns None when it never does."""
+def _crossing_interval(cone: ConeSpec, field: BoostedHarmonicMap):
+    """Times in the cone's truncation at which the field's singular point
+    sits strictly inside the cone slice; returns None when it never does."""
     taus = np.linspace(cone.t_min, cone.t_max, 65)
-    line = np.stack([np.zeros_like(taus), np.zeros_like(taus), nu * taus], axis=1)
+    line = np.array([field.singular_point(tau) for tau in taus])
     inside = np.linalg.norm(line - cone.apex.x, axis=1) < cone.radius(taus) - 1e-12
     if not np.any(inside):
         return None
@@ -284,27 +285,10 @@ def _crossing_interval(cone: ConeSpec, nu: float):
 
 def analytic_balance(cfg: ExperimentConfig, cone: ConeSpec,
                      params: MapParams):
-    """BalanceReport of the closed-form boosted map on one cone, grading the
-    disk quadrature into the singular point when the line crosses."""
-    crossing = _crossing_interval(cone, params.nu)
-    singular = None
-    if crossing is not None:
-        def singular(tau, nu=params.nu):
-            return np.array([0.0, 0.0, nu * tau])
+    """BalanceReport of the closed-form boosted map on one cone, with the
+    ``_crossing_interval`` of its singular line."""
     fld = BoostedHarmonicMap(params)
-    rep = energy_balance(fld, cone, cfg.rule(), singular_point=singular)
-    return rep, crossing
-
-
-def solver_cone_interval(cfg: ExperimentConfig, cone: ConeSpec) -> ConeSpec:
-    """The same cone, its truncation shrunk so every quadrature node stays
-    strictly inside the stored solver slab (one stored-level margin)."""
-    margin = cfg.T_end / 10.0
-    s = max(cone.t_min, margin)
-    t = min(cone.t_max, cfg.T_end - margin)
-    if not s < t:
-        raise ConfigError("cone interval too short for the solver slab")
-    return ConeSpec(cone.apex, s, t)
+    return energy_balance(fld, cone, cfg.rule()), _crossing_interval(cone, fld)
 
 
 def smoothing_tolerance(cfg: ExperimentConfig, cone: ConeSpec,
@@ -313,13 +297,13 @@ def smoothing_tolerance(cfg: ExperimentConfig, cone: ConeSpec,
     analytic energy within two smoothing lengths (max of h and the penalty
     layer width 1/n) of the singular point at the base time; zero when the
     cone does not meet the singular line."""
-    if _crossing_interval(cone, params.nu) is None:
+    fld = BoostedHarmonicMap(params)
+    if _crossing_interval(cone, fld) is None:
         return 0.0
     ell = max(cfg.h, 1.0 / penalty_n if penalty_n > 0 else 0.0)
-    center = np.array([0.0, 0.0, params.nu * cone.t_min])
-    fld = BoostedHarmonicMap(params)
+    center = fld.singular_point(cone.t_min)
     return energy_on_disk(fld, DiskSpec(cone.t_min, center, 2.0 * ell),
-                          cfg.rule(), singular_center=center)
+                          cfg.rule())
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +377,7 @@ def cmd_nonuniq_demo(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentRe
     params = cfg.params
     cone = cfg.cones[0].build()
     solver_cfg = cfg.solver_config()
-    trusted_region(solver_cfg, cone)  # raises if the cone is untrusted
-    inner = solver_cone_interval(cfg, cone)  # raises if it is too short
+    inner = trusted_region(solver_cfg, cone)  # raises if it is untrusted
 
     sweep = penalization_sweep(cfg.penalties, BoostedHarmonicMap(params),
                                solver_cfg, cone)
@@ -456,13 +439,11 @@ def _incone_distance(cfg: ExperimentConfig, slab: GridField, params: MapParams,
     for the analytic map's own grid sampling (interpolation error plus the
     h-scale core the grid cannot carry)."""
     t_ref = cone.t_max
-    sing = np.array([0.0, 0.0, params.nu * t_ref])
+    fld = BoostedHarmonicMap(params)
     disk = DiskSpec(t_ref, cone.apex.x, cone.radius(t_ref) - 2.0 * cfg.h)
-    center = sing if np.linalg.norm(sing - disk.center) < disk.radius else None
-    xs, w = _disk_nodes(disk, cfg.rule(), center)
+    xs, w = _disk_nodes(disk, cfg.rule(), _singular_center(fld, disk))
     ts = np.full(len(xs), t_ref)
     u_vals = slab.jets_at(ts, xs)[0]
-    fld = BoostedHarmonicMap(params)
     a_vals = fld.jets_at(ts, xs)[0]
     dist = float(np.sqrt(_dot(w, np.sum((u_vals - a_vals)**2, axis=1))))
 
@@ -492,15 +473,14 @@ def cmd_stationary_demo(cfg: ExperimentConfig, raw: str, out: Path) -> Experimen
     report = _new_report("stationary-demo", cfg, raw)
     params = cfg.params
     solver_cfg = cfg.solver_config(penalty_n=float(cfg.penalties[-1]))
+    rng = np.random.default_rng(20240801)
+    (ext_ts, ext_xs), (int_ts, int_xs) = _demo_samples(cfg, params, rng)
     slab, _ = run(solver_cfg, BoostedHarmonicMap(params))
 
     # pull the solver output back through the inverse boost and compare with
     # the stationary map
     pulled = ComposedWithBoost(slab, LorentzBoost(-params.nu).matrix)
     stationary = BoostedHarmonicMap(MapParams(params.lam, 0.0))
-
-    rng = np.random.default_rng(20240801)
-    (ext_ts, ext_xs), (int_ts, int_xs) = _demo_samples(cfg, params, rng)
 
     u_ext = pulled.jets_at(ext_ts, ext_xs)[0]
     v_ext = stationary.jets_at(ext_ts, ext_xs)[0]
@@ -522,9 +502,15 @@ def cmd_stationary_demo(cfg: ExperimentConfig, raw: str, out: Path) -> Experimen
     return report
 
 
+# Rejection-sampling draws allowed for each of stationary-demo's two sample
+# sets; the default config and criterion 7's grids take 252 in all.
+_DEMO_DRAWS = 10_000
+
+
 def _demo_samples(cfg: ExperimentConfig, params: MapParams, rng):
     """Sample points outside / inside the light cone through the origin whose
-    boosted images stay inside the solver slab and trusted region.
+    boosted images stay inside the solver slab and trusted region.  Reads
+    only the config, so a config that leaves no room fails before the run.
 
     Exterior samples use a per-point evaluation time chosen so the boosted
     image sits mid-slab, which frees them to lie well away from the
@@ -532,31 +518,53 @@ def _demo_samples(cfg: ExperimentConfig, params: MapParams, rng):
     th, nu = params.theta, params.nu
     t_img = cfg.T_end / 2.0  # target time of the boosted image
     limit = cfg.box_half_width - 3.0 * cfg.h
+    t_int = cfg.T_end * 0.4
+    x3_max = min(t_int, (cfg.T_end / th - t_int)) / max(nu, 1e-12)
+    r_in = min(t_int * 0.4, x3_max)
+    if not r_in > 0.0:
+        raise ConfigError(
+            f"stationary-demo needs nu < 0.9165, got {nu:g}: its interior "
+            "samples sit at t = 0.4 T_end, past the T_end / theta = "
+            f"{cfg.T_end / th:g} that the boosted slab reaches")
 
-    ext_ts, ext_xs = [], []
-    while len(ext_xs) < 64:
+    def exterior():
         x = rng.uniform(-0.35, 0.35, size=3)
         r = np.linalg.norm(x)
         t = t_img / th - nu * x[2]
         if not (0.15 <= r <= 0.35 and r >= abs(t) + 0.05):
-            continue
+            return None
         img = np.array([x[0], x[1], th * (x[2] + nu * t)])
         if np.max(np.abs(img)) + t_img > limit:
-            continue
-        ext_ts.append(t)
-        ext_xs.append(x)
+            return None
+        return t, x
 
-    t_int = cfg.T_end * 0.4
-    x3_max = min(t_int, (cfg.T_end / th - t_int)) / max(nu, 1e-12)
-    r_in = min(t_int * 0.4, x3_max)
-    int_xs = []
-    while len(int_xs) < 64:
+    def interior():
         x = rng.uniform(-r_in, r_in, size=3)
-        if np.linalg.norm(x) <= r_in:
-            int_xs.append(x)
+        return x if np.linalg.norm(x) <= r_in else None
+
+    ext_ts, ext_xs = zip(*_draw_samples(
+        exterior, f"exterior samples; a box of half-width "
+        f"{cfg.box_half_width:g} leaves too little room for their boosted "
+        f"images, which must stay 3 h + T_end / 2 = {3.0 * cfg.h + t_img:g} "
+        "inside its faces"))
+    int_xs = _draw_samples(interior, "interior samples")
     int_ts = np.full(len(int_xs), t_int)
     return ((np.asarray(ext_ts), np.asarray(ext_xs)),
             (int_ts, np.asarray(int_xs)))
+
+
+def _draw_samples(draw, what: str) -> list:
+    """64 points from ``draw``, which returns a point or None, in at most
+    ``_DEMO_DRAWS`` calls."""
+    points = []
+    for _ in range(_DEMO_DRAWS):
+        point = draw()
+        if point is not None:
+            points.append(point)
+            if len(points) == 64:
+                return points
+    raise ConfigError(f"stationary-demo drew {_DEMO_DRAWS} points and found "
+                      f"{len(points)} of the 64 {what}")
 
 
 def cmd_identity_checks(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentReport:
@@ -668,13 +676,21 @@ def main(argv=None) -> int:
         return 2
     cfg = cfg.refined(args.refine)
     out = Path(args.out if args.out is not None else cfg.out_dir)
+    # checked, not created: a command that fails leaves no directory behind
+    existing = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not existing.is_dir():
+        print(f"output error: {existing} is not a directory", file=sys.stderr)
+        return 2
 
     try:
         report = _COMMANDS[args.command](cfg, raw, out)
+        path = report.write(out)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    path = report.write(out)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     for v in report.verdicts:
         status = "PASS" if v.passed else "FAIL"
         print(f"[{status}] {v.name}: value={v.value:.6g} target={v.target:.6g} "

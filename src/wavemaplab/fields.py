@@ -44,6 +44,11 @@ class FieldEvaluator(ABC):
         """d'Alembertian u_tt - Lap(u) at each node, shape (N, 3)."""
         raise NotImplementedError(f"{type(self).__name__} has no box_at")
 
+    def singular_point(self, t: float) -> np.ndarray | None:
+        """The field's singular point in the slice at time ``t``, toward
+        which disk quadratures grade; None for a field that has none."""
+        return None
+
 
 @dataclass(frozen=True)
 class MapParams:
@@ -173,6 +178,10 @@ class BoostedHarmonicMap(FieldEvaluator):
         dts = -th * nu * grads[:, 2, :]
         grads[:, 2, :] *= th
         return values, dts, grads
+
+    def singular_point(self, t):
+        """The point (0, 0, nu t) of the singular line."""
+        return np.array([0.0, 0.0, self.params.nu * t])
 
 
 # np.gradient(edge_order=2) writes its interior difference as

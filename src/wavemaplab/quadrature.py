@@ -161,8 +161,18 @@ def _disk_nodes(disk: DiskSpec, rule: ProductRule, singular_center=None):
     return xs.reshape(-1, 3), w.reshape(-1)
 
 
+def _singular_center(field: FieldEvaluator, disk: DiskSpec):
+    """The point the quadrature of ``disk`` grades toward: the field's
+    singular point at the disk's time if it lies strictly inside the disk,
+    else None."""
+    c = field.singular_point(disk.time)
+    if c is None or np.linalg.norm(c - disk.center) >= disk.radius:
+        return None
+    return c
+
+
 def _disk_energies(field: FieldEvaluator, disk: DiskSpec, rule: ProductRule,
-                   singular_center, penalties) -> list[float]:
+                   penalties) -> list[float]:
     """``energy_on_disk`` for each penalty in ``penalties`` (None: no
     penalty), all from one evaluation of the nodes.
 
@@ -170,7 +180,7 @@ def _disk_energies(field: FieldEvaluator, disk: DiskSpec, rule: ProductRule,
     ``fields._BLOCK`` nodes each, so the scratch memory does not grow with
     the disk.  Each block writes its densities into one (penalties, N) array,
     and each energy is still one ``fields._dot`` over the whole disk."""
-    xs, w = _disk_nodes(disk, rule, singular_center)
+    xs, w = _disk_nodes(disk, rule, _singular_center(field, disk))
     dens = np.empty((len(penalties), len(xs)))
     for lo in range(0, len(xs), fields._BLOCK):
         part = slice(lo, lo + fields._BLOCK)
@@ -184,10 +194,10 @@ def _disk_energies(field: FieldEvaluator, disk: DiskSpec, rule: ProductRule,
 
 
 def energy_on_disk(field: FieldEvaluator, disk: DiskSpec, rule: ProductRule,
-                   singular_center=None, penalty_n: float | None = None) -> float:
+                   *, penalty_n: float | None = None) -> float:
     """(1/2) int (|u_t|^2 + |grad u|^2) over the ball, optionally plus the
     penalty density n^2 F(u), F = (|u|^2 - 1)^2 / 4."""
-    return _disk_energies(field, disk, rule, singular_center, (penalty_n,))[0]
+    return _disk_energies(field, disk, rule, (penalty_n,))[0]
 
 
 def _cone_slices(cone: ConeSpec, rule: ProductRule):
@@ -226,29 +236,20 @@ def flux_on_cone(field: FieldEvaluator, cone: ConeSpec, rule: ProductRule,
 
 
 def energy_balance(field: FieldEvaluator, cone: ConeSpec, rule: ProductRule,
-                   penalty_n: float | None = None,
-                   singular_point=None) -> BalanceReport:
+                   penalty_n: float | None = None) -> BalanceReport:
     """BalanceReport for E(D_s) - E(D_t) - Flux(M_s^t), [s, t] the cone's
     truncation, with the error estimate taken as the difference between the
-    given rule and one refinement.  ``singular_point``, if given, maps a time
-    to the field's singular location so disk quadratures can grade toward it.
+    given rule and one refinement.  Each disk quadrature grades toward the
+    field's singular point when that point lies inside the disk.
 
     With ``penalty_n`` the report is the penalized balance, and its
     ``unpenalized`` field holds the balance without the penalty terms, taken
     from the same evaluation of every node."""
     penalties = (None,) if penalty_n is None else (penalty_n, None)
 
-    def center(at):
-        if singular_point is None:
-            return None
-        c = np.asarray(singular_point(at), dtype=float)
-        if np.linalg.norm(c - cone.apex.x) >= cone.radius(at):
-            return None
-        return c
-
     def energies(at, r: ProductRule):
         return _disk_energies(field, DiskSpec(at, cone.apex.x, cone.radius(at)),
-                              r, center(at), penalties)
+                              r, penalties)
 
     def compute(r: ProductRule):
         """(e_base, e_top, flux) for each of ``penalties``."""

@@ -539,13 +539,20 @@ def penalization_sweep(schedule, field: FieldEvaluator,
                        violations, dists, final_slab=slab)
 
 
-def trusted_region(cfg: SolverConfig, cone: ConeSpec) -> None:
-    """Raise unless the unit-speed backward domain of dependence of every
-    point of the cone stays inside the box, one stencil margin (2 h) away
-    from its faces.  A point (s, x) of the cone has |x - apex.x| <= apex.t - s,
-    so its domain of dependence reaches max|x| + s <= max|apex.x| + apex.t;
-    that is the bound checked.  Cone-energy evaluations of solver output must
-    be restricted to such cones."""
+def trusted_region(cfg: SolverConfig, cone: ConeSpec) -> ConeSpec:
+    """The cone that cone-energy evaluations of solver output may use: its
+    truncation narrowed to [T_end/10, 9 T_end/10], inside the stored slab.
+    Raises if that is empty, or unless the unit-speed backward domain of
+    dependence of every point of the cone stays inside the box, one stencil
+    margin (2 h) away from its faces.  A point (s, x) of the cone has
+    |x - apex.x| <= apex.t - s, so its domain of dependence reaches
+    max|x| + s <= max|apex.x| + apex.t; that is the bound checked."""
     if np.max(np.abs(cone.apex.x)) + cone.apex.t \
             > cfg.box_half_width - 2.0 * cfg.h:
         raise ValueError("cone base does not fit inside the box")
+    margin = cfg.T_end / 10.0
+    s = max(cone.t_min, margin)
+    t = min(cone.t_max, cfg.T_end - margin)
+    if not s < t:
+        raise ValueError("cone interval too short for the solver slab")
+    return ConeSpec(cone.apex, s, t)

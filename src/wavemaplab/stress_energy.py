@@ -18,7 +18,7 @@ import numpy as np
 from .fields import FieldEvaluator, MapParams, _dot, harmonic_v_jet_batch
 from .manufactured import ComposedWithBoost, bump_profile, bump_profile_ds
 from .quadrature import (ProductRule, _bump_norm, _cone_slices, _disk_nodes,
-                         _gauss, energy_form, flux_form_Q)
+                         _gauss, _singular_center, energy_form, flux_form_Q)
 from .spacetime import ETA, ConeSpec, DiskSpec, LorentzBoost, SpacetimePoint
 
 
@@ -121,7 +121,8 @@ def weak_residual(field: FieldEvaluator, test: BumpTest,
         rho = np.sqrt(max(sigma**2 - (t - t0)**2, 0.0))
         if rho == 0.0:
             continue
-        xs, w = _disk_nodes(DiskSpec(t, x0, rho), rule)
+        disk = DiskSpec(t, x0, rho)
+        xs, w = _disk_nodes(disk, rule, _singular_center(field, disk))
         weights = wt * w
         ts = np.full(len(xs), t)
         values, dts, grads = field.jets_at(ts, xs)

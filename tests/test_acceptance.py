@@ -18,13 +18,13 @@ import pytest
 
 from wavemaplab.cli import (ExperimentConfig, cmd_identity_checks,
                             cmd_stationary_demo, expected_defect,
-                            smoothing_tolerance, solver_cone_interval,
-                            _incone_distance)
+                            smoothing_tolerance, _incone_distance)
 from wavemaplab.fields import BoostedHarmonicMap, MapParams, s_lambda
 from wavemaplab.manufactured import ConstantMap, GeodesicPlaneWave
 from wavemaplab.quadrature import (ProductRule, energy_balance, energy_on_disk,
                                    flux_on_cone)
-from wavemaplab.solver import SolverConfig, penalization_sweep, run
+from wavemaplab.solver import (SolverConfig, penalization_sweep, run,
+                               trusted_region)
 from wavemaplab.spacetime import ConeSpec, DiskSpec, SpacetimePoint
 from wavemaplab.stress_energy import (BumpTest, recover_point_charge,
                                       weak_residual)
@@ -71,7 +71,7 @@ def default_sweep_analysis():
     n_max = float(cfg.penalties[-1])
     cones = {}
     for i, req in enumerate(cfg.cones):
-        inner = solver_cone_interval(cfg, req.build())
+        inner = trusted_region(cfg.solver_config(), req.build())
         pen = energy_balance(sweep.final_slab, inner, cfg.rule(),
                              penalty_n=n_max)
         unp = pen.unpenalized
@@ -114,8 +114,7 @@ def test_criterion_2_crossing_cone_defect():
     lam, nu = 2.0, 0.6
     fld = BoostedHarmonicMap(MapParams(lam, nu))
     cone = ConeSpec.from_base(np.zeros(3), 0.5, 0.0, 0.2)
-    rep = energy_balance(fld, cone, ProductRule(16, 24, 16),
-                         singular_point=lambda tau: np.array([0, 0, nu * tau]))
+    rep = energy_balance(fld, cone, ProductRule(16, 24, 16))
     target = 1.6375
     tol = 0.02 * target + rep.error_estimate
     clauses = [(f"crossing |balance| within 2% of quoted {target}",
@@ -218,9 +217,7 @@ def test_criterion_6_nonuniqueness_demo(default_sweep_analysis):
                 c0["unp"].balance >= -(c0["tol"] + c0["unp"].error_estimate),
                 f"balance={c0['unp'].balance:+.4f}, tol {c0['tol']:.4f}")]
 
-    ana = energy_balance(BoostedHarmonicMap(params), cone,
-                         cfg.rule(), singular_point=lambda tau: np.array(
-                             [0, 0, params.nu * tau]))
+    ana = energy_balance(BoostedHarmonicMap(params), cone, cfg.rule())
     target = 1.6375
     clauses.append((f"analytic defect within 2% of quoted {target}",
                     abs(abs(ana.balance) - target)

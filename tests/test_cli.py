@@ -11,10 +11,11 @@ from wavemaplab import cli, fields
 from wavemaplab.cli import (ConeRequest, ConfigError, ExperimentConfig,
                             Verdict, _crossing_interval, _incone_distance,
                             _parse_cone, expected_defect, load_config, main,
-                            smoothing_tolerance, solver_cone_interval)
-from wavemaplab.fields import BoostedHarmonicMap, GridField, s_lambda
+                            smoothing_tolerance)
+from wavemaplab.fields import (BoostedHarmonicMap, GridField, MapParams,
+                               s_lambda)
 from wavemaplab.quadrature import _disk_nodes
-from wavemaplab.solver import run
+from wavemaplab.solver import run, trusted_region
 from wavemaplab.spacetime import DiskSpec
 
 
@@ -150,24 +151,24 @@ def test_expected_defect_formula():
 
 
 def test_crossing_interval_classification():
-    nu = 0.6
+    fld = BoostedHarmonicMap(MapParams(2.0, 0.6))
     assert _crossing_interval(
-        ConeRequest((0, 0, 0), 0.5, 0.0, 0.2).build(), nu) == (0.0, 0.2)
+        ConeRequest((0, 0, 0), 0.5, 0.0, 0.2).build(), fld) == (0.0, 0.2)
     assert _crossing_interval(
-        ConeRequest((0.3, 0.3, 0), 0.25, 0.0, 0.1).build(), nu) is None
+        ConeRequest((0.3, 0.3, 0), 0.25, 0.0, 0.1).build(), fld) is None
     # line enters the slices only part of the time
     assert _crossing_interval(
-        ConeRequest((0.28, 0, 0), 0.3, 0.0, 0.25).build(), nu) == "partial"
+        ConeRequest((0.28, 0, 0), 0.3, 0.0, 0.25).build(), fld) == "partial"
 
 
 def test_solver_cone_interval_margins():
     cfg = ExperimentConfig()
-    inner = solver_cone_interval(cfg, cfg.cones[0].build())
+    inner = trusted_region(cfg.solver_config(), cfg.cones[0].build())
     assert inner.t_min == pytest.approx(0.02)
     assert inner.t_max == pytest.approx(0.18)
-    with pytest.raises(ConfigError):
-        solver_cone_interval(cfg,
-                             ConeRequest((0, 0, 0), 0.5, 0.0, 0.015).build())
+    with pytest.raises(ValueError, match="cone interval too short"):
+        trusted_region(cfg.solver_config(),
+                       ConeRequest((0, 0, 0), 0.5, 0.0, 0.015).build())
 
 
 def test_narrowed_interval_keeps_the_cone():
@@ -175,10 +176,10 @@ def test_narrowed_interval_keeps_the_cone():
     # [0.02, 0.18] starts; a cone moved up with the interval would meet it
     cfg = ExperimentConfig()
     cone = _parse_cone("0,0,-0.28 ; 0.3 ; 0,0.2").build()
-    inner = solver_cone_interval(cfg, cone)
+    inner = trusted_region(cfg.solver_config(), cone)
     assert inner.apex.t == cone.apex.t
     assert np.array_equal(inner.apex.x, cone.apex.x)
-    assert _crossing_interval(inner, cfg.nu) is None
+    assert _crossing_interval(inner, BoostedHarmonicMap(cfg.params)) is None
     assert smoothing_tolerance(cfg, inner, cfg.params,
                                cfg.penalties[-1]) == 0.0
 
@@ -301,6 +302,25 @@ def test_descending_penalties_fail_before_sampling(command, penalties,
     assert "penalties must strictly ascend" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, cause", [
+    ("[solver]\nbox_half_width = 0.2\nh = 0.025\n",
+     "0 of the 64 exterior samples; a box of half-width 0.2 leaves"),
+    ("[map]\nnu = 0.95\n", "stationary-demo needs nu < 0.9165, got 0.95"),
+], ids=["small-box", "fast-boost"])
+def test_stationary_demo_without_room_fails_before_sampling(
+        config, cause, tmp_path, monkeypatch, capsys):
+    # the demo's samples read only the config and are drawn before the run,
+    # in a bounded number of draws
+    path = tmp_path / "demo.ini"
+    path.write_text(config)
+    monkeypatch.setattr("wavemaplab.solver._cauchy_data", _no_sampling)
+    assert main(["stationary-demo", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and cause in err
+    assert not (tmp_path / "out").exists()
+
+
 def _incone_reference(cfg, slab, params, cone, t_ref):
     # the in-cone distance with its estimate as first written: the analytic
     # map sampled on the whole solver grid at three levels, as a GridField
@@ -336,7 +356,7 @@ def test_incone_distance_samples_only_the_corners_it_reads(monkeypatch):
                            penalties=(16.0,))
     params = cfg.params
     cone = cfg.cones[0].build()
-    inner = solver_cone_interval(cfg, cone)
+    inner = trusted_region(cfg.solver_config(), cone)
     t_ref = inner.t_max
     slab, _ = run(cfg.solver_config(penalty_n=16.0), BoostedHarmonicMap(params))
     want = _incone_reference(cfg, slab, params, cone, t_ref)
@@ -457,6 +477,40 @@ def test_infinite_lambda_exits_2(tmp_path, capsys):
     assert "configuration error" in err
     assert "lambda must be finite and positive, got inf" in err
     assert not (tmp_path / "out").exists()  # no NaN report written
+
+
+@pytest.mark.parametrize("command", ["s-table", "penalized-run"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_naming_a_file_fails_before_the_command(command, below, tmp_path,
+                                                    monkeypatch, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    monkeypatch.setattr("wavemaplab.solver._cauchy_data", _no_sampling)
+    assert main([command, "--out", str(taken / below)]) == 2
+    assert f"output error: {taken} is not a directory" in \
+        capsys.readouterr().err
+    assert taken.read_text() == "keep"
+
+
+def test_write_failure_is_an_output_error(tmp_path, capsys):
+    (tmp_path / "s_table.csv").mkdir()  # the CSV cannot be opened for writing
+    assert main(["s-table", "--out", str(tmp_path)]) == 2
+    assert "output error:" in capsys.readouterr().err
+    assert not (tmp_path / "s_table_report.json").exists()
+
+
+def test_lam_half_example_shows_the_dichotomy(tmp_path):
+    # at lambda = 1/2 the analytic map gains energy on the crossing cone and
+    # violates the local energy inequality; the penalized solutions keep it
+    example = Path(__file__).resolve().parent.parent / "examples/lam_half.ini"
+    assert main(["nonuniq-demo", "--config", str(example),
+                 "--out", str(tmp_path)]) == 0
+    res = json.loads((tmp_path / "nonuniq_demo_report.json").read_text())[
+        "results"]
+    tol = res["smoothing_tolerance"]
+    ana, unpen = res["analytic"], res["solver_unpenalized"]
+    assert ana["balance"] < -(tol + ana["error_estimate"])
+    assert unpen["balance"] >= -(tol + unpen["error_estimate"])
 
 
 @pytest.mark.parametrize("k", ["0", "-3"])

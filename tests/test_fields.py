@@ -595,6 +595,18 @@ def test_jet_and_box_are_rows_of_one_batch_call(name):
             fld.box_at(ts[:1], xs[:1])
 
 
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_only_the_boosted_map_names_a_singular_point(name):
+    # disk quadratures grade toward a field's singular point; the default is
+    # none, and the boosted map's is the point (0, 0, nu t) of its line
+    fld = EVALUATORS[name]()
+    for t in (-0.3, 0.0, 0.1):
+        if name == "hedgehog":
+            assert np.array_equal(fld.singular_point(t), [0.0, 0.0, 0.6 * t])
+        else:
+            assert fld.singular_point(t) is None
+
+
 @pytest.mark.parametrize("axis", range(4))
 def test_grid_gradient_matches_numpy(axis):
     # at a grid point the derivatives are np.gradient's, bit for bit, with

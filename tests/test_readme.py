@@ -11,7 +11,7 @@ import re
 from pathlib import Path
 
 import wavemaplab
-from wavemaplab import fields
+from wavemaplab import cli, fields
 from wavemaplab.cli import ExperimentConfig, load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -110,6 +110,15 @@ def test_every_public_method_is_used_by_the_package():
     assert sorted(unused - UNCALLED_METHODS) == []
     # an exemption goes once its method gains a user or is gone
     assert sorted(UNCALLED_METHODS - unused) == []
+
+
+def test_cone_balances_take_their_geometry_from_their_inputs():
+    # the field names its singular point, so no balance takes one, and the
+    # solver's trusted_region alone narrows a cone to the slab
+    for fn in (wavemaplab.energy_balance, wavemaplab.energy_on_disk):
+        names = inspect.signature(fn).parameters
+        assert [n for n in names if "singular" in n] == []
+    assert not hasattr(cli, "solver_cone_interval")
 
 
 def _callers(last: str) -> set:
