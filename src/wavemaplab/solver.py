@@ -27,17 +27,21 @@ allocates fresh ones.  A clamped step copies the box faces from ``u_prev``:
 every level shares the faces of u^0.  ``run`` preallocates everything: the
 stored levels in one (n_levels, N, N, N, 3) array, into which each stored
 level is stepped, three time levels that rotate through ``out``, and one
-``_Work``.
+``_Work``, whose scratch is one block's per worker and no full grid.
 
-Threads.  A clamped box is cut into 8 blocks of whole x-planes, a partition
-fixed by the grid alone; a periodic box, whose stencil wraps across x, is one
-block.  ``run`` opens one thread pool, as wide as the process's CPU affinity
-mask, for the length of the run, and every step runs its blocks on it
-(numpy's element-wise loops release the GIL) in a copy of the caller's
-context, so under its ``np.errstate``.  A ledger row adds the blocks' sums in
-block order, so it does not depend on the number of threads; the levels do
-not either, being element-wise.  ``step`` and ``init_from_data`` without a
-pooled ``work`` run the blocks in the calling thread.
+Threads.  A clamped box is cut into blocks of whole x-planes, each
+``_BLOCK_BYTES`` (512 KiB) of (planes, N, N, 3) or less but at least one
+plane, a partition fixed by the grid alone; a periodic box, whose stencil
+wraps across x, is one block.  ``run`` opens one thread pool, as wide as the
+process's CPU affinity mask, for the length of the run.  Every step gives
+each worker one contiguous run of blocks, which it steps block by block in
+its own block-sized scratch, so that each pass over a block stays in cache
+(numpy's element-wise loops release the GIL); it runs in a copy of the
+caller's context, so under its ``np.errstate``.  A ledger row adds the
+blocks' sums in block order, so it does not depend on the number of threads;
+the levels do not either, being element-wise.  ``step`` and
+``init_from_data`` without a pooled ``work`` run the blocks in the calling
+thread.
 """
 
 from __future__ import annotations
@@ -180,58 +184,85 @@ def _cauchy_data(field: FieldEvaluator,
     return values.reshape(n, n, n, 3), dts.reshape(n, n, n, 3)
 
 
-# x-plane blocks of a clamped step: a count fixed by the grid alone, so every
-# ledger sum adds its block parts in one order on every machine
-_BLOCKS = 8
+# bytes of the (planes, N, N, 3) scratch of one x-plane block of a clamped
+# step: whole planes, at least one, so the grid alone fixes the partition and
+# every ledger sum adds its block parts in one order on every machine
+_BLOCK_BYTES = 512 * 1024
+
+
+class _Scratch:
+    """The scratch of one block, reused by every block its worker steps."""
+
+    def __init__(self, planes: int, n: int):
+        self.accel = np.empty((planes, n, n, 3))
+        self.tmp = np.empty((planes, n, n, 3))
+        self.constraint = np.empty((planes, n, n))  # |u|^2 - 1
+        self.scalar = np.empty((planes, n, n))
+
+
+def _partition(cfg: SolverConfig, workers: int):
+    """The planes of a block, the x-plane blocks [i0, i1) of a step and the
+    contiguous run of blocks of each of at most ``workers`` workers.  A
+    clamped box is cut into blocks of ``_BLOCK_BYTES``; a periodic one, whose
+    stencil wraps across x, is one block."""
+    n = cfg.n_cells
+    planes = n
+    if cfg.boundary == "clamped":
+        planes = min(n, max(1, _BLOCK_BYTES // (n * n * 3 * 8)))
+    blocks = [(i0, min(i0 + planes, n)) for i0 in range(0, n, planes)]
+    k = min(workers, len(blocks))
+    edges = [len(blocks) * w // k for w in range(k + 1)]
+    return planes, blocks, [blocks[b0:b1] for b0, b1 in zip(edges, edges[1:])]
 
 
 class _Work:
-    """Scratch arrays for one grid, reused by every step of a run, with the
-    x-plane blocks a step runs in, the pool that runs them (None: the calling
-    thread, block after block) and whether a step sums its ledger row."""
+    """The x-plane blocks a step runs in, one contiguous run of them per
+    worker with one block's ``_Scratch`` each, the pool that runs the runs
+    (None: the calling thread, with one worker) and whether a step sums its
+    ledger row.  No array of it spans more than one block's planes."""
 
-    def __init__(self, cfg: SolverConfig, pool=None, ledger: bool = False):
-        n = cfg.n_cells
-        self.accel = np.empty((n, n, n, 3))
-        self.tmp = np.empty((n, n, n, 3))
-        self.constraint = np.empty((n, n, n))  # |u|^2 - 1
-        self.scalar = np.empty((n, n, n))
-        if cfg.boundary == "clamped":
-            edges = [n * b // _BLOCKS for b in range(_BLOCKS + 1)]
-            self.blocks = [(i0, i1) for i0, i1 in zip(edges, edges[1:])
-                           if i0 < i1]
-        else:  # the periodic stencil wraps across x: one whole-array block
-            self.blocks = [(0, n)]
+    def __init__(self, cfg: SolverConfig, pool=None, workers: int = 1,
+                 ledger: bool = False):
+        planes, self.blocks, self.runs = _partition(cfg, workers)
+        self.scratch = [_Scratch(planes, cfg.n_cells) for _ in self.runs]
         self.pool, self.ledger = pool, ledger
         self.sums = None  # kinetic, gradient and penalty sums of a ledger row
 
     def advance(self, u_prev, u, out, cfg: SolverConfig, g=None) -> None:
-        """``_advance`` on every block.  Every block finishes before an error
-        of any of them is raised; with a ledger, ``sums`` adds the blocks'
-        sums in block order."""
-        args = (u_prev, u, out, cfg, g, self)
+        """``_advance`` on every block, each worker's run block after block.
+        Every worker finishes before an error of any block is raised; with a
+        ledger, ``sums`` adds the blocks' sums in block order."""
+        args = (u_prev, u, out, cfg, g, self.ledger)
         if self.pool is None:
-            parts = [_advance(i0, i1, *args) for i0, i1 in self.blocks]
+            parts = [_advance_run(r, s, *args)
+                     for r, s in zip(self.runs, self.scratch)]
         else:
-            # each block runs in a copy of the caller's context, so under
-            # its np.errstate
+            # each run steps in a copy of the caller's context, so under its
+            # np.errstate
             futures = [self.pool.submit(contextvars.copy_context().run,
-                                        _advance, i0, i1, *args)
-                       for i0, i1 in self.blocks]
+                                        _advance_run, r, s, *args)
+                       for r, s in zip(self.runs, self.scratch)]
             for f in futures:
-                f.exception()  # waits for the block, raising nothing
+                f.exception()  # waits for the run, raising nothing
             parts = [f.result() for f in futures]
         if self.ledger:
-            self.sums = [sum(col) for col in zip(*parts)]
+            self.sums = [sum(col) for col in zip(*(p for run in parts
+                                                   for p in run))]
 
 
-def _accel(u: np.ndarray, cfg: SolverConfig, work: _Work, i0: int,
+def _advance_run(blocks, scratch: _Scratch, *args) -> list:
+    """``_advance`` on each block of ``blocks`` in turn, in ``scratch``."""
+    return [_advance(i0, i1, *args, scratch) for i0, i1 in blocks]
+
+
+def _accel(u: np.ndarray, cfg: SolverConfig, s: _Scratch, i0: int,
            i1: int) -> tuple[int, int]:
-    """Lap(u) - n^2 (|u|^2 - 1) u into ``work.accel`` and |u|^2 - 1 into
-    ``work.constraint`` on the x-planes [i0, i1), operation for operation as
-    the textbook formula.  A clamped box skips its two x-faces, which the
-    clamp overwrites; returns the planes of ``work.accel`` written."""
-    a, t = work.accel, work.tmp
+    """Lap(u) - n^2 (|u|^2 - 1) u and |u|^2 - 1 on the x-planes [i0, i1),
+    operation for operation as the textbook formula, into ``s.accel`` and
+    ``s.constraint``, whose plane 0 is plane i0.  A clamped box skips its two
+    x-faces, which the clamp overwrites; returns the planes [j0, j1) of the
+    grid whose acceleration is written."""
+    a, t = s.accel, s.tmp
     n = u.shape[0]
     if cfg.boundary == "periodic":  # one block, the whole box
         # -6u + (u[i-1] + u[i+1]) per axis, the order of the np.roll form
@@ -249,19 +280,20 @@ def _accel(u: np.ndarray, cfg: SolverConfig, work: _Work, i0: int,
         # term is one contiguous slice.  Cells on the y- and z-faces get
         # wrapped-around sums; the clamp overwrites them.
         j0, j1 = max(i0, 1), min(i1, n - 1)
-        v, o, s = u.reshape(-1), a.reshape(-1), t.reshape(-1)
+        v = u.reshape(-1)
+        o_in = a[j0 - i0:j1 - i0].reshape(-1)
+        w_in = t[j0 - i0:j1 - i0].reshape(-1)
         d0, d1, d2 = 3 * n * n, 3 * n, 3
         lo, hi = j0 * d0, j1 * d0
-        o_in = o[lo:hi]
         np.add(v[lo + d0:hi + d0], v[lo - d0:hi - d0], out=o_in)
         o_in += v[lo + d1:hi + d1]
         o_in += v[lo - d1:hi - d1]
         o_in += v[lo + d2:hi + d2]
         o_in += v[lo - d2:hi - d2]
-        np.multiply(v[lo:hi], 6.0, out=s[lo:hi])
-        o_in -= s[lo:hi]
+        np.multiply(v[lo:hi], 6.0, out=w_in)
+        o_in -= w_in
         o_in /= cfg.h**2
-    ub, c, w = u[i0:i1], work.constraint[i0:i1], work.scalar[i0:i1]
+    ub, c, w = u[i0:i1], s.constraint[:i1 - i0], s.scalar[:i1 - i0]
     np.multiply(ub[..., 0], ub[..., 0], out=c)
     np.multiply(ub[..., 1], ub[..., 1], out=w)
     c += w
@@ -269,25 +301,26 @@ def _accel(u: np.ndarray, cfg: SolverConfig, work: _Work, i0: int,
     c += w
     c -= 1.0
     if cfg.penalty_n != 0.0:
-        w = work.scalar[j0:j1]
-        np.multiply(work.constraint[j0:j1], cfg.penalty_n**2, out=w)
-        np.multiply(w[..., None], u[j0:j1], out=t[j0:j1])
-        a[j0:j1] -= t[j0:j1]
+        k0, k1 = j0 - i0, j1 - i0
+        w = s.scalar[k0:k1]
+        np.multiply(s.constraint[k0:k1], cfg.penalty_n**2, out=w)
+        np.multiply(w[..., None], u[j0:j1], out=t[k0:k1])
+        a[k0:k1] -= t[k0:k1]
     return j0, j1
 
 
 def _advance(i0: int, i1: int, u_prev: np.ndarray | None, u: np.ndarray,
              out: np.ndarray, cfg: SolverConfig, g: np.ndarray | None,
-             work: _Work):
-    """The x-planes [i0, i1) of the level after ``u``, written into ``out``:
-    the leapfrog step from ``u_prev`` or, when ``u_prev`` is None, the
-    second-order start from u^0 = ``u`` with time derivative ``g``.  A
-    clamped box copies its faces from ``u_prev`` (or u^0).  With
-    ``work.ledger``, returns the block's kinetic, gradient and penalty sums
-    of the ledger row of ``u``."""
+             ledger: bool, s: _Scratch):
+    """The x-planes [i0, i1) of the level after ``u``, written into ``out``
+    with scratch ``s``: the leapfrog step from ``u_prev`` or, when ``u_prev``
+    is None, the second-order start from u^0 = ``u`` with time derivative
+    ``g``.  A clamped box copies its faces from ``u_prev`` (or u^0).  With
+    ``ledger``, returns the block's kinetic, gradient and penalty sums of the
+    ledger row of ``u``."""
     dt = cfg.dt_effective
-    j0, j1 = _accel(u, cfg, work, i0, i1)
-    a, new = work.accel[j0:j1], out[j0:j1]
+    j0, j1 = _accel(u, cfg, s, i0, i1)
+    a, new = s.accel[j0 - i0:j1 - i0], out[j0:j1]
     if u_prev is None:
         a *= 0.5 * dt**2
         np.multiply(g[j0:j1], dt, out=new)
@@ -304,15 +337,15 @@ def _advance(i0: int, i1: int, u_prev: np.ndarray | None, u: np.ndarray,
         raise FloatingPointError(
             "solver blow-up: check dt <= 0.5 * min(h/sqrt(3), 1/n) "
             f"(limit {cfg.cfl_limit}, dt {dt})")
-    if not work.ledger:
+    if not ledger:
         return None
     if g is not None:
         vel = g[i0:i1]
-    else:  # midpoint velocity, summed before the gradient reuses work.tmp
-        vel = np.subtract(out[i0:i1], u_prev[i0:i1], out=work.tmp[i0:i1])
+    else:  # midpoint velocity, summed before the gradient reuses s.tmp
+        vel = np.subtract(out[i0:i1], u_prev[i0:i1], out=s.tmp[:i1 - i0])
         vel /= 2.0 * dt
-    return (_sumsq(vel), _grad_energy(u, cfg, work.tmp, i0, i1),
-            _sumsq(work.constraint[i0:i1]))
+    return (_sumsq(vel), _grad_energy(u, cfg, s.tmp, i0, i1),
+            _sumsq(s.constraint[:i1 - i0]))
 
 
 def init_from_data(u0: np.ndarray, g0: np.ndarray, cfg: SolverConfig,
@@ -365,11 +398,12 @@ def _sumsq(a: np.ndarray) -> float:
 def _grad_energy(u: np.ndarray, cfg: SolverConfig, scratch: np.ndarray,
                  i0: int, i1: int) -> float:
     """Sum of the squared one-sided differences from the x-planes [i0, i1)
-    along each axis, wrapping when periodic (one whole-box block); the
-    gradient energy is h/2 times its sum over the blocks."""
+    along each axis, wrapping when periodic (one whole-box block), formed in
+    the block-sized ``scratch``; the gradient energy is h/2 times its sum
+    over the blocks."""
     n = u.shape[0]
-    v, s = u.reshape(-1), scratch.reshape(-1)
-    ub, sb = u[i0:i1], scratch[i0:i1]
+    ub, sb = u[i0:i1], scratch[:i1 - i0]
+    v, s = u.reshape(-1), sb.reshape(-1)
     b0, b1 = i0 * 3 * n * n, i1 * 3 * n * n
     total = 0.0
     for ax, d in enumerate((3 * n * n, 3 * n, 3)):
@@ -377,7 +411,7 @@ def _grad_energy(u: np.ndarray, cfg: SolverConfig, scratch: np.ndarray,
         # they wrap across the last face; that face of the block holds
         # exactly those pairs plus the tail the subtraction leaves unset.
         e = min(b1, v.size - d)
-        np.subtract(v[b0 + d:e + d], v[b0:e], out=s[b0:e])
+        np.subtract(v[b0 + d:e + d], v[b0:e], out=s[:e - b0])
         if ax > 0 or i1 == n:
             last = (slice(None),) * ax + (-1,)
             if cfg.boundary == "periodic":
@@ -414,11 +448,13 @@ def _cores() -> int:
 
 def _check_memory(cfg: SolverConfig) -> None:
     """Raises ValueError when the stored slab plus the run's working grids
-    would exceed physical memory: seven (N, N, N, 3) grids (u0, g0, three
-    rotating levels, work.accel, work.tmp) and two (N, N, N) ones
-    (work.constraint, work.scalar)."""
-    slab = cfg.n_levels * cfg.n_cells**3 * 3 * 8
-    grids = (7 * 3 + 2) * cfg.n_cells**3 * 8
+    would exceed physical memory: five (N, N, N, 3) grids (u0, g0 and three
+    rotating levels) and the scratch of each worker, one block of two
+    (planes, N, N, 3) and two (planes, N, N) arrays (see ``_partition``)."""
+    n = cfg.n_cells
+    planes, _, runs = _partition(cfg, _cores())
+    slab = cfg.n_levels * n**3 * 3 * 8
+    grids = (5 * n * 3 + len(runs) * planes * (3 + 3 + 1 + 1)) * n * n * 8
     ram = _physical_memory()
     if ram is not None and slab + grids > ram:
         raise ValueError(
@@ -446,10 +482,10 @@ def _integrate(cfg: SolverConfig, u0: np.ndarray, g0: np.ndarray,
     # import (and its logging module) in start-up time and memory
     from concurrent.futures import ThreadPoolExecutor
 
-    dt, stride = cfg.dt_effective, cfg.stride
+    dt, stride, cores = cfg.dt_effective, cfg.stride, _cores()
     rows = EnergyLedger() if ledger else None
-    with ThreadPoolExecutor(_cores()) as pool:
-        work = _Work(cfg, pool, ledger)
+    with ThreadPoolExecutor(cores) as pool:
+        work = _Work(cfg, pool, cores, ledger)
         u1 = init_from_data(u0, g0, cfg, work)
         levels = np.empty((cfg.n_levels,) + u0.shape)
         levels[0] = u0

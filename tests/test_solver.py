@@ -356,9 +356,9 @@ def _record_threads(monkeypatch):
 
 @pytest.mark.parametrize("cells", [8, 10, 13])
 def test_results_do_not_depend_on_the_pool_size(cells, monkeypatch):
-    # 8 cells give blocks of one plane, the first and last with no interior
-    # plane; 10 and 13 planes do not split evenly into the blocks.  The
-    # stored levels are stepped into the slab, the others into the buffers.
+    # At the module's block size each of these grids is one block; the
+    # small-block cases below cut them into several.  The stored levels are
+    # stepped into the slab, the others into the buffers.
     cfg = SolverConfig(box_half_width=0.5, h=1 / cells, T_end=0.25,
                        penalty_n=16.0, store_stride=3)
     assert cfg.stride > 1
@@ -406,6 +406,62 @@ def test_blow_up_surfaces_from_a_worker(monkeypatch):
     assert threading.active_count() == threads
 
 
+def _plane_blocks(monkeypatch, cells, planes):
+    """Blocks of ``planes`` x-planes on a grid of ``cells`` per axis."""
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", planes * cells**2 * 3 * 8)
+    cfg = SolverConfig(box_half_width=0.5, h=1 / cells, T_end=0.1)
+    assert len(solver._Work(cfg).blocks) == -(-cells // planes) > 1
+
+
+@pytest.mark.parametrize("planes", [1, 2, 3])
+@pytest.mark.parametrize("cells", [8, 10, 13])
+def test_results_do_not_depend_on_the_pool_size_in_small_blocks(
+        cells, planes, monkeypatch):
+    # one-plane blocks at 8 cells: the first and last with no interior
+    # plane; 10 and 13 planes do not split evenly into 2- and 3-plane ones
+    _plane_blocks(monkeypatch, cells, planes)
+    test_results_do_not_depend_on_the_pool_size(cells, monkeypatch)
+
+
+@pytest.mark.parametrize("planes", [1, 2, 3])
+def test_blow_up_surfaces_from_a_worker_in_small_blocks(planes, monkeypatch):
+    _plane_blocks(monkeypatch, 8, planes)
+    test_blow_up_surfaces_from_a_worker(monkeypatch)
+
+
+@pytest.mark.parametrize("boundary", ["clamped", "periodic"])
+def test_work_holds_only_block_sized_scratch(boundary):
+    # 64 cells: 96 KiB planes, 5 to a 512 KiB block, 13 blocks
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 64, T_end=0.1,
+                       boundary=boundary)
+    n = cfg.n_cells
+    partitions = []
+    for workers in (1, 2, 4, 32):
+        work = solver._Work(cfg, workers=workers)
+        blocks = work.blocks
+        sizes = [i1 - i0 for i0, i1 in blocks]
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert all(k == sizes[0] for k in sizes[:-1]) and sizes[-1] <= sizes[0]
+        if boundary == "clamped":
+            assert sizes[0] * n * n * 3 * 8 <= solver._BLOCK_BYTES
+            assert len(blocks) > 1
+        else:  # the periodic stencil wraps across x
+            assert blocks == [(0, n)]
+        # one contiguous run of blocks per worker, each with its scratch
+        assert [b for r in work.runs for b in r] == blocks
+        assert 1 <= len(work.runs) == len(work.scratch) <= workers
+        assert all(r for r in work.runs)
+        arrays = [a for s in work.scratch for a in vars(s).values()]
+        assert len(arrays) == 4 * len(work.runs)
+        assert all(a.shape[0] == sizes[0] and a.shape[1:3] == (n, n)
+                   for a in arrays)
+        assert not [v for v in vars(work).values()
+                    if isinstance(v, np.ndarray)]
+        partitions.append(blocks)
+    assert all(p == partitions[0] for p in partitions)
+
+
 def test_the_sweep_builds_no_ledger(monkeypatch):
     def no_ledger(*args):
         raise AssertionError("a sweep run summed a ledger row")
@@ -434,8 +490,8 @@ def test_oversized_slab_fails_before_sampling(monkeypatch):
 
 
 def test_preflight_counts_the_working_grids(monkeypatch):
-    # memory that holds the stored slab, but not the seven (N, N, N, 3) and
-    # two (N, N, N) working grids beside it, is refused before sampling
+    # memory that holds the stored slab, but not the five (N, N, N, 3)
+    # working grids beside it, is refused before sampling
     def never(xs):
         raise AssertionError("data sampled before the memory check")
 
@@ -452,6 +508,34 @@ def test_preflight_counts_the_working_grids(monkeypatch):
     cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
     with pytest.raises(ValueError, match=r"GiB .*stride.*working grids"):
         penalization_sweep((4.0, 8.0), fld, cfg, cone)
+
+
+@pytest.mark.parametrize("boundary,cells,cores,scratch_planes", [
+    # clamped: 216 KiB planes, two to a block, one block per core
+    ("clamped", 96, 1, 2),
+    ("clamped", 96, 2, 4),
+    # periodic: one whole-box block, whatever the cores
+    ("periodic", 32, 2, 32),
+])
+def test_preflight_counts_what_is_allocated(boundary, cells, cores,
+                                            scratch_planes, monkeypatch):
+    # the slab, five (N, N, N, 3) grids and per worker one block's scratch
+    # of two (planes, N, N, 3) and two (planes, N, N) arrays, to the byte
+    def never(xs):
+        raise AssertionError("sampled")
+
+    cfg = SolverConfig(box_half_width=0.5, h=1 / cells, T_end=0.1,
+                       boundary=boundary)
+    monkeypatch.setattr(solver.os, "sched_getaffinity",
+                        lambda pid: set(range(cores)))
+    need = ((cfg.n_levels + 5) * cells**3 * 3
+            + scratch_planes * cells**2 * (3 + 3 + 1 + 1)) * 8
+    monkeypatch.setattr(solver, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match=r"GiB .*stride.*working grids"):
+        run(cfg, CauchyData(never))
+    monkeypatch.setattr(solver, "_physical_memory", lambda: need)
+    with pytest.raises(AssertionError, match="sampled"):
+        run(cfg, CauchyData(never))
 
 
 def test_memory_is_checked_once_per_run(monkeypatch):
