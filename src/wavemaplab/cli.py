@@ -31,7 +31,7 @@ from .manufactured import (ComposedWithBoost, ConstantMap, GeodesicPlaneWave,
                            QuadraticNullField, TimeSquaredBump)
 from .quadrature import (ProductRule, _disk_nodes, _singular_center,
                          energy_balance, energy_on_disk)
-from .solver import SolverConfig, penalization_sweep, run, trusted_region
+from .solver import SolverConfig, incone_slice, penalization_sweep, run, trusted_region
 from .spacetime import ConeSpec, DiskSpec, LorentzBoost, SpacetimePoint
 from .stress_energy import (BumpTest, comp_identity_check, recover_point_charge,
                             transformation_check)
@@ -320,7 +320,8 @@ def cmd_s_table(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentReport:
         formula = s_lambda(lam)
         J = recover_point_charge(MapParams(lam), test, rule)
         quad = float(J[2] / psi0)
-        reldiff = abs(quad - formula) / abs(formula) if formula != 0.0 else float("nan")
+        # None (null in the report, empty in the CSV) where s(lam) = 0
+        reldiff = abs(quad - formula) / abs(formula) if formula != 0.0 else None
         rows.append([lam, formula, quad, reldiff])
         if lam == 1.0:
             report.add(Verdict.at_most("charge_zero_lam1", abs(quad), 1e-6))
@@ -434,36 +435,31 @@ def cmd_nonuniq_demo(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentRe
 
 def _incone_distance(cfg: ExperimentConfig, slab: GridField, params: MapParams,
                      cone: ConeSpec):
-    """L2 distance between solver output and the analytic map over the cone
-    slice at t_ref = t_max, with a discretization estimate: the same distance
-    for the analytic map's own grid sampling (interpolation error plus the
-    h-scale core the grid cannot carry)."""
-    t_ref = cone.t_max
+    """L2 distance between solver output and the analytic map over the
+    ``incone_slice`` at t_max, with a discretization estimate: the same
+    distance for the analytic map's own grid sampling (interpolation error
+    plus the h-scale core the grid cannot carry)."""
+    scfg = cfg.solver_config()
+    disk = incone_slice(scfg, cone, cone.t_max)
     fld = BoostedHarmonicMap(params)
-    disk = DiskSpec(t_ref, cone.apex.x, cone.radius(t_ref) - 2.0 * cfg.h)
     xs, w = _disk_nodes(disk, cfg.rule(), _singular_center(fld, disk))
-    ts = np.full(len(xs), t_ref)
+    ts = np.full(len(xs), disk.time)
     u_vals = slab.jets_at(ts, xs)[0]
     a_vals = fld.jets_at(ts, xs)[0]
     dist = float(np.sqrt(_dot(w, np.sum((u_vals - a_vals)**2, axis=1))))
 
-    # estimate: distance between the analytic map and its own sampled-and-
-    # interpolated version on the same grid (pure discretization effect).
-    # The samples sit at the solver's cell centres on the three levels
-    # t_ref - h, t_ref, t_ref + h; only the corners the nodes read are sampled.
-    scfg = cfg.solver_config()
+    # estimate: the analytic map against its own sampled-and-interpolated
+    # version on the same grid (pure discretization effect), sampled in one
+    # call at only the corners the nodes read: the solver's cell centres on
+    # the levels t_max - h, t_max, t_max + h.
+    levels = np.array([disk.time - cfg.h, disk.time, disk.time + cfg.h])
     c = scfg.cell_centers_1d()
     shape = (3, len(c), len(c), len(c))
-    _, rows, weights = _slab_corners(shape, t_ref - cfg.h, cfg.h, scfg.origin,
+    _, rows, weights = _slab_corners(shape, levels[0], cfg.h, scfg.origin,
                                      cfg.h, ts, xs)
     used, inverse = np.unique(rows, return_inverse=True)
-    level, cell = np.divmod(used, len(c)**3)
-    samples = np.empty((len(used), 3))
-    for k, t in enumerate((t_ref - cfg.h, t_ref, t_ref + cfg.h)):
-        on = level == k
-        ix, iy, iz = np.unravel_index(cell[on], shape[1:])
-        pts = np.stack([c[ix], c[iy], c[iz]], axis=1)
-        samples[on] = fld.jets_at(np.full(len(pts), t), pts)[0]
+    level, *cell = np.unravel_index(used, shape)
+    samples = fld.jets_at(levels[level], c[np.stack(cell, axis=1)])[0]
     i_vals = _dot(weights, samples[inverse.reshape(rows.shape)])
     est = float(np.sqrt(_dot(w, np.sum((i_vals - a_vals)**2, axis=1))))
     return dist, est

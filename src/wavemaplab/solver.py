@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import FieldEvaluator, GridField, _dot
-from .spacetime import ConeSpec
+from .spacetime import ConeSpec, DiskSpec
 
 
 @dataclass(frozen=True)
@@ -515,6 +515,11 @@ def _integrate(cfg: SolverConfig, u0: np.ndarray, g0: np.ndarray,
 
 @dataclass(frozen=True)
 class SweepReport:
+    """What ``penalization_sweep`` measured, row i for ``penalties[i]``,
+    which strictly ascend: the last run, whose slab is kept, has the
+    strongest penalty.  ``pair_distances[i]`` compares runs i and i + 1 over
+    the cells of ``_cone_mask`` at T_end."""
+
     penalties: list
     sample_times: list            # times of the two levels read, every run
     violations: np.ndarray        # (n_penalties, n_times): int (|u|^2-1)^2 dx
@@ -529,49 +534,73 @@ def constraint_violation(u: np.ndarray, cfg: SolverConfig) -> float:
     return _sumsq(np.sum(u**2, axis=-1) - 1.0) * cfg.h**3
 
 
+def incone_slice(cfg: SolverConfig, cone: ConeSpec, t: float) -> DiskSpec:
+    """The disk of ``cone``'s slice at time t on which solver output is
+    compared, by the sweep's mask and the in-cone distance: less 2 h.
+    Raises ValueError when the margin leaves none of it."""
+    radius = cone.radius(t) - 2.0 * cfg.h
+    if not radius > 0.0:
+        raise ValueError(
+            f"the in-cone slice at t = {t:g} is empty: the cone's slice "
+            f"there has radius {cone.radius(t):g}, not more than the "
+            f"2 h = {2.0 * cfg.h:g} stencil margin")
+    return DiskSpec(t, cone.apex.x, radius)
+
+
 def _cone_mask(cfg: SolverConfig, cone: ConeSpec, t: float) -> np.ndarray:
-    """The cells at least 2 h inside the cone's slice at time t."""
-    d = _cell_centres(cfg) - cone.apex.x
-    r = np.sqrt(d[:, 0]**2 + d[:, 1]**2 + d[:, 2]**2)
-    return (r <= cone.radius(t) - 2.0 * cfg.h).reshape((cfg.n_cells,) * 3)
+    """The (N, N, N) cells whose centres lie in the ``incone_slice``."""
+    disk = incone_slice(cfg, cone, t)
+    dx, dy, dz = ((cfg.cell_centers_1d() - x0)**2 for x0 in disk.center)
+    r = dx[:, None, None] + dy[None, :, None] + dz
+    return np.sqrt(r, out=r) <= disk.radius
 
 
 def penalization_sweep(schedule, field: FieldEvaluator,
                        cfg_template: SolverConfig,
                        cone: ConeSpec) -> SweepReport:
-    """Run the solver from the Cauchy data of ``field`` for each penalty
-    strength on a shared grid, every run with the strongest penalty's CFL
-    step, so that all runs store the same levels; report constraint
-    violations on the stored levels nearest T_end / 2 and T_end, whose times
-    are ``sample_times`` (no interpolation), and pairwise in-cone L2
-    distances between consecutive runs at T_end.  The runs keep no energy
-    ledger."""
-    dt = dataclasses.replace(cfg_template, penalty_n=float(max(schedule)),
+    """Run the solver from the Cauchy data of ``field`` for each penalty on
+    a shared grid, every run with the strongest penalty's CFL step so that
+    all store the same levels, and no ledger.  Reports the constraint
+    violations on the stored levels nearest T_end / 2 and T_end (at times
+    ``sample_times``) and the L2 distances of consecutive runs over
+    ``_cone_mask`` at T_end, both fixed by the shared plan before sampling.
+    Raises ValueError before sampling unless ``schedule`` strictly ascends,
+    so that its last run is its strongest, or when no cell lies in the
+    in-cone slice at T_end."""
+    if len(schedule) == 0 or any(
+            a >= b for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("penalties must be non-empty and strictly ascend, "
+                         f"got {tuple(schedule)!r}")
+    dt = dataclasses.replace(cfg_template, penalty_n=float(schedule[-1]),
                              dt=None).cfl_limit
     cfgs = [dataclasses.replace(cfg_template, penalty_n=float(n), dt=dt)
             for n in schedule]
     for cfg in cfgs:
         _check_memory(cfg)  # fail on an oversized run before any sampling
+    t_end = cfg_template.T_end
+    mask = _cone_mask(cfg_template, cone, t_end)
+    if not mask.any():
+        raise ValueError(
+            f"no cell centre lies in the in-cone slice at T_end = {t_end:g}: "
+            f"the cone's slice there has radius {cone.radius(t_end):g}, "
+            f"less 2 h = {2.0 * cfg_template.h:g}")
+    level_dt = cfgs[0].stride * cfgs[0].dt_effective  # every run's slab.dt
+    nearest = [int(round(t / level_dt)) for t in (t_end / 2.0, t_end)]
     # the Cauchy data is the same for every penalty: sample it once
     u0, g0 = _cauchy_data(field, cfg_template)
-    targets = (cfg_template.T_end / 2.0, cfg_template.T_end)
-    violations = np.zeros((len(schedule), len(targets)))
-    dists = np.zeros(max(0, len(schedule) - 1))
-    mask = _cone_mask(cfg_template, cone, cfg_template.T_end)
-    ref = slab = None
+    violations = np.zeros((len(schedule), len(nearest)))
+    dists = np.zeros(len(schedule) - 1)
+    slab = None
     for i, cfg in enumerate(cfgs):
         del slab  # the previous slab goes before this run stores its own
         slab, _ = _integrate(cfg, u0, g0, ledger=False)
-        nearest = [int(round(t / slab.dt)) for t in targets]  # slab.t0 = 0
         for j, lvl in enumerate(nearest):
             violations[i, j] = constraint_violation(slab.data[lvl], cfg)
-        # only the in-cone cells of the level at T_end carry over
-        cur = slab.data[nearest[-1]][mask]
-        if ref is not None:
-            diff = ref - cur
-            dists[i - 1] = float(np.sqrt(_sumsq(diff) * cfg_template.h**3))
+        cur = slab.data[nearest[-1]][mask]  # only these cells carry over
+        if i:
+            dists[i - 1] = np.sqrt(_sumsq(ref - cur) * cfg_template.h**3)
         ref = cur
-    return SweepReport(list(schedule), [lvl * slab.dt for lvl in nearest],
+    return SweepReport(list(schedule), [lvl * level_dt for lvl in nearest],
                        violations, dists, final_slab=slab)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavemaplab import cli, fields
+from wavemaplab import cli, fields, solver
 from wavemaplab.cli import (ConeRequest, ConfigError, ExperimentConfig,
                             Verdict, _crossing_interval, _incone_distance,
                             _parse_cone, expected_defect, load_config, main,
@@ -15,7 +15,7 @@ from wavemaplab.cli import (ConeRequest, ConfigError, ExperimentConfig,
 from wavemaplab.fields import (BoostedHarmonicMap, GridField, MapParams,
                                s_lambda)
 from wavemaplab.quadrature import _disk_nodes
-from wavemaplab.solver import run, trusted_region
+from wavemaplab.solver import penalization_sweep, run, trusted_region
 from wavemaplab.spacetime import DiskSpec
 
 
@@ -371,6 +371,47 @@ def test_incone_distance_samples_only_the_corners_it_reads(monkeypatch):
     monkeypatch.setattr(fields, "harmonic_v_jet_batch", counted)
     assert _incone_distance(cfg, slab, params, inner) == want
     assert 0 < sum(nodes) < cfg.solver_config().n_cells ** 3
+    # one call at the disk nodes, then one at every corner the estimate reads
+    assert len(nodes) == 2
+
+
+def test_both_incone_comparisons_take_their_disk_from_one_rule(monkeypatch):
+    # the sweep's mask reads the outer cone at T_end, the in-cone distance
+    # the trusted cone at its top, each through solver.incone_slice once
+    cfg = ExperimentConfig(h=1.0 / 16.0, n_radial=8, n_polar=8,
+                           penalties=(8.0, 16.0))
+    scfg = cfg.solver_config()
+    cone = cfg.cones[0].build()
+    inner = trusted_region(scfg, cone)
+    calls, rule = [], solver.incone_slice
+
+    def spy(solver_cfg, c, t):
+        calls.append((c, t))
+        return rule(solver_cfg, c, t)
+
+    monkeypatch.setattr(solver, "incone_slice", spy)
+    monkeypatch.setattr(cli, "incone_slice", spy)
+    sweep = penalization_sweep(cfg.penalties, BoostedHarmonicMap(cfg.params),
+                               scfg, cone)
+    assert calls == [(cone, cfg.T_end)]
+    _incone_distance(cfg, sweep.final_slab, cfg.params, inner)
+    assert calls == [(cone, cfg.T_end), (inner, inner.t_max)]
+
+
+def test_empty_incone_slice_fails_before_sampling(tmp_path, monkeypatch,
+                                                  capsys):
+    # at T_end = 0.2 the cone's slice has radius 0.03, within 2 h = 0.0417:
+    # the sweep would compare no cells and report distances of 0.0
+    path = tmp_path / "thin.ini"
+    path.write_text("[solver]\nh = 0.0208333333333333333\n"
+                    "[cones]\nc = 0,0,0 ; 0.23 ; 0,0.2\n")
+    monkeypatch.setattr("wavemaplab.solver._cauchy_data", _no_sampling)
+    assert main(["nonuniq-demo", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: the in-cone slice at t = 0.2 is empty" in err
+    assert "radius 0.03, not more than the 2 h = 0.0416667" in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +434,25 @@ def test_s_table_command(tmp_path, capsys):
     csv_rows = (tmp_path / "s_table.csv").read_text().strip().splitlines()
     assert csv_rows[0] == "lam,s_formula,s_quadrature,rel_diff_vs_formula"
     assert len(csv_rows) == 1 + 4
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_fast_reports_are_valid_json(tmp_path):
+    # s(1) = 0 leaves the relative difference at lambda = 1 undefined: it is
+    # null in the report, as its ratio is, and an empty CSV cell, not NaN
+    for command in ("s-table", "cone-balance", "identity-checks"):
+        assert main([command, "--out", str(tmp_path)]) == 0
+        name = f"{command.replace('-', '_')}_report.json"
+        json.loads((tmp_path / name).read_text(), parse_constant=_no_constant)
+    table = json.loads((tmp_path / "s_table_report.json").read_text())[
+        "results"]["table"]
+    assert [r["rel_diff_vs_formula"] is None for r in table] \
+        == [lam == 1.0 for lam in ExperimentConfig().lambdas]
+    rows = (tmp_path / "s_table.csv").read_text().splitlines()
+    assert rows[1].startswith("1.0,0.0,") and rows[1].endswith(",")
 
 
 def test_s_table_deterministic(tmp_path):

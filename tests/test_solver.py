@@ -551,7 +551,8 @@ def test_memory_is_checked_once_per_run(monkeypatch):
     run(cfg, phi)
     assert len(calls) == 1
     calls.clear()
-    cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
+    # a slice at T_end that holds cells 2 h = 0.25 inside it
+    cone = ConeSpec.from_base(np.zeros(3), 0.5, 0.0, 0.1)
     penalization_sweep((4.0, 8.0), phi, cfg, cone)
     assert len(calls) == 2
 
@@ -677,6 +678,76 @@ def test_penalization_sweep_samples_data_once():
         d = (last[i] - last[i + 1]).ravel()
         assert sweep.pair_distances[i] == float(np.sqrt(
             np.einsum("n,n->", d, d) * cfg.h**3))
+
+
+# the default crossing cone, the control cone (no cell of its slice at
+# T_end = 0.2 lies 2 h inside it at h = 1/48) and an off-centre cone
+MASK_CONES = {
+    "crossing": ((0.0, 0.0, 0.0), 0.5, 0.2),
+    "control": ((0.3, 0.3, 0.0), 0.25, 0.1),
+    "off-centre": ((0.11, -0.2, 0.05), 0.45, 0.2),
+}
+
+
+@pytest.mark.parametrize("t", [0.2, 0.1], ids=["T_end", "mid-span"])
+@pytest.mark.parametrize("h", [1 / 48, 1 / 64],
+                         ids=["h=1/48", "h=1/64"])
+@pytest.mark.parametrize("name", MASK_CONES)
+def test_cone_mask_matches_the_full_grid_formula(name, h, t, monkeypatch):
+    cfg = SolverConfig(box_half_width=0.75, h=h, T_end=0.2)
+    center, radius, height = MASK_CONES[name]
+    cone = ConeSpec.from_base(np.array(center), radius, 0.0, height)
+    # the formula as first written, on the (N**3, 3) array of cell centres
+    d = solver._cell_centres(cfg) - cone.apex.x
+    r = np.sqrt(d[:, 0]**2 + d[:, 1]**2 + d[:, 2]**2)
+    want = (r <= cone.radius(t) - 2.0 * cfg.h).reshape((cfg.n_cells,) * 3)
+
+    def no_centres(cfg):
+        raise AssertionError("the mask built the (N**3, 3) cell centres")
+
+    monkeypatch.setattr(solver, "_cell_centres", no_centres)
+    got = solver._cone_mask(cfg, cone, t)
+    assert np.array_equal(got, want)
+    if name == "control" and h == 1 / 48 and t == 0.2:
+        assert not got.any()
+
+
+def _never_sampled():
+    def never(xs):
+        raise AssertionError("data sampled before the sweep's checks")
+
+    return CauchyData(never)
+
+
+@pytest.mark.parametrize("schedule", [(16.0, 8.0), (8.0, 8.0), ()],
+                         ids=["descending", "repeated", "empty"])
+def test_sweep_refuses_a_schedule_that_does_not_ascend(schedule):
+    # the last run is kept as the strongest-penalty one
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 16, T_end=0.1)
+    cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
+    with pytest.raises(ValueError, match="penalties must be non-empty and "
+                       r"strictly ascend, got \("):
+        penalization_sweep(schedule, _never_sampled(), cfg, cone)
+
+
+@pytest.mark.parametrize("center, base_radius, height, message", [
+    # the slice at T_end = 0.2 has radius 0.03, within 2 h = 0.0417
+    ((0.0, 0.0, 0.0), 0.23, 0.2,
+     r"in-cone slice at t = 0\.2 is empty: the cone's slice there has "
+     r"radius 0\.03, not more than the 2 h = 0\.0416667"),
+    # radius 0.05 > 2 h, but no cell centre lies within 0.0083 of the apex's
+    # x, the slice's centre
+    ((0.3, 0.3, 0.0), 0.25, 0.1,
+     r"no cell centre lies in the in-cone slice at T_end = 0\.2: the cone's "
+     r"slice there has radius 0\.05, less 2 h = 0\.0416667"),
+], ids=["within-the-margin", "between-the-cells"])
+def test_sweep_refuses_an_empty_incone_slice(center, base_radius, height,
+                                             message):
+    # pair distances over no cells would read 0.0
+    cfg = SolverConfig(box_half_width=0.75, h=1 / 48, T_end=0.2)
+    cone = ConeSpec.from_base(np.array(center), base_radius, 0.0, height)
+    with pytest.raises(ValueError, match=message):
+        penalization_sweep((8.0, 16.0), _never_sampled(), cfg, cone)
 
 
 def test_constraint_violation_zero_on_sphere_data():
