@@ -13,5 +13,5 @@ from .stress_energy import (BumpTest, comp_identity_check, divergence_T,
 from .quadrature import (BalanceReport, ProductRule, SphereRule, energy_balance,
                          energy_density, energy_on_disk, flux_density,
                          flux_form_Q, flux_on_cone)
-from .solver import (EnergyLedger, SolverConfig, SweepReport, init_from_data,
-                     penalization_sweep, run, step, trusted_region)
+from .solver import (EnergyLedger, SolverConfig, SweepReport,
+                     penalization_sweep, run, trusted_region)

@@ -76,6 +76,9 @@ class ExperimentConfig:
     cones: tuple = (ConeRequest((0.0, 0.0, 0.0), 0.5, 0.0, 0.2),
                     ConeRequest((0.3, 0.3, 0.0), 0.25, 0.0, 0.1))
 
+    def __post_init__(self):
+        self.rule()  # a quadrature count below 1 fails as the config loads
+
     def refined(self, k: int) -> "ExperimentConfig":
         if k <= 1:
             return self

@@ -71,11 +71,17 @@ class SphereRule:
 class ProductRule:
     """The quadrature resolution of one truncated cone: Gauss-Legendre nodes
     in time along its side, Gauss-Legendre radial nodes in its disks, and a
-    sphere rule for the angles of both."""
+    sphere rule for the angles of both.  Each count is an integer >= 1."""
 
     n_time: int
     n_radial: int
     n_polar: int
+
+    def __post_init__(self):
+        for name in ("n_time", "n_radial", "n_polar"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value}")
 
     def refine(self) -> "ProductRule":
         return ProductRule(2 * self.n_time, 2 * self.n_radial, 2 * self.n_polar)

@@ -19,15 +19,13 @@ step: it forms Lap(u) - n^2 (|u|^2 - 1) u there with the arithmetic of the
 plain formula, so every level is bit-identical to it, then the leapfrog
 update, the clamp and the finiteness check, and, when a ledger is kept, the
 block's parts of the kinetic, gradient and penalty sums.  The leapfrog state
-is two arrays, the previous and the current level.
-``step(u_prev, u, cfg, out=, work=)`` returns the new level, written into
-``out``, with its scratch in ``work`` (a ``_Work``), and writes nothing else;
-``out`` and ``work`` must alias neither input.  Without ``out`` or ``work`` it
-allocates fresh ones.  A clamped step copies the box faces from ``u_prev``:
-every level shares the faces of u^0.  ``run`` preallocates everything: the
-stored levels in one (n_levels, N, N, N, 3) array, into which each stored
-level is stepped, three time levels that rotate through ``out``, and one
-``_Work``, whose scratch is one block's per worker and no full grid.
+is two arrays, the previous and the current level.  ``run`` steps every
+level in one loop, whose step 0 is the second-order start from (u^0, g^0),
+and preallocates everything: the stored levels in one
+(n_levels, N, N, N, 3) array, into which each stored level is stepped, three
+rotating buffers for the other levels, and one ``_Work``, whose scratch is
+one block's per worker and no full grid.  A clamped step copies the box
+faces from the previous level: every level shares the faces of u^0.
 
 Threads.  A clamped box is cut into blocks of whole x-planes, each
 ``_BLOCK_BYTES`` (512 KiB) of (planes, N, N, 3) or less but at least one
@@ -39,9 +37,7 @@ its own block-sized scratch, so that each pass over a block stays in cache
 (numpy's element-wise loops release the GIL); it runs in a copy of the
 caller's context, so under its ``np.errstate``.  A ledger row adds the
 blocks' sums in block order, so it does not depend on the number of threads;
-the levels do not either, being element-wise.  ``step`` and
-``init_from_data`` without a pooled ``work`` run the blocks in the calling
-thread.
+the levels do not either, being element-wise.
 """
 
 from __future__ import annotations
@@ -178,9 +174,14 @@ def _cell_centres(cfg: SolverConfig) -> np.ndarray:
 def _cauchy_data(field: FieldEvaluator,
                  cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     """The value and time derivative of ``field`` at t = 0 on the cell
-    centres, each of shape (N, N, N, 3), from one ``jets_at`` call."""
+    centres, each of shape (N, N, N, 3), from one ``jets_at`` call.  Raises
+    ValueError, before any step, when either is not finite at some cell."""
     n = cfg.n_cells
     values, dts, _ = field.jets_at(np.zeros(n**3), _cell_centres(cfg))
+    for name, a in (("value", values), ("time derivative", dts)):
+        if not np.all(np.isfinite(a)):
+            raise ValueError(
+                f"the Cauchy data's {name} is not finite at some cell centre")
     return values.reshape(n, n, n, 3), dts.reshape(n, n, n, 3)
 
 
@@ -218,33 +219,27 @@ def _partition(cfg: SolverConfig, workers: int):
 class _Work:
     """The x-plane blocks a step runs in, one contiguous run of them per
     worker with one block's ``_Scratch`` each, the pool that runs the runs
-    (None: the calling thread, with one worker) and whether a step sums its
-    ledger row.  No array of it spans more than one block's planes."""
+    and whether a step sums its ledger row.  No array of it spans more than
+    one block's planes."""
 
-    def __init__(self, cfg: SolverConfig, pool=None, workers: int = 1,
-                 ledger: bool = False):
+    def __init__(self, cfg: SolverConfig, pool, workers: int, ledger: bool):
         planes, self.blocks, self.runs = _partition(cfg, workers)
         self.scratch = [_Scratch(planes, cfg.n_cells) for _ in self.runs]
         self.pool, self.ledger = pool, ledger
         self.sums = None  # kinetic, gradient and penalty sums of a ledger row
 
-    def advance(self, u_prev, u, out, cfg: SolverConfig, g=None) -> None:
-        """``_advance`` on every block, each worker's run block after block.
+    def advance(self, u_prev, u, out, cfg: SolverConfig, g) -> None:
+        """``_advance`` on every block, each worker's run block after block
+        in a copy of the caller's context, so under its ``np.errstate``.
         Every worker finishes before an error of any block is raised; with a
         ledger, ``sums`` adds the blocks' sums in block order."""
         args = (u_prev, u, out, cfg, g, self.ledger)
-        if self.pool is None:
-            parts = [_advance_run(r, s, *args)
-                     for r, s in zip(self.runs, self.scratch)]
-        else:
-            # each run steps in a copy of the caller's context, so under its
-            # np.errstate
-            futures = [self.pool.submit(contextvars.copy_context().run,
-                                        _advance_run, r, s, *args)
-                       for r, s in zip(self.runs, self.scratch)]
-            for f in futures:
-                f.exception()  # waits for the run, raising nothing
-            parts = [f.result() for f in futures]
+        futures = [self.pool.submit(contextvars.copy_context().run,
+                                    _advance_run, r, s, *args)
+                   for r, s in zip(self.runs, self.scratch)]
+        for f in futures:
+            f.exception()  # waits for the run, raising nothing
+        parts = [f.result() for f in futures]
         if self.ledger:
             self.sums = [sum(col) for col in zip(*(p for run in parts
                                                    for p in run))]
@@ -348,25 +343,6 @@ def _advance(i0: int, i1: int, u_prev: np.ndarray | None, u: np.ndarray,
             _sumsq(s.constraint[:i1 - i0]))
 
 
-def init_from_data(u0: np.ndarray, g0: np.ndarray, cfg: SolverConfig,
-                   work: _Work | None = None) -> np.ndarray:
-    """Second-order start: returns the level u^1 = u^0 + dt g + (dt^2/2)
-    (Lap u^0 - penalty).
-
-    ``u0`` and ``g0`` are the value and time derivative of the data at the
-    cell centres, shape (N, N, N, 3), and are not written."""
-    n = cfg.n_cells
-    for a in (u0, g0):
-        if a.shape != (n, n, n, 3):
-            raise ValueError(f"sampled data has shape {a.shape}, "
-                             f"the grid needs {(n, n, n, 3)}")
-    if not np.all(np.isfinite(u0)):
-        raise ValueError("initial data not finite at some cell center")
-    u1 = np.empty_like(u0)
-    (work if work is not None else _Work(cfg)).advance(None, u0, u1, cfg, g0)
-    return u1
-
-
 def _apply_clamp(u: np.ndarray, u0: np.ndarray, i0: int, i1: int) -> None:
     """The box faces of ``u0`` into ``u``, on the x-planes [i0, i1)."""
     for i in (0, u.shape[0] - 1):
@@ -375,19 +351,6 @@ def _apply_clamp(u: np.ndarray, u0: np.ndarray, i0: int, i1: int) -> None:
     ub, u0b = u[i0:i1], u0[i0:i1]
     ub[:, 0], ub[:, -1] = u0b[:, 0], u0b[:, -1]
     ub[:, :, 0], ub[:, :, -1] = u0b[:, :, 0], u0b[:, :, -1]
-
-
-def step(u_prev: np.ndarray, u: np.ndarray, cfg: SolverConfig,
-         out: np.ndarray | None = None,
-         work: _Work | None = None) -> np.ndarray:
-    """One leapfrog step from the levels ``u_prev`` and ``u``: returns the
-    next level, with clamped faces copied from ``u_prev``.
-
-    The new level is written into ``out`` and the scratch into ``work``;
-    each is allocated when not given (see the module docstring)."""
-    out = out if out is not None else np.empty_like(u)
-    (work if work is not None else _Work(cfg)).advance(u_prev, u, out, cfg)
-    return out
 
 
 def _sumsq(a: np.ndarray) -> float:
@@ -476,7 +439,9 @@ def run(cfg: SolverConfig, field: FieldEvaluator):
 def _integrate(cfg: SolverConfig, u0: np.ndarray, g0: np.ndarray,
                ledger: bool = True):
     """``run`` from the sampled Cauchy data ``u0``, ``g0``, which are not
-    written; the caller has checked the memory.  Without ``ledger`` no
+    written; the caller has checked the memory.  Every level is stepped in
+    one loop: step 0 is the second-order start from ``u0`` and ``g0``, step
+    k >= 1 the leapfrog from levels k - 1 and k.  Without ``ledger`` no
     energy is summed and the ledger returned is None."""
     # imported here, so that commands which run no solver do not pay the
     # import (and its logging module) in start-up time and memory
@@ -484,29 +449,23 @@ def _integrate(cfg: SolverConfig, u0: np.ndarray, g0: np.ndarray,
 
     dt, stride, cores = cfg.dt_effective, cfg.stride, _cores()
     rows = EnergyLedger() if ledger else None
+    levels = np.empty((cfg.n_levels,) + u0.shape)
+    levels[0] = u0
+    # a stored level k + 1 is stepped straight into its slot of ``levels``,
+    # any other into bufs[(k + 1) % 3]; u0 is never written
+    bufs = [np.empty_like(u0) for _ in range(3)]
     with ThreadPoolExecutor(cores) as pool:
         work = _Work(cfg, pool, cores, ledger)
-        u1 = init_from_data(u0, g0, cfg, work)
-        levels = np.empty((cfg.n_levels,) + u0.shape)
-        levels[0] = u0
-        if stride == 1:
-            levels[1] = u1
-        if ledger:
-            rows.add(0, 0.0, *_ledger_row(work.sums, cfg))
-
-        # a stored level is stepped straight into its slot of ``levels``,
-        # any other level k into bufs[k % 3]; u0 is never written
-        bufs = [np.empty_like(u0), u1, np.empty_like(u0)]
-        prev, cur, t = u0, u1, dt
-        for k in range(1, cfg.n_steps):
+        prev, cur, t = None, u0, 0.0
+        for k in range(cfg.n_steps):
             # cur is level k, at time t (dt summed k times)
             slot, skip = divmod(k + 1, stride)
             out = bufs[(k + 1) % 3] if skip else levels[slot]
             # the ledger row of level k needs level k + 1 for its velocity
-            nxt = step(prev, cur, cfg, out=out, work=work)
+            work.advance(prev, cur, out, cfg, g0 if k == 0 else None)
             if ledger:
                 rows.add(k, t, *_ledger_row(work.sums, cfg))
-            prev, cur, t = cur, nxt, t + dt
+            prev, cur, t = cur, out, t + dt
 
     slab = GridField(t0=0.0, dt=stride * dt, origin=cfg.origin, h=cfg.h,
                      data=levels)

@@ -283,6 +283,24 @@ def test_non_finite_penalty_fails_before_sampling(command, penalties,
     assert "penalty_n must be >= 0 and finite, got nan" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("key", ["n_time", "n_radial", "n_polar"])
+def test_quadrature_count_below_1_fails_as_the_config_loads(key, value,
+                                                            tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    # unchecked, numpy's Gauss-Legendre rule would refuse it only after the
+    # sweep, in words that name no key
+    path = tmp_path / "rule.ini"
+    path.write_text(f"[quadrature]\n{key} = {value}\n")
+    monkeypatch.setattr("wavemaplab.solver._cauchy_data", _no_sampling)
+    assert main(["nonuniq-demo", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert (f"config error: {key} must be an integer >= 1, got {value}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("penalties", ["64, 32, 16, 8", "8, 16, 16"],
                          ids=["descending", "repeated"])
 @pytest.mark.parametrize("command", ["nonuniq-demo", "stationary-demo",

@@ -443,14 +443,14 @@ def test_initial_data_samples_f_and_g_with_one_jet_call(monkeypatch):
         return real(params, pts)
 
     seen = []
-    real_init = solver.init_from_data
+    real_integrate = solver._integrate
 
-    def spy(u0, g0, cfg, work=None):
+    def spy(cfg, u0, g0, ledger=True):
         seen.append((u0.copy(), g0.copy()))
-        return real_init(u0, g0, cfg, work)
+        return real_integrate(cfg, u0, g0, ledger)
 
     monkeypatch.setattr(fields, "harmonic_v_jet_batch", counting)
-    monkeypatch.setattr(solver, "init_from_data", spy)
+    monkeypatch.setattr(solver, "_integrate", spy)
     slab, _ = run(cfg, phi)
     assert calls == [cfg.n_cells**3]
     (u0, g0), = seen

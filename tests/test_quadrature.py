@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -44,6 +45,16 @@ def test_sphere_rule_weights_and_moments():
 
 def test_rule_refinement_doubles_resolution():
     assert ProductRule(4, 8, 6).refine() == ProductRule(8, 16, 12)
+
+
+@pytest.mark.parametrize("counts, message", [
+    ((0, 8, 6), "n_time must be an integer >= 1, got 0"),
+    ((4, -1, 6), "n_radial must be an integer >= 1, got -1"),
+    ((4, 8, 2.5), "n_polar must be an integer >= 1, got 2.5")],
+    ids=["n_time", "n_radial", "n_polar"])
+def test_rule_refuses_a_count_below_1(counts, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ProductRule(*counts)
 
 
 def test_cone_slices_weights_and_radii():

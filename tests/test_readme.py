@@ -224,3 +224,9 @@ def test_one_thread_pool_in_one_place():
             if "ThreadPoolExecutor" in names} == {"solver"}
     for banned in ("multiprocessing", "ProcessPoolExecutor", "Thread"):
         assert sorted(m for m, names in used.items() if banned in names) == []
+
+
+def test_one_stepping_loop():
+    # every level, the second-order start included, is stepped by the one
+    # loop of solver._integrate
+    assert _callers("advance") == {("solver", "_integrate")}

@@ -11,8 +11,7 @@ from wavemaplab.fields import BoostedHarmonicMap, FieldEvaluator, MapParams
 from wavemaplab.manufactured import ConstantMap, GeodesicPlaneWave, bump_profile
 from wavemaplab import solver
 from wavemaplab.solver import (EnergyLedger, SolverConfig, constraint_violation,
-                               init_from_data, penalization_sweep, run, step,
-                               trusted_region)
+                               penalization_sweep, run, trusted_region)
 from wavemaplab.spacetime import ConeSpec
 
 
@@ -164,18 +163,33 @@ def test_unstable_step_raises():
             run(cfg, noisy)
 
 
-def test_step_and_init_agree_with_run():
-    pw = plane_wave([2.0, 0.0, 0.0])
-    cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.1,
-                       boundary="periodic", store_stride=1)
-    slab, _ = run(cfg, pw)
-    u0, g0 = solver._cauchy_data(pw, cfg)
-    with pytest.raises(ValueError, match="shape"):
-        init_from_data(u0, g0[1:], cfg)
-    u1 = init_from_data(u0, g0, cfg)
-    assert np.allclose(u0, slab.data[0], atol=1e-14)
-    assert np.allclose(u1, slab.data[1], atol=1e-14)
-    assert np.allclose(step(u0, u1, cfg), slab.data[2], atol=1e-14)
+@pytest.mark.parametrize("component", ["value", "time derivative"])
+@pytest.mark.parametrize("cell, bad", [((3, 4, 2), np.nan),
+                                       ((0, 3, 5), np.inf)],
+                         ids=["interior-nan", "face-inf"])
+@pytest.mark.parametrize("entry", ["run", "penalization_sweep"])
+def test_non_finite_cauchy_data_fails_before_any_step(entry, cell, bad,
+                                                      component, monkeypatch):
+    # unchecked, a bad time derivative would blow up at step 0 in the
+    # interior, and at a face run through with a NaN kinetic energy in
+    # ledger row 0
+    def never(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(solver, "_advance", never)
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.1)
+    value, dt = np.tile([0.0, 0.0, 1.0], (8, 8, 8, 1)), np.zeros((8, 8, 8, 3))
+    (value if component == "value" else dt)[cell] = bad
+    data = CauchyData(lambda xs: value.reshape(-1, 3),
+                      lambda xs: dt.reshape(-1, 3))
+    message = re.escape(f"the Cauchy data's {component} is not finite at "
+                        "some cell centre")
+    with pytest.raises(ValueError, match=message):
+        if entry == "run":
+            run(cfg, data)
+        else:
+            cone = ConeSpec.from_base(np.zeros(3), 0.5, 0.0, 0.1)
+            penalization_sweep((4.0, 8.0), data, cfg, cone)
 
 
 def test_clamped_boundary_holds_initial_values():
@@ -301,27 +315,24 @@ def off_sphere_data():
 KERNEL_CASES = [(b, n) for b in ("clamped", "periodic") for n in (0.0, 16.0)]
 
 
-@pytest.mark.parametrize("boundary,n", KERNEL_CASES)
-def test_step_bit_identical_to_reference(boundary, n):
-    cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.2, penalty_n=n,
-                       boundary=boundary)
-    u0, g0 = solver._cauchy_data(off_sphere_data(), cfg)
-    prev, cur = u0, init_from_data(u0, g0, cfg)
-    ref, _ = _ref_run(cfg, u0, g0)
-    assert np.array_equal(cur, ref[1])
-    # clamped faces come from the previous level, the reference's from u0
-    for k in range(2, 5):
-        prev, cur = cur, step(prev, cur, cfg)
-        assert np.array_equal(cur, ref[k])
+# stride 1 stores every level; at stride 2 step 0 goes to a rotating buffer
+# and step 1 to the slab
+RUN_CASES = [pytest.param(b, n, stride,
+                          id=f"{b}-{n}" + ("" if stride == 1 else "-stride2"))
+             for b, n in KERNEL_CASES for stride in (1, 2)]
 
 
-@pytest.mark.parametrize("boundary,n", KERNEL_CASES)
-def test_run_bit_identical_to_reference(boundary, n):
-    cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.2, penalty_n=n,
-                       boundary=boundary, store_stride=1)
+@pytest.mark.parametrize("boundary,n,stride", RUN_CASES)
+def test_run_bit_identical_to_reference(boundary, n, stride):
+    # T_end = 0.36 takes an even number of steps, 10 and 12, with and
+    # without the penalty, so store_stride = 2 is the stride
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.36, penalty_n=n,
+                       boundary=boundary, store_stride=stride)
+    assert cfg.stride == stride
     data = off_sphere_data()
     u0, g0 = solver._cauchy_data(data, cfg)
     ref_levels, ref_rows = _ref_run(cfg, u0, g0)
+    ref_levels = ref_levels[::stride]
     slab, ledger = run(cfg, data)
     assert np.array_equal(slab.data, ref_levels)
     # the reductions run in another order: a few ulps, not bit-identical
@@ -410,7 +421,8 @@ def _plane_blocks(monkeypatch, cells, planes):
     """Blocks of ``planes`` x-planes on a grid of ``cells`` per axis."""
     monkeypatch.setattr(solver, "_BLOCK_BYTES", planes * cells**2 * 3 * 8)
     cfg = SolverConfig(box_half_width=0.5, h=1 / cells, T_end=0.1)
-    assert len(solver._Work(cfg).blocks) == -(-cells // planes) > 1
+    work = solver._Work(cfg, pool=None, workers=1, ledger=False)
+    assert len(work.blocks) == -(-cells // planes) > 1
 
 
 @pytest.mark.parametrize("planes", [1, 2, 3])
@@ -437,7 +449,7 @@ def test_work_holds_only_block_sized_scratch(boundary):
     n = cfg.n_cells
     partitions = []
     for workers in (1, 2, 4, 32):
-        work = solver._Work(cfg, workers=workers)
+        work = solver._Work(cfg, pool=None, workers=workers, ledger=False)
         blocks = work.blocks
         sizes = [i1 - i0 for i0, i1 in blocks]
         assert blocks[0][0] == 0 and blocks[-1][1] == n
