@@ -383,8 +383,9 @@ def cmd_nonuniq_demo(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentRe
     solver_cfg = cfg.solver_config()
     inner = trusted_region(solver_cfg, cone)  # raises if it is untrusted
 
+    # the final slab is read on the trusted cone alone: its box is stored
     sweep = penalization_sweep(cfg.penalties, BoostedHarmonicMap(params),
-                               solver_cfg, cone)
+                               solver_cfg, cone, read_cones=[inner])
     slab = sweep.final_slab
     n_max = float(cfg.penalties[-1])
 

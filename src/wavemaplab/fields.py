@@ -205,7 +205,12 @@ def _slab_corners(shape, t0: float, dt: float, origin, h: float, ts, xs):
     fr[:, 0] = (np.asarray(ts, float) - float(t0)) / float(dt)
     fr[:, 1:] = (np.asarray(xs, float) - np.asarray(origin, float)) / float(h)
     if np.any(fr < -1e-9) or np.any(fr > dims - 1 + 1e-9):
-        raise ValueError("point outside the grid slab (with margin)")
+        top = np.concatenate(([t0], origin)) + (dims - 1) * np.array(
+            [dt, h, h, h])
+        box = " x ".join(f"[{a:g}, {b:g}]" for a, b in zip(origin, top[1:]))
+        raise ValueError(
+            f"point outside the grid slab (with margin): it holds t in "
+            f"[{t0:g}, {top[0]:g}] and x in {box}")
     idx = np.clip(np.floor(fr).astype(np.intp), 0, dims - 2)
     w = fr - idx
     strides = _strides(dims)

@@ -19,13 +19,18 @@ step: it forms Lap(u) - n^2 (|u|^2 - 1) u there with the arithmetic of the
 plain formula, so every level is bit-identical to it, then the leapfrog
 update, the clamp and the finiteness check, and, when a ledger is kept, the
 block's parts of the kinetic, gradient and penalty sums.  The leapfrog state
-is two arrays, the previous and the current level.  ``run`` steps every
-level in one loop, whose step 0 is the second-order start from (u^0, g^0),
-and preallocates everything: the stored levels in one
-(n_levels, N, N, N, 3) array, into which each stored level is stepped, three
-rotating buffers for the other levels, and one ``_Work``, whose scratch is
-one block's per worker and no full grid.  A clamped step copies the box
-faces from the previous level: every level shares the faces of u^0.
+is two arrays, the previous and the current level.  ``_integrate`` steps
+every level in one loop, whose step 0 is the second-order start from
+(u^0, g^0), and preallocates everything: three rotating buffers, one
+``_Work``, whose scratch is one block's per worker and no full grid, and the
+stored levels in one (n_levels, wx, wy, wz, 3) array.  It stores only the
+box of cells its caller reads, which ``cell_box`` maps from the cones read.
+``run`` stores the whole grid, and steps each stored level straight into
+its slot; any other box is copied out of the rotating buffer a level is
+stepped into, and an empty one stores nothing.  A caller that reads a
+whole level, as the sweep's weaker runs do, reads it through a hook as it
+is stepped.  A clamped step copies the box faces from the previous level:
+every level shares the faces of u^0.
 
 Threads.  A clamped box is cut into blocks of whole x-planes, each
 ``_BLOCK_BYTES`` (512 KiB) of (planes, N, N, 3) or less but at least one
@@ -409,23 +414,54 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _check_memory(cfg: SolverConfig) -> None:
+def _check_memory(cfg: SolverConfig, box=None) -> None:
     """Raises ValueError when the stored slab plus the run's working grids
-    would exceed physical memory: five (N, N, N, 3) grids (u0, g0 and three
-    rotating levels) and the scratch of each worker, one block of two
-    (planes, N, N, 3) and two (planes, N, N) arrays (see ``_partition``)."""
+    would exceed physical memory: the ``box`` of cells (see ``cell_box``;
+    None: the whole grid) of every stored level, five (N, N, N, 3) grids
+    (u0, g0 and three rotating levels) and the scratch of each worker, one
+    block of two (planes, N, N, 3) and two (planes, N, N) arrays (see
+    ``_partition``)."""
     n = cfg.n_cells
+    dims = [s.stop - s.start for s in box or cell_box(cfg)]
     planes, _, runs = _partition(cfg, _cores())
-    slab = cfg.n_levels * n**3 * 3 * 8
+    slab = cfg.n_levels * int(np.prod(dims)) * 3 * 8
     grids = (5 * n * 3 + len(runs) * planes * (3 + 3 + 1 + 1)) * n * n * 8
     ram = _physical_memory()
     if ram is not None and slab + grids > ram:
         raise ValueError(
             f"the run would need {(slab + grids) / 2**30:.1f} GiB: a stored "
             f"slab of {slab / 2**30:.1f} GiB ({cfg.n_levels} levels of "
-            f"{cfg.n_cells}^3 cells, stride {cfg.stride} over {cfg.n_steps} "
-            f"steps) and {grids / 2**30:.1f} GiB of working grids, more than "
-            f"the {ram / 2**30:.1f} GiB of physical memory")
+            f"{' x '.join(map(str, dims))} of the {n}^3 cells, stride "
+            f"{cfg.stride} over {cfg.n_steps} steps) and "
+            f"{grids / 2**30:.1f} GiB of working grids, more than the "
+            f"{ram / 2**30:.1f} GiB of physical memory")
+
+
+def cell_box(cfg: SolverConfig, cones=None) -> tuple[slice, slice, slice]:
+    """The box of cells, as slices of the (N, N, N) grid, that holds every
+    node a reader of ``cones`` queries and the cells its derivatives read.
+
+    A cone's widest slice is its base disk at t_min.  The box is the union
+    over ``cones`` of that disk's bounding box, widened so that the cell of
+    every node inside it has one more cell on each side inside the box: a
+    ``GridField`` on the box then takes each derivative with the central
+    difference it takes on the whole grid, never its face formula, and a
+    node within rounding of a cell edge changes nothing.  Clipped to the
+    grid, where both take the face formula; empty when ``cones`` is, and
+    the whole grid when it is None."""
+    n = cfg.n_cells
+    if cones is None:
+        return (slice(0, n),) * 3
+    lo, hi = np.full(3, n), np.zeros(3, dtype=int)
+    for cone in cones:
+        r = cone.radius(cone.t_min)
+        fr_lo = (cone.apex.x - r - cfg.origin) / cfg.h
+        fr_hi = (cone.apex.x + r - cfg.origin) / cfg.h
+        # a node in cell i reads cells i - 1 to i + 2; hi is exclusive
+        lo = np.minimum(lo, np.floor(fr_lo - 1e-9).astype(int) - 1)
+        hi = np.maximum(hi, np.floor(fr_hi + 1e-9).astype(int) + 3)
+    lo, hi = np.clip(lo, 0, n), np.clip(hi, 0, n)
+    return tuple(slice(int(a), int(max(a, b))) for a, b in zip(lo, hi))
 
 
 def run(cfg: SolverConfig, field: FieldEvaluator):
@@ -437,22 +473,36 @@ def run(cfg: SolverConfig, field: FieldEvaluator):
 
 
 def _integrate(cfg: SolverConfig, u0: np.ndarray, g0: np.ndarray,
-               ledger: bool = True):
+               ledger: bool = True, box=None, read=None):
     """``run`` from the sampled Cauchy data ``u0``, ``g0``, which are not
     written; the caller has checked the memory.  Every level is stepped in
     one loop: step 0 is the second-order start from ``u0`` and ``g0``, step
     k >= 1 the leapfrog from levels k - 1 and k.  Without ``ledger`` no
-    energy is summed and the ledger returned is None."""
+    energy is summed and the ledger returned is None.
+
+    Each stored level keeps the ``box`` of cells of ``cell_box``, the whole
+    grid when None, in a slab whose origin is that box's first cell; an
+    empty box stores nothing and the slab returned is None.  ``read(slot,
+    level)``, when given, sees every stored level whole, slot 0 (``u0``)
+    included, as soon as it is stepped and before it is overwritten."""
     # imported here, so that commands which run no solver do not pay the
     # import (and its logging module) in start-up time and memory
     from concurrent.futures import ThreadPoolExecutor
 
     dt, stride, cores = cfg.dt_effective, cfg.stride, _cores()
     rows = EnergyLedger() if ledger else None
-    levels = np.empty((cfg.n_levels,) + u0.shape)
-    levels[0] = u0
-    # a stored level k + 1 is stepped straight into its slot of ``levels``,
-    # any other into bufs[(k + 1) % 3]; u0 is never written
+    whole = cell_box(cfg)
+    box = box or whole
+    dims = tuple(s.stop - s.start for s in box)
+    levels = np.empty((cfg.n_levels,) + dims + (3,)) if all(dims) else None
+    if levels is not None:
+        levels[0] = u0[box]
+    if read is not None:
+        read(0, u0)
+    # over the whole grid a stored level k + 1 is stepped straight into its
+    # slot of ``levels``; any other level goes into bufs[(k + 1) % 3], out
+    # of which a stored level's box is copied; u0 is never written
+    in_slots = box == whole
     bufs = [np.empty_like(u0) for _ in range(3)]
     with ThreadPoolExecutor(cores) as pool:
         work = _Work(cfg, pool, cores, ledger)
@@ -460,15 +510,24 @@ def _integrate(cfg: SolverConfig, u0: np.ndarray, g0: np.ndarray,
         for k in range(cfg.n_steps):
             # cur is level k, at time t (dt summed k times)
             slot, skip = divmod(k + 1, stride)
-            out = bufs[(k + 1) % 3] if skip else levels[slot]
+            out = levels[slot] if in_slots and not skip \
+                else bufs[(k + 1) % 3]
             # the ledger row of level k needs level k + 1 for its velocity
             work.advance(prev, cur, out, cfg, g0 if k == 0 else None)
             if ledger:
                 rows.add(k, t, *_ledger_row(work.sums, cfg))
+            if not skip:
+                if not in_slots and levels is not None:
+                    levels[slot] = out[box]
+                if read is not None:
+                    read(slot, out)
             prev, cur, t = cur, out, t + dt
 
-    slab = GridField(t0=0.0, dt=stride * dt, origin=cfg.origin, h=cfg.h,
-                     data=levels)
+    if levels is None:
+        return None, rows
+    lo = np.array([s.start for s in box])
+    slab = GridField(t0=0.0, dt=stride * dt, origin=cfg.origin + cfg.h * lo,
+                     h=cfg.h, data=levels)
     return slab, rows
 
 
@@ -477,13 +536,15 @@ class SweepReport:
     """What ``penalization_sweep`` measured, row i for ``penalties[i]``,
     which strictly ascend: the last run, whose slab is kept, has the
     strongest penalty.  ``pair_distances[i]`` compares runs i and i + 1 over
-    the cells of ``_cone_mask`` at T_end."""
+    the cells of ``_cone_mask`` at T_end.  ``final_slab`` holds every level
+    of that run but only the cells of the ``cell_box`` of the cones the
+    sweep was told would be read; a query outside it raises ValueError."""
 
     penalties: list
     sample_times: list            # times of the two levels read, every run
     violations: np.ndarray        # (n_penalties, n_times): int (|u|^2-1)^2 dx
     pair_distances: np.ndarray    # (n_penalties - 1,): in-cone L2 distances
-    final_slab: GridField = None  # output of the strongest-penalty run
+    final_slab: GridField = None  # the strongest run's stored cell box
 
     def violation_final(self) -> np.ndarray:
         return self.violations[:, -1]
@@ -515,14 +576,17 @@ def _cone_mask(cfg: SolverConfig, cone: ConeSpec, t: float) -> np.ndarray:
 
 
 def penalization_sweep(schedule, field: FieldEvaluator,
-                       cfg_template: SolverConfig,
-                       cone: ConeSpec) -> SweepReport:
+                       cfg_template: SolverConfig, cone: ConeSpec,
+                       read_cones=None) -> SweepReport:
     """Run the solver from the Cauchy data of ``field`` for each penalty on
     a shared grid, every run with the strongest penalty's CFL step so that
     all store the same levels, and no ledger.  Reports the constraint
     violations on the stored levels nearest T_end / 2 and T_end (at times
     ``sample_times``) and the L2 distances of consecutive runs over
-    ``_cone_mask`` at T_end, both fixed by the shared plan before sampling.
+    ``_cone_mask`` at T_end, both fixed by the shared plan before sampling
+    and read from each level as it is stepped, so that only the strongest
+    run stores a slab: the ``cell_box`` of ``read_cones``, the cones its
+    caller will read of ``final_slab``, or the whole grid when None.
     Raises ValueError before sampling unless ``schedule`` strictly ascends,
     so that its last run is its strongest, or when no cell lies in the
     in-cone slice at T_end."""
@@ -534,8 +598,11 @@ def penalization_sweep(schedule, field: FieldEvaluator,
                              dt=None).cfl_limit
     cfgs = [dataclasses.replace(cfg_template, penalty_n=float(n), dt=dt)
             for n in schedule]
-    for cfg in cfgs:
-        _check_memory(cfg)  # fail on an oversized run before any sampling
+    # the weaker runs store no level, the strongest the box read of it
+    boxes = [cell_box(cfg_template, ())] * (len(cfgs) - 1) \
+        + [cell_box(cfg_template, read_cones)]
+    for cfg, box in zip(cfgs, boxes):
+        _check_memory(cfg, box)  # fail on an oversized run before sampling
     t_end = cfg_template.T_end
     mask = _cone_mask(cfg_template, cone, t_end)
     if not mask.any():
@@ -549,13 +616,18 @@ def penalization_sweep(schedule, field: FieldEvaluator,
     u0, g0 = _cauchy_data(field, cfg_template)
     violations = np.zeros((len(schedule), len(nearest)))
     dists = np.zeros(len(schedule) - 1)
-    slab = None
-    for i, cfg in enumerate(cfgs):
-        del slab  # the previous slab goes before this run stores its own
-        slab, _ = _integrate(cfg, u0, g0, ledger=False)
-        for j, lvl in enumerate(nearest):
-            violations[i, j] = constraint_violation(slab.data[lvl], cfg)
-        cur = slab.data[nearest[-1]][mask]  # only these cells carry over
+    for i, (cfg, box) in enumerate(zip(cfgs, boxes)):
+        last = []  # only the in-cone cells at T_end carry over
+
+        def read(slot, level):
+            for j, lvl in enumerate(nearest):
+                if slot == lvl:
+                    violations[i, j] = constraint_violation(level, cfg)
+            if slot == nearest[-1]:
+                last.append(level[mask])
+
+        slab, _ = _integrate(cfg, u0, g0, ledger=False, box=box, read=read)
+        cur, = last
         if i:
             dists[i - 1] = np.sqrt(_sumsq(ref - cur) * cfg_template.h**3)
         ref = cur

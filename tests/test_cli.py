@@ -14,9 +14,9 @@ from wavemaplab.cli import (ConeRequest, ConfigError, ExperimentConfig,
                             smoothing_tolerance)
 from wavemaplab.fields import (BoostedHarmonicMap, GridField, MapParams,
                                s_lambda)
-from wavemaplab.quadrature import _disk_nodes
+from wavemaplab.quadrature import _disk_nodes, energy_balance
 from wavemaplab.solver import penalization_sweep, run, trusted_region
-from wavemaplab.spacetime import DiskSpec
+from wavemaplab.spacetime import ConeSpec, DiskSpec
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +414,128 @@ def test_both_incone_comparisons_take_their_disk_from_one_rule(monkeypatch):
     assert calls == [(cone, cfg.T_end)]
     _incone_distance(cfg, sweep.final_slab, cfg.params, inner)
     assert calls == [(cone, cfg.T_end), (inner, inner.t_max)]
+
+
+def _windowed_and_whole_sweeps():
+    """The same sweep at h = 1/24 twice: storing the cell box of the trusted
+    cone, as nonuniq-demo does, and storing the whole grid."""
+    cfg = ExperimentConfig(h=1.0 / 24.0, n_radial=8, n_polar=8,
+                           penalties=(8.0, 16.0, 32.0))
+    scfg = cfg.solver_config()
+    cone = cfg.cones[0].build()
+    inner = trusted_region(scfg, cone)
+    phi = BoostedHarmonicMap(cfg.params)
+    return cfg, inner, [penalization_sweep(cfg.penalties, phi, scfg, cone,
+                                           read_cones=reads)
+                        for reads in ([inner], None)]
+
+
+def test_windowed_sweep_reads_what_the_whole_slab_holds():
+    cfg, inner, (part, whole) = _windowed_and_whole_sweeps()
+    scfg = cfg.solver_config()
+    box = solver.cell_box(scfg, [inner])
+    lo = np.array([s.start for s in box])
+    # a real window: the trusted cone reads about half of the 36^3 cells
+    assert part.final_slab.data.size < 0.6 * whole.final_slab.data.size
+    assert np.array_equal(part.violations, whole.violations)
+    assert np.array_equal(part.pair_distances, whole.pair_distances)
+    assert part.sample_times == whole.sample_times
+    assert np.array_equal(part.final_slab.data,
+                          whole.final_slab.data[(slice(None),) + box])
+    assert np.array_equal(part.final_slab.origin, scfg.origin + cfg.h * lo)
+    n_max = cfg.penalties[-1]
+    got, want = (energy_balance(s.final_slab, inner, cfg.rule(),
+                                penalty_n=n_max) for s in (part, whole))
+    for a, b in ((got, want), (got.unpenalized, want.unpenalized)):
+        for key in ("e_base", "e_top", "flux", "balance"):
+            assert getattr(a, key) == pytest.approx(getattr(b, key),
+                                                    rel=1e-12), key
+    for a, b in zip(*(_incone_distance(cfg, s.final_slab, cfg.params, inner)
+                      for s in (part, whole))):
+        assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_weaker_sweep_runs_allocate_no_slab(monkeypatch):
+    # a slab is the one 5-d array the solver allocates: (levels, x, y, z, 3)
+    slabs, empty = [], np.empty
+
+    def spy(shape, *args, **kwargs):
+        if len(np.atleast_1d(shape)) == 5:
+            slabs.append(tuple(shape))
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", spy)
+    cfg, inner, (part, whole) = _windowed_and_whole_sweeps()
+    assert slabs == [part.final_slab.data.shape, whole.final_slab.data.shape]
+    assert whole.final_slab.data.shape[1:4] == (cfg.solver_config().n_cells,) * 3
+
+
+# a centred cone, an off-centre one and one whose box is clipped at the
+# +x face of the 36^3 grid: (base centre, base radius, height)
+WINDOW_CONES = {
+    "centred": ((0.0, 0.0, 0.0), 0.5, 0.2),
+    "off-centre": ((0.11, -0.2, 0.05), 0.45, 0.2),
+    "clipped": ((0.4, 0.0, 0.0), 0.32, 0.2),
+}
+
+
+class _Nodes(fields.FieldEvaluator):
+    """Records the nodes it is queried at; grades disks toward ``point``."""
+
+    def __init__(self, point=None):
+        self.point, self.xs = point, []
+
+    def jets_at(self, ts, xs):
+        self.xs.append(np.array(xs))
+        n = len(xs)
+        return np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((n, 3, 3))
+
+    def singular_point(self, t):
+        return self.point
+
+
+@pytest.mark.parametrize("name", WINDOW_CONES)
+def test_every_node_has_a_neighbour_cell_each_side_in_the_box(name):
+    cfg = ExperimentConfig(h=1.0 / 24.0)
+    scfg = cfg.solver_config()
+    center, radius, height = WINDOW_CONES[name]
+    cone = ConeSpec.from_base(np.array(center), radius, 0.0, height)
+    box = solver.cell_box(scfg, [cone])
+    lo = np.array([s.start for s in box])
+    hi = np.array([s.stop for s in box])
+    n = scfg.n_cells
+    assert (name == "clipped") == (hi[0] == n)
+    # every node of the cone balance, centred and graded toward a point off
+    # the apex, and of the in-cone distance's disk
+    disk = solver.incone_slice(scfg, cone, cone.t_max)
+    off = disk.center + np.array([0.3, -0.2, 0.1]) * disk.radius
+    xs = [_disk_nodes(disk, cfg.rule(), off)[0]]
+    for fld in (_Nodes(), _Nodes(off)):
+        energy_balance(fld, cone, cfg.rule(), penalty_n=8.0)
+        xs += fld.xs
+    cell = np.floor((np.concatenate(xs) - scfg.origin) / cfg.h).astype(int)
+    # the cell [i, i + 1] of each node has cells i - 1 and i + 2 in the box,
+    # unless the box ends at the grid's face, where the whole slab too takes
+    # the face formula
+    assert np.all((cell - 1 >= lo) | ((lo == 0) & (cell >= 0)))
+    assert np.all((cell + 2 < hi) | ((hi == n) & (cell + 1 < n)))
+
+
+def test_query_outside_the_stored_box_names_the_slab():
+    cfg, inner, (part, _) = _windowed_and_whole_sweeps()
+    slab = part.final_slab
+    last = slab.origin + cfg.h * (np.array(slab.shape[1:]) - 1)
+    t_in, x_in = 0.1, np.array(inner.apex.x)
+    slab.jets_at([t_in], [x_in])
+    expected = (r"point outside the grid slab \(with margin\): it holds t in "
+                rf"\[0, {slab.t_max:g}\] and x in "
+                + r" x ".join(rf"\[{a:g}, {b:g}\]"
+                              for a, b in zip(slab.origin, last)))
+    x_out = x_in.copy()
+    x_out[0] = last[0] + cfg.h  # a cell past the box
+    for t, x in ((t_in, x_out), (slab.t_max + slab.dt, x_in)):
+        with pytest.raises(ValueError, match=expected):
+            slab.jets_at([t], [x])
 
 
 def test_empty_incone_slice_fails_before_sampling(tmp_path, monkeypatch,

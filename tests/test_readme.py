@@ -230,3 +230,19 @@ def test_one_stepping_loop():
     # every level, the second-order start included, is stepped by the one
     # loop of solver._integrate
     assert _callers("advance") == {("solver", "_integrate")}
+
+
+def test_one_cell_box_rule():
+    # the box of cells a slab stores is computed by solver.cell_box alone,
+    # which the memory check, the store and the sweep call; a command
+    # passes the sweep the cones it reads, never a box, and no other solver
+    # function rounds coordinates to cells
+    defs = {(path.stem, node.name) for path in SRC.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef) and node.name == "cell_box"}
+    assert defs == {("solver", "cell_box")}
+    assert _callers("cell_box") == {("solver", "_check_memory"),
+                                    ("solver", "_integrate"),
+                                    ("solver", "penalization_sweep")}
+    assert {owner for module, owner in _callers("floor")
+            if module == "solver"} == {"cell_box"}

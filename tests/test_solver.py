@@ -548,6 +548,22 @@ def test_preflight_counts_what_is_allocated(boundary, cells, cores,
     monkeypatch.setattr(solver, "_physical_memory", lambda: need)
     with pytest.raises(AssertionError, match="sampled"):
         run(cfg, CauchyData(never))
+    # a windowed sweep: the strongest run stores the cone's cell box, which
+    # is a real window, and the weaker one no level
+    cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
+    box = [s.stop - s.start for s in solver.cell_box(cfg, [cone])]
+    assert max(box) < cells
+    strongest = dataclasses.replace(cfg, penalty_n=8.0)
+    need = ((strongest.n_levels * int(np.prod(box)) + 5 * cells**3) * 3
+            + scratch_planes * cells**2 * (3 + 3 + 1 + 1)) * 8
+    monkeypatch.setattr(solver, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match=r"GiB .*stride.*working grids"):
+        penalization_sweep((4.0, 8.0), CauchyData(never), cfg, cone,
+                           read_cones=[cone])
+    monkeypatch.setattr(solver, "_physical_memory", lambda: need)
+    with pytest.raises(AssertionError, match="sampled"):
+        penalization_sweep((4.0, 8.0), CauchyData(never), cfg, cone,
+                           read_cones=[cone])
 
 
 def test_memory_is_checked_once_per_run(monkeypatch):
@@ -652,9 +668,9 @@ def test_every_sweep_run_stores_the_same_levels(monkeypatch):
     plans = []
     integrate = solver._integrate
 
-    def spy(cfg, u0, g0, ledger=True):
+    def spy(cfg, *args, **kwargs):
         plans.append((cfg.n_steps, cfg.stride, cfg.dt_effective))
-        return integrate(cfg, u0, g0, ledger)
+        return integrate(cfg, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_integrate", spy)
     cfg = SolverConfig(box_half_width=0.5, h=1 / 16, T_end=0.1)
