@@ -19,18 +19,17 @@ step: it forms Lap(u) - n^2 (|u|^2 - 1) u there with the arithmetic of the
 plain formula, so every level is bit-identical to it, then the leapfrog
 update, the clamp and the finiteness check, and, when a ledger is kept, the
 block's parts of the kinetic, gradient and penalty sums.  The leapfrog state
-is two arrays, the previous and the current level.  ``_integrate`` steps
-every level in one loop, whose step 0 is the second-order start from
-(u^0, g^0), and preallocates everything: three rotating buffers, one
-``_Work``, whose scratch is one block's per worker and no full grid, and the
-stored levels in one (n_levels, wx, wy, wz, 3) array.  It stores only the
-box of cells its caller reads, which ``cell_box`` maps from the cones read.
-``run`` stores the whole grid, and steps each stored level straight into
-its slot; any other box is copied out of the rotating buffer a level is
-stepped into, and an empty one stores nothing.  A caller that reads a
-whole level, as the sweep's weaker runs do, reads it through a hook as it
-is stepped.  A clamped step copies the box faces from the previous level:
-every level shares the faces of u^0.
+is two arrays, the previous and the current level.  ``_integrate`` steps every
+level in one loop, whose step 0 is the second-order start from (u^0, g^0),
+into three preallocated rotating buffers with one ``_Work``, whose scratch is
+one block's per worker and no full grid, and hands every level to its caller's
+``read`` hook.  Storing is the reader's job: ``_slab`` preallocates the stored
+levels of the box of cells its caller reads, which ``cell_box`` maps from the
+cones read, in one (n_levels, wx, wy, wz, 3) array, and returns the hook that
+copies the box out of each stored level.  ``run`` stores the whole grid,
+sampling u^0 into slot 0 and stepping from it; the sweep's strongest run
+stores the read cones' box, its weaker runs none.  A clamped step copies the
+box faces from the previous level: every level shares the faces of u^0.
 
 Threads.  A clamped box is cut into blocks of whole x-planes, each
 ``_BLOCK_BYTES`` (512 KiB) of (planes, N, N, 3) or less but at least one
@@ -293,13 +292,7 @@ def _accel(u: np.ndarray, cfg: SolverConfig, s: _Scratch, i0: int,
         np.multiply(v[lo:hi], 6.0, out=w_in)
         o_in -= w_in
         o_in /= cfg.h**2
-    ub, c, w = u[i0:i1], s.constraint[:i1 - i0], s.scalar[:i1 - i0]
-    np.multiply(ub[..., 0], ub[..., 0], out=c)
-    np.multiply(ub[..., 1], ub[..., 1], out=w)
-    c += w
-    np.multiply(ub[..., 2], ub[..., 2], out=w)
-    c += w
-    c -= 1.0
+    _constraint(u[i0:i1], s.constraint[:i1 - i0], s.scalar[:i1 - i0])
     if cfg.penalty_n != 0.0:
         k0, k1 = j0 - i0, j1 - i0
         w = s.scalar[k0:k1]
@@ -307,6 +300,19 @@ def _accel(u: np.ndarray, cfg: SolverConfig, s: _Scratch, i0: int,
         np.multiply(w[..., None], u[j0:j1], out=t[k0:k1])
         a[k0:k1] -= t[k0:k1]
     return j0, j1
+
+
+def _constraint(u: np.ndarray, out: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """|u|^2 - 1 into ``out``, with ``w`` of its shape as scratch: the three
+    squared components added in order, bit for bit as
+    ``np.sum(u**2, axis=-1) - 1.0`` but with no (..., 3) temporary."""
+    np.multiply(u[..., 0], u[..., 0], out=out)
+    np.multiply(u[..., 1], u[..., 1], out=w)
+    out += w
+    np.multiply(u[..., 2], u[..., 2], out=w)
+    out += w
+    out -= 1.0
+    return out
 
 
 def _advance(i0: int, i1: int, u_prev: np.ndarray | None, u: np.ndarray,
@@ -414,15 +420,14 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _check_memory(cfg: SolverConfig, box=None) -> None:
+def _check_memory(cfg: SolverConfig, box) -> None:
     """Raises ValueError when the stored slab plus the run's working grids
-    would exceed physical memory: the ``box`` of cells (see ``cell_box``;
-    None: the whole grid) of every stored level, five (N, N, N, 3) grids
-    (u0, g0 and three rotating levels) and the scratch of each worker, one
-    block of two (planes, N, N, 3) and two (planes, N, N) arrays (see
-    ``_partition``)."""
+    would exceed physical memory: the ``box`` of cells (see ``cell_box``) of
+    every stored level, five (N, N, N, 3) grids (u0, g0 and three rotating
+    levels) and the scratch of each worker, one block of two (planes, N, N,
+    3) and two (planes, N, N) arrays (see ``_partition``)."""
     n = cfg.n_cells
-    dims = [s.stop - s.start for s in box or cell_box(cfg)]
+    dims = [s.stop - s.start for s in box]
     planes, _, runs = _partition(cfg, _cores())
     slab = cfg.n_levels * int(np.prod(dims)) * 3 * 8
     grids = (5 * n * 3 + len(runs) * planes * (3 + 3 + 1 + 1)) * n * n * 8
@@ -464,71 +469,70 @@ def cell_box(cfg: SolverConfig, cones=None) -> tuple[slice, slice, slice]:
     return tuple(slice(int(a), int(max(a, b))) for a, b in zip(lo, hi))
 
 
+def _slab(cfg: SolverConfig, box):
+    """The slab of the ``box`` of cells (see ``cell_box``) of every stored
+    level, its origin at the box's first cell, and the ``read`` hook of
+    ``_integrate`` that copies the box out of every stride-th level into it;
+    None, and a hook that stores nothing, when the box is empty."""
+    dims = tuple(s.stop - s.start for s in box)
+    if not all(dims):
+        return None, lambda k, level: None
+    levels = np.empty((cfg.n_levels,) + dims + (3,))
+    lo = np.array([s.start for s in box])
+    slab = GridField(t0=0.0, dt=cfg.stride * cfg.dt_effective,
+                     origin=cfg.origin + cfg.h * lo, h=cfg.h, data=levels)
+
+    def store(k, level):
+        slot, skip = divmod(k, cfg.stride)
+        if not skip:
+            levels[slot] = level[box]
+
+    return slab, store
+
+
 def run(cfg: SolverConfig, field: FieldEvaluator):
     """Integrate from the Cauchy data of ``field``, its value and time
     derivative at t = 0, to T_end; returns the (possibly strided) space-time
-    slab and the energy ledger."""
-    _check_memory(cfg)  # fail on an oversized run before any sampling
-    return _integrate(cfg, *_cauchy_data(field, cfg))
+    slab of the whole grid and the energy ledger."""
+    box = cell_box(cfg)
+    _check_memory(cfg, box)  # fail on an oversized run before any sampling
+    slab, store = _slab(cfg, box)
+    u0, g0 = _cauchy_data(field, cfg)
+    store(0, u0)
+    u0 = slab.data[0]  # step from slot 0, so that the sampled copy is freed
+    return slab, _integrate(cfg, u0, g0, store)
 
 
-def _integrate(cfg: SolverConfig, u0: np.ndarray, g0: np.ndarray,
-               ledger: bool = True, box=None, read=None):
-    """``run`` from the sampled Cauchy data ``u0``, ``g0``, which are not
-    written; the caller has checked the memory.  Every level is stepped in
-    one loop: step 0 is the second-order start from ``u0`` and ``g0``, step
-    k >= 1 the leapfrog from levels k - 1 and k.  Without ``ledger`` no
-    energy is summed and the ledger returned is None.
-
-    Each stored level keeps the ``box`` of cells of ``cell_box``, the whole
-    grid when None, in a slab whose origin is that box's first cell; an
-    empty box stores nothing and the slab returned is None.  ``read(slot,
-    level)``, when given, sees every stored level whole, slot 0 (``u0``)
-    included, as soon as it is stepped and before it is overwritten."""
+def _integrate(cfg: SolverConfig, u0: np.ndarray, g0: np.ndarray, read,
+               ledger: bool = True):
+    """Step from the Cauchy data ``u0``, ``g0``, not written, to T_end in one
+    loop, the caller having checked the memory: step 0 is the second-order
+    start, step k the leapfrog from levels k - 1 and k into buffer (k + 1) % 3.
+    ``read(k, level)`` sees every level k = 0 ... n_steps in order; a level
+    is unchanged until the ``read`` of the level two after it returns, so
+    ``read(k + 1)`` may use levels k - 1 and k.  Storing a level is the
+    reader's job (``_slab``).  Returns the ledger, None without ``ledger``."""
     # imported here, so that commands which run no solver do not pay the
     # import (and its logging module) in start-up time and memory
     from concurrent.futures import ThreadPoolExecutor
 
-    dt, stride, cores = cfg.dt_effective, cfg.stride, _cores()
+    dt, cores = cfg.dt_effective, _cores()
     rows = EnergyLedger() if ledger else None
-    whole = cell_box(cfg)
-    box = box or whole
-    dims = tuple(s.stop - s.start for s in box)
-    levels = np.empty((cfg.n_levels,) + dims + (3,)) if all(dims) else None
-    if levels is not None:
-        levels[0] = u0[box]
-    if read is not None:
-        read(0, u0)
-    # over the whole grid a stored level k + 1 is stepped straight into its
-    # slot of ``levels``; any other level goes into bufs[(k + 1) % 3], out
-    # of which a stored level's box is copied; u0 is never written
-    in_slots = box == whole
     bufs = [np.empty_like(u0) for _ in range(3)]
+    read(0, u0)
     with ThreadPoolExecutor(cores) as pool:
         work = _Work(cfg, pool, cores, ledger)
         prev, cur, t = None, u0, 0.0
         for k in range(cfg.n_steps):
             # cur is level k, at time t (dt summed k times)
-            slot, skip = divmod(k + 1, stride)
-            out = levels[slot] if in_slots and not skip \
-                else bufs[(k + 1) % 3]
+            out = bufs[(k + 1) % 3]
             # the ledger row of level k needs level k + 1 for its velocity
             work.advance(prev, cur, out, cfg, g0 if k == 0 else None)
             if ledger:
                 rows.add(k, t, *_ledger_row(work.sums, cfg))
-            if not skip:
-                if not in_slots and levels is not None:
-                    levels[slot] = out[box]
-                if read is not None:
-                    read(slot, out)
+            read(k + 1, out)
             prev, cur, t = cur, out, t + dt
-
-    if levels is None:
-        return None, rows
-    lo = np.array([s.start for s in box])
-    slab = GridField(t0=0.0, dt=stride * dt, origin=cfg.origin + cfg.h * lo,
-                     h=cfg.h, data=levels)
-    return slab, rows
+    return rows
 
 
 @dataclass(frozen=True)
@@ -537,8 +541,8 @@ class SweepReport:
     which strictly ascend: the last run, whose slab is kept, has the
     strongest penalty.  ``pair_distances[i]`` compares runs i and i + 1 over
     the cells of ``_cone_mask`` at T_end.  ``final_slab`` holds every level
-    of that run but only the cells of the ``cell_box`` of the cones the
-    sweep was told would be read; a query outside it raises ValueError."""
+    of that run in the ``cell_box`` of the cones the sweep was told would be
+    read, or is None if none; a query outside the box raises ValueError."""
 
     penalties: list
     sample_times: list            # times of the two levels read, every run
@@ -551,7 +555,10 @@ class SweepReport:
 
 
 def constraint_violation(u: np.ndarray, cfg: SolverConfig) -> float:
-    return _sumsq(np.sum(u**2, axis=-1) - 1.0) * cfg.h**3
+    """int (|u|^2 - 1)^2 dx over the cells of the level ``u``, formed in two
+    (N, N, N) arrays."""
+    c = np.empty(u.shape[:-1])
+    return _sumsq(_constraint(u, c, np.empty_like(c))) * cfg.h**3
 
 
 def incone_slice(cfg: SolverConfig, cone: ConeSpec, t: float) -> DiskSpec:
@@ -584,9 +591,9 @@ def penalization_sweep(schedule, field: FieldEvaluator,
     violations on the stored levels nearest T_end / 2 and T_end (at times
     ``sample_times``) and the L2 distances of consecutive runs over
     ``_cone_mask`` at T_end, both fixed by the shared plan before sampling
-    and read from each level as it is stepped, so that only the strongest
-    run stores a slab: the ``cell_box`` of ``read_cones``, the cones its
-    caller will read of ``final_slab``, or the whole grid when None.
+    and read by each run's ``read`` hook, so that only the strongest run
+    stores a slab, by ``_slab``: the ``cell_box`` of ``read_cones``, the
+    cones its caller will read of ``final_slab`` (the whole grid when None).
     Raises ValueError before sampling unless ``schedule`` strictly ascends,
     so that its last run is its strongest, or when no cell lies in the
     in-cone slice at T_end."""
@@ -617,16 +624,18 @@ def penalization_sweep(schedule, field: FieldEvaluator,
     violations = np.zeros((len(schedule), len(nearest)))
     dists = np.zeros(len(schedule) - 1)
     for i, (cfg, box) in enumerate(zip(cfgs, boxes)):
+        slab, store = _slab(cfg, box)
         last = []  # only the in-cone cells at T_end carry over
 
-        def read(slot, level):
+        def read(k, level):
+            store(k, level)
             for j, lvl in enumerate(nearest):
-                if slot == lvl:
+                if k == lvl * cfg.stride:
                     violations[i, j] = constraint_violation(level, cfg)
-            if slot == nearest[-1]:
+            if k == nearest[-1] * cfg.stride:
                 last.append(level[mask])
 
-        slab, _ = _integrate(cfg, u0, g0, ledger=False, box=box, read=read)
+        _integrate(cfg, u0, g0, read, ledger=False)
         cur, = last
         if i:
             dists[i - 1] = np.sqrt(_sumsq(ref - cur) * cfg_template.h**3)

@@ -445,9 +445,9 @@ def test_initial_data_samples_f_and_g_with_one_jet_call(monkeypatch):
     seen = []
     real_integrate = solver._integrate
 
-    def spy(cfg, u0, g0, ledger=True):
+    def spy(cfg, u0, g0, read, ledger=True):
         seen.append((u0.copy(), g0.copy()))
-        return real_integrate(cfg, u0, g0, ledger)
+        return real_integrate(cfg, u0, g0, read, ledger)
 
     monkeypatch.setattr(fields, "harmonic_v_jet_batch", counting)
     monkeypatch.setattr(solver, "_integrate", spy)

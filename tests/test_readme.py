@@ -234,15 +234,30 @@ def test_one_stepping_loop():
 
 def test_one_cell_box_rule():
     # the box of cells a slab stores is computed by solver.cell_box alone,
-    # which the memory check, the store and the sweep call; a command
-    # passes the sweep the cones it reads, never a box, and no other solver
-    # function rounds coordinates to cells
+    # which the two callers of the store call and hand to the memory check;
+    # a command passes the sweep the cones it reads, never a box, and no
+    # other solver function rounds coordinates to cells
     defs = {(path.stem, node.name) for path in SRC.glob("*.py")
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.FunctionDef) and node.name == "cell_box"}
     assert defs == {("solver", "cell_box")}
-    assert _callers("cell_box") == {("solver", "_check_memory"),
-                                    ("solver", "_integrate"),
+    assert _callers("cell_box") == {("solver", "run"),
                                     ("solver", "penalization_sweep")}
     assert {owner for module, owner in _callers("floor")
             if module == "solver"} == {"cell_box"}
+
+
+def test_one_store_path():
+    # storing a level is its reader's job: the stepping loop takes no box
+    # and hands every level to its read hook, and the one store function,
+    # solver._slab, is the only solver code that builds a GridField
+    tree = ast.parse((SRC / "solver.py").read_text())
+    integrate, = (node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_integrate")
+    params = [a.arg for a in integrate.args.args + integrate.args.kwonlyargs]
+    assert params == ["cfg", "u0", "g0", "read", "ledger"]
+    assert {owner for module, owner in _callers("GridField")
+            if module == "solver"} == {"_slab"}
+    assert _callers("_slab") == {("solver", "run"),
+                                 ("solver", "penalization_sweep")}

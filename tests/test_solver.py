@@ -315,8 +315,8 @@ def off_sphere_data():
 KERNEL_CASES = [(b, n) for b in ("clamped", "periodic") for n in (0.0, 16.0)]
 
 
-# stride 1 stores every level; at stride 2 step 0 goes to a rotating buffer
-# and step 1 to the slab
+# stride 1 stores every level, stride 2 every other one: each is copied out
+# of the rotating buffer it is stepped into
 RUN_CASES = [pytest.param(b, n, stride,
                           id=f"{b}-{n}" + ("" if stride == 1 else "-stride2"))
              for b, n in KERNEL_CASES for stride in (1, 2)]
@@ -341,10 +341,34 @@ def test_run_bit_identical_to_reference(boundary, n, stride):
     assert np.all(np.abs(rows - ref_rows) <= 1e-13 * np.abs(ref_rows))
     # the stepping body gives the same run and leaves its data unwritten
     u0_copy, g0_copy = u0.copy(), g0.copy()
-    slab2, _ = solver._integrate(cfg, u0, g0)
+    slab2, store = solver._slab(cfg, solver.cell_box(cfg))
+    solver._integrate(cfg, u0, g0, store)
     assert np.array_equal(slab2.data, ref_levels)
     assert np.array_equal(u0, u0_copy)
     assert np.array_equal(g0, g0_copy)
+
+
+@pytest.mark.parametrize("boundary,n,stride", RUN_CASES)
+def test_read_sees_every_level_once_in_order(boundary, n, stride):
+    # the read hook sees every level, stored or not, as the reference steps
+    # it, and the levels k - 1 and k it keeps stay unchanged during the read
+    # of level k + 1
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.36, penalty_n=n,
+                       boundary=boundary, store_stride=stride)
+    u0, g0 = solver._cauchy_data(off_sphere_data(), cfg)
+    ref_levels, _ = _ref_run(cfg, u0, g0)
+    seen, kept = [], []
+
+    def read(k, level):
+        for lvl, copy in kept[-2:]:
+            assert np.array_equal(lvl, copy)
+        seen.append(k)
+        assert np.array_equal(level, ref_levels[k])
+        kept.append((level, level.copy()))
+
+    ledger = solver._integrate(cfg, u0, g0, read)
+    assert seen == list(range(cfg.n_steps + 1))
+    assert len(ledger.rows) == cfg.n_steps
 
 
 def _record_threads(monkeypatch):
@@ -368,8 +392,8 @@ def _record_threads(monkeypatch):
 @pytest.mark.parametrize("cells", [8, 10, 13])
 def test_results_do_not_depend_on_the_pool_size(cells, monkeypatch):
     # At the module's block size each of these grids is one block; the
-    # small-block cases below cut them into several.  The stored levels are
-    # stepped into the slab, the others into the buffers.
+    # small-block cases below cut them into several.  Every level is stepped
+    # into the buffers, out of which the stored ones are copied.
     cfg = SolverConfig(box_half_width=0.5, h=1 / cells, T_end=0.25,
                        penalty_n=16.0, store_stride=3)
     assert cfg.stride > 1
@@ -385,7 +409,8 @@ def test_results_do_not_depend_on_the_pool_size(cells, monkeypatch):
                                 lambda pid, size=size: set(range(size)))
             threads = threading.active_count()
             ran.clear()
-            slab, ledger = solver._integrate(cfg, u0, g0)
+            slab, store = solver._slab(cfg, solver.cell_box(cfg))
+            ledger = solver._integrate(cfg, u0, g0, store)
             assert threading.active_count() == threads
             assert 1 <= len(ran) <= size
             assert threading.main_thread().ident not in ran
@@ -682,6 +707,27 @@ def test_every_sweep_run_stores_the_same_levels(monkeypatch):
     assert np.all(np.diff(sweep.violation_final()) < 0.0)
 
 
+def test_sweep_reading_no_cones_stores_no_slab(monkeypatch):
+    # no cone read: no run stores a level, so no 5-d array is allocated
+    slabs, empty = [], np.empty
+
+    def spy(shape, *args, **kwargs):
+        if len(np.atleast_1d(shape)) == 5:
+            slabs.append(tuple(shape))
+        return empty(shape, *args, **kwargs)
+
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 16, T_end=0.1)
+    cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
+    phi = BoostedHarmonicMap(MapParams(2.0, 0.6))
+    whole = penalization_sweep((4.0, 8.0), phi, cfg, cone)
+    monkeypatch.setattr(np, "empty", spy)
+    none = penalization_sweep((4.0, 8.0), phi, cfg, cone, read_cones=())
+    assert slabs == []
+    assert none.final_slab is None
+    assert np.array_equal(none.violations, whole.violations)
+    assert np.array_equal(none.pair_distances, whole.pair_distances)
+
+
 def test_penalization_sweep_samples_data_once():
     phi = BoostedHarmonicMap(MapParams(2.0, 0.6))
     calls = []
@@ -776,6 +822,20 @@ def test_sweep_refuses_an_empty_incone_slice(center, base_radius, height,
     cone = ConeSpec.from_base(np.array(center), base_radius, 0.0, height)
     with pytest.raises(ValueError, match=message):
         penalization_sweep((8.0, 16.0), _never_sampled(), cfg, cone)
+
+
+@pytest.mark.parametrize("shape", [(17, 5, 9), (24, 24, 24)])
+def test_constraint_violation_is_the_textbook_sum(shape):
+    # the squared components are added in order into one (N, N, N) array,
+    # bit for bit as the sum over the (N, N, N, 3) squares
+    u = np.random.default_rng(5).normal(0.0, 1.5, shape + (3,))
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.1)
+    want = np.sum(u**2, axis=-1) - 1.0
+    flat = want.reshape(-1)
+    assert constraint_violation(u, cfg) \
+        == float(np.einsum("n,n->", flat, flat)) * cfg.h**3
+    c = np.empty(shape)
+    assert np.array_equal(solver._constraint(u, c, np.empty(shape)), want)
 
 
 def test_constraint_violation_zero_on_sphere_data():
