@@ -21,27 +21,31 @@ update, the clamp and the finiteness check, and, when a ledger is kept, the
 block's parts of the kinetic, gradient and penalty sums.  The leapfrog state
 is two arrays, the previous and the current level.  ``_integrate`` steps every
 level in one loop, whose step 0 is the second-order start from (u^0, g^0),
-into three preallocated rotating buffers with one ``_Work``, whose scratch is
-one block's per worker and no full grid, and hands every level to its caller's
-``read`` hook.  Storing is the reader's job: ``_slab`` preallocates the stored
-levels of the box of cells its caller reads, which ``cell_box`` maps from the
-cones read, in one (n_levels, wx, wy, wz, 3) array, and returns the hook that
-copies the box out of each stored level.  ``run`` stores the whole grid,
-sampling u^0 into slot 0 and stepping from it; the sweep's strongest run
-stores the read cones' box, its weaker runs none.  A clamped step copies the
-box faces from the previous level: every level shares the faces of u^0.
+into three preallocated rotating buffers with one ``_Work``, which owns the
+block plan, holds one block's scratch per worker and no full grid, and
+returns each step's ledger row, and hands every level to its caller's
+``read`` hook.  Storing is the reader's job: ``_slab`` preallocates the
+stored levels of the box of cells its caller reads, which ``cell_box`` maps
+from the cones read, in one (n_levels, wx, wy, wz, 3) array, and returns the
+hook that copies the box out of each stored level.  It first checks that
+this box and the run's working grids fit in memory (``_check_memory``, which
+measures the scratch of a ``_Work`` built as the run builds it).  ``run``
+stores the whole grid, sampling u^0 into slot 0 and stepping from it; the
+sweep's strongest run stores the read cones' box, its weaker runs none.  A
+clamped step copies the box faces from the previous level: every level
+shares the faces of u^0.
 
-Threads.  A clamped box is cut into blocks of whole x-planes, each
+Threads.  ``_Work`` cuts a clamped box into blocks of whole x-planes, each
 ``_BLOCK_BYTES`` (512 KiB) of (planes, N, N, 3) or less but at least one
 plane, a partition fixed by the grid alone; a periodic box, whose stencil
-wraps across x, is one block.  ``run`` opens one thread pool, as wide as the
-process's CPU affinity mask, for the length of the run.  Every step gives
+wraps across x, is one block.  ``_integrate`` opens one thread pool, as wide
+as the process's CPU affinity mask, for the length of the run.  Every step gives
 each worker one contiguous run of blocks, which it steps block by block in
 its own block-sized scratch, so that each pass over a block stays in cache
 (numpy's element-wise loops release the GIL); it runs in a copy of the
-caller's context, so under its ``np.errstate``.  A ledger row adds the
-blocks' sums in block order, so it does not depend on the number of threads;
-the levels do not either, being element-wise.
+caller's context, so under its ``np.errstate``.  ``_Work.advance`` adds the
+blocks' sums of a ledger row in block order, so it does not depend on the
+number of threads; the levels do not either, being element-wise.
 """
 
 from __future__ import annotations
@@ -205,48 +209,44 @@ class _Scratch:
         self.scalar = np.empty((planes, n, n))
 
 
-def _partition(cfg: SolverConfig, workers: int):
-    """The planes of a block, the x-plane blocks [i0, i1) of a step and the
-    contiguous run of blocks of each of at most ``workers`` workers.  A
-    clamped box is cut into blocks of ``_BLOCK_BYTES``; a periodic one, whose
-    stencil wraps across x, is one block."""
-    n = cfg.n_cells
-    planes = n
-    if cfg.boundary == "clamped":
-        planes = min(n, max(1, _BLOCK_BYTES // (n * n * 3 * 8)))
-    blocks = [(i0, min(i0 + planes, n)) for i0 in range(0, n, planes)]
-    k = min(workers, len(blocks))
-    edges = [len(blocks) * w // k for w in range(k + 1)]
-    return planes, blocks, [blocks[b0:b1] for b0, b1 in zip(edges, edges[1:])]
-
-
 class _Work:
-    """The x-plane blocks a step runs in, one contiguous run of them per
-    worker with one block's ``_Scratch`` each, the pool that runs the runs
-    and whether a step sums its ledger row.  No array of it spans more than
-    one block's planes."""
+    """The x-plane blocks [i0, i1) of a step, one contiguous run of them for
+    each of at most ``workers`` workers with one block's ``_Scratch`` each,
+    the pool that runs the runs and whether a step sums its ledger row.  A
+    clamped box is cut into blocks of ``_BLOCK_BYTES``, a periodic one, whose
+    stencil wraps across x, is one.  No array spans more than a block."""
 
     def __init__(self, cfg: SolverConfig, pool, workers: int, ledger: bool):
-        planes, self.blocks, self.runs = _partition(cfg, workers)
-        self.scratch = [_Scratch(planes, cfg.n_cells) for _ in self.runs]
+        n = planes = cfg.n_cells
+        if cfg.boundary == "clamped":
+            planes = min(n, max(1, _BLOCK_BYTES // (n * n * 3 * 8)))
+        self.blocks = [(i0, min(i0 + planes, n)) for i0 in range(0, n, planes)]
+        k = min(workers, len(self.blocks))
+        edges = [len(self.blocks) * w // k for w in range(k + 1)]
+        self.runs = [self.blocks[b0:b1] for b0, b1 in zip(edges, edges[1:])]
+        self.scratch = [_Scratch(planes, n) for _ in self.runs]
         self.pool, self.ledger = pool, ledger
-        self.sums = None  # kinetic, gradient and penalty sums of a ledger row
 
-    def advance(self, u_prev, u, out, cfg: SolverConfig, g) -> None:
+    def advance(self, u_prev, u, out, cfg: SolverConfig, g0):
         """``_advance`` on every block, each worker's run block after block
         in a copy of the caller's context, so under its ``np.errstate``.
-        Every worker finishes before an error of any block is raised; with a
-        ledger, ``sums`` adds the blocks' sums in block order."""
-        args = (u_prev, u, out, cfg, g, self.ledger)
+        Every worker finishes before an error of any block is raised.
+        Returns the kinetic, gradient and penalty energies of the ledger row
+        of ``u``, its blocks' sums added in block order; None without one."""
+        args = (u_prev, u, out, cfg, g0, self.ledger)
         futures = [self.pool.submit(contextvars.copy_context().run,
                                     _advance_run, r, s, *args)
                    for r, s in zip(self.runs, self.scratch)]
         for f in futures:
             f.exception()  # waits for the run, raising nothing
         parts = [f.result() for f in futures]
-        if self.ledger:
-            self.sums = [sum(col) for col in zip(*(p for run in parts
-                                                   for p in run))]
+        if not self.ledger:
+            return None
+        kin, grad, pen = (sum(col) for col in zip(*(p for run in parts
+                                                     for p in run)))
+        return (0.5 * kin * cfg.h**3,
+                0.5 * grad * cfg.h,  # (h^3 cells) * (1/h^2 differences)
+                cfg.penalty_n**2 * 0.25 * pen * cfg.h**3)
 
 
 def _advance_run(blocks, scratch: _Scratch, *args) -> list:
@@ -316,20 +316,21 @@ def _constraint(u: np.ndarray, out: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _advance(i0: int, i1: int, u_prev: np.ndarray | None, u: np.ndarray,
-             out: np.ndarray, cfg: SolverConfig, g: np.ndarray | None,
+             out: np.ndarray, cfg: SolverConfig, g0: np.ndarray,
              ledger: bool, s: _Scratch):
     """The x-planes [i0, i1) of the level after ``u``, written into ``out``
     with scratch ``s``: the leapfrog step from ``u_prev`` or, when ``u_prev``
     is None, the second-order start from u^0 = ``u`` with time derivative
-    ``g``.  A clamped box copies its faces from ``u_prev`` (or u^0).  With
+    ``g0``.  A clamped box copies its faces from ``u_prev`` (or u^0).  With
     ``ledger``, returns the block's kinetic, gradient and penalty sums of the
-    ledger row of ``u``."""
+    ledger row of ``u``, whose velocity is ``g0`` at the start."""
     dt = cfg.dt_effective
+    start = u_prev is None
     j0, j1 = _accel(u, cfg, s, i0, i1)
     a, new = s.accel[j0 - i0:j1 - i0], out[j0:j1]
-    if u_prev is None:
+    if start:
         a *= 0.5 * dt**2
-        np.multiply(g[j0:j1], dt, out=new)
+        np.multiply(g0[j0:j1], dt, out=new)
         new += u[j0:j1]
         u_prev = u  # the faces of u^0
     else:
@@ -345,8 +346,8 @@ def _advance(i0: int, i1: int, u_prev: np.ndarray | None, u: np.ndarray,
             f"(limit {cfg.cfl_limit}, dt {dt})")
     if not ledger:
         return None
-    if g is not None:
-        vel = g[i0:i1]
+    if start:
+        vel = g0[i0:i1]
     else:  # midpoint velocity, summed before the gradient reuses s.tmp
         vel = np.subtract(out[i0:i1], u_prev[i0:i1], out=s.tmp[:i1 - i0])
         vel /= 2.0 * dt
@@ -397,14 +398,6 @@ def _grad_energy(u: np.ndarray, cfg: SolverConfig, scratch: np.ndarray,
     return total
 
 
-def _ledger_row(sums, cfg: SolverConfig) -> tuple[float, float, float]:
-    """Kinetic, gradient and penalty energies from a step's ledger sums."""
-    kin, grad, pen = sums
-    return (0.5 * kin * cfg.h**3,
-            0.5 * grad * cfg.h,  # (h^3 cells) * (1/h^2 differences)
-            cfg.penalty_n**2 * 0.25 * pen * cfg.h**3)
-
-
 def _physical_memory() -> int | None:
     try:
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -424,13 +417,13 @@ def _check_memory(cfg: SolverConfig, box) -> None:
     """Raises ValueError when the stored slab plus the run's working grids
     would exceed physical memory: the ``box`` of cells (see ``cell_box``) of
     every stored level, five (N, N, N, 3) grids (u0, g0 and three rotating
-    levels) and the scratch of each worker, one block of two (planes, N, N,
-    3) and two (planes, N, N) arrays (see ``_partition``)."""
+    levels) and the scratch of a ``_Work`` built as the run builds it."""
     n = cfg.n_cells
     dims = [s.stop - s.start for s in box]
-    planes, _, runs = _partition(cfg, _cores())
+    work = _Work(cfg, None, _cores(), ledger=False)
     slab = cfg.n_levels * int(np.prod(dims)) * 3 * 8
-    grids = (5 * n * 3 + len(runs) * planes * (3 + 3 + 1 + 1)) * n * n * 8
+    grids = 5 * n**3 * 3 * 8 + sum(a.nbytes for s in work.scratch
+                                   for a in vars(s).values())
     ram = _physical_memory()
     if ram is not None and slab + grids > ram:
         raise ValueError(
@@ -473,7 +466,10 @@ def _slab(cfg: SolverConfig, box):
     """The slab of the ``box`` of cells (see ``cell_box``) of every stored
     level, its origin at the box's first cell, and the ``read`` hook of
     ``_integrate`` that copies the box out of every stride-th level into it;
-    None, and a hook that stores nothing, when the box is empty."""
+    None, and a hook that stores nothing, when the box is empty.  Checks
+    the memory first (``_check_memory``), so that a caller building it before
+    sampling fails on an oversized run before any sampling."""
+    _check_memory(cfg, box)
     dims = tuple(s.stop - s.start for s in box)
     if not all(dims):
         return None, lambda k, level: None
@@ -493,10 +489,9 @@ def _slab(cfg: SolverConfig, box):
 def run(cfg: SolverConfig, field: FieldEvaluator):
     """Integrate from the Cauchy data of ``field``, its value and time
     derivative at t = 0, to T_end; returns the (possibly strided) space-time
-    slab of the whole grid and the energy ledger."""
-    box = cell_box(cfg)
-    _check_memory(cfg, box)  # fail on an oversized run before any sampling
-    slab, store = _slab(cfg, box)
+    slab of the whole grid and the energy ledger.  Raises ValueError before
+    sampling when the slab and the working grids would not fit in memory."""
+    slab, store = _slab(cfg, cell_box(cfg))  # checked before any sampling
     u0, g0 = _cauchy_data(field, cfg)
     store(0, u0)
     u0 = slab.data[0]  # step from slot 0, so that the sampled copy is freed
@@ -506,7 +501,7 @@ def run(cfg: SolverConfig, field: FieldEvaluator):
 def _integrate(cfg: SolverConfig, u0: np.ndarray, g0: np.ndarray, read,
                ledger: bool = True):
     """Step from the Cauchy data ``u0``, ``g0``, not written, to T_end in one
-    loop, the caller having checked the memory: step 0 is the second-order
+    loop, ``_slab`` having checked the memory: step 0 is the second-order
     start, step k the leapfrog from levels k - 1 and k into buffer (k + 1) % 3.
     ``read(k, level)`` sees every level k = 0 ... n_steps in order; a level
     is unchanged until the ``read`` of the level two after it returns, so
@@ -527,9 +522,9 @@ def _integrate(cfg: SolverConfig, u0: np.ndarray, g0: np.ndarray, read,
             # cur is level k, at time t (dt summed k times)
             out = bufs[(k + 1) % 3]
             # the ledger row of level k needs level k + 1 for its velocity
-            work.advance(prev, cur, out, cfg, g0 if k == 0 else None)
+            row = work.advance(prev, cur, out, cfg, g0)
             if ledger:
-                rows.add(k, t, *_ledger_row(work.sums, cfg))
+                rows.add(k, t, *row)
             read(k + 1, out)
             prev, cur, t = cur, out, t + dt
     return rows
@@ -590,13 +585,16 @@ def penalization_sweep(schedule, field: FieldEvaluator,
     all store the same levels, and no ledger.  Reports the constraint
     violations on the stored levels nearest T_end / 2 and T_end (at times
     ``sample_times``) and the L2 distances of consecutive runs over
-    ``_cone_mask`` at T_end, both fixed by the shared plan before sampling
-    and read by each run's ``read`` hook, so that only the strongest run
-    stores a slab, by ``_slab``: the ``cell_box`` of ``read_cones``, the
-    cones its caller will read of ``final_slab`` (the whole grid when None).
-    Raises ValueError before sampling unless ``schedule`` strictly ascends,
-    so that its last run is its strongest, or when no cell lies in the
-    in-cone slice at T_end."""
+    ``_cone_mask`` at T_end, formed after the last run from the in-cone
+    cells that each run's ``read`` hook keeps.  Both are fixed by the shared
+    plan before sampling and read by the hook, so that only the strongest
+    run stores a slab: ``_slab`` builds every run's, checking its memory,
+    before sampling, the strongest the ``cell_box`` of ``read_cones``, the
+    cones its caller will read of ``final_slab`` (the whole grid when None),
+    the others none.  Raises ValueError before sampling unless ``schedule``
+    strictly ascends, so that its last run is its strongest, when a run
+    would not fit in memory, or when no cell lies in the in-cone slice at
+    T_end."""
     if len(schedule) == 0 or any(
             a >= b for a, b in zip(schedule, schedule[1:])):
         raise ValueError("penalties must be non-empty and strictly ascend, "
@@ -605,11 +603,10 @@ def penalization_sweep(schedule, field: FieldEvaluator,
                              dt=None).cfl_limit
     cfgs = [dataclasses.replace(cfg_template, penalty_n=float(n), dt=dt)
             for n in schedule]
-    # the weaker runs store no level, the strongest the box read of it
-    boxes = [cell_box(cfg_template, ())] * (len(cfgs) - 1) \
-        + [cell_box(cfg_template, read_cones)]
-    for cfg, box in zip(cfgs, boxes):
-        _check_memory(cfg, box)  # fail on an oversized run before sampling
+    # the weaker runs store no level, the strongest the box read of it; each
+    # run's memory is checked here, before sampling
+    slabs = [_slab(cfg, cell_box(cfg_template, ())) for cfg in cfgs[:-1]] \
+        + [_slab(cfgs[-1], cell_box(cfg_template, read_cones))]
     t_end = cfg_template.T_end
     mask = _cone_mask(cfg_template, cone, t_end)
     if not mask.any():
@@ -622,26 +619,21 @@ def penalization_sweep(schedule, field: FieldEvaluator,
     # the Cauchy data is the same for every penalty: sample it once
     u0, g0 = _cauchy_data(field, cfg_template)
     violations = np.zeros((len(schedule), len(nearest)))
-    dists = np.zeros(len(schedule) - 1)
-    for i, (cfg, box) in enumerate(zip(cfgs, boxes)):
-        slab, store = _slab(cfg, box)
-        last = []  # only the in-cone cells at T_end carry over
-
+    kept = []  # each run's in-cone cells at T_end
+    for i, (cfg, (_, store)) in enumerate(zip(cfgs, slabs)):
         def read(k, level):
             store(k, level)
             for j, lvl in enumerate(nearest):
                 if k == lvl * cfg.stride:
                     violations[i, j] = constraint_violation(level, cfg)
-            if k == nearest[-1] * cfg.stride:
-                last.append(level[mask])
+            if k == cfg.n_steps:
+                kept.append(level[mask])
 
         _integrate(cfg, u0, g0, read, ledger=False)
-        cur, = last
-        if i:
-            dists[i - 1] = np.sqrt(_sumsq(ref - cur) * cfg_template.h**3)
-        ref = cur
+    dists = np.array([np.sqrt(_sumsq(a - b) * cfg_template.h**3)
+                      for a, b in zip(kept, kept[1:])], dtype=float)
     return SweepReport(list(schedule), [lvl * level_dt for lvl in nearest],
-                       violations, dists, final_slab=slab)
+                       violations, dists, final_slab=slabs[-1][0])
 
 
 def trusted_region(cfg: SolverConfig, cone: ConeSpec) -> ConeSpec:

@@ -11,7 +11,7 @@ import re
 from pathlib import Path
 
 import wavemaplab
-from wavemaplab import cli, fields
+from wavemaplab import cli, fields, solver
 from wavemaplab.cli import ExperimentConfig, load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -234,9 +234,9 @@ def test_one_stepping_loop():
 
 def test_one_cell_box_rule():
     # the box of cells a slab stores is computed by solver.cell_box alone,
-    # which the two callers of the store call and hand to the memory check;
-    # a command passes the sweep the cones it reads, never a box, and no
-    # other solver function rounds coordinates to cells
+    # which the two callers of the store call and hand to solver._slab, which
+    # checks its memory; a command passes the sweep the cones it reads, never
+    # a box, and no other solver function rounds coordinates to cells
     defs = {(path.stem, node.name) for path in SRC.glob("*.py")
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.FunctionDef) and node.name == "cell_box"}
@@ -261,3 +261,12 @@ def test_one_store_path():
             if module == "solver"} == {"_slab"}
     assert _callers("_slab") == {("solver", "run"),
                                  ("solver", "penalization_sweep")}
+
+
+def test_each_solver_fact_has_one_owner():
+    # the pre-flight is made by the one function that allocates a stored
+    # box, solver._slab, on the _Work its run builds; _Work owns the block
+    # plan and returns the ledger row it summed
+    assert _callers("_check_memory") == {("solver", "_slab")}
+    assert not hasattr(solver, "_partition")
+    assert not hasattr(solver, "_ledger_row")

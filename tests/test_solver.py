@@ -371,6 +371,49 @@ def test_read_sees_every_level_once_in_order(boundary, n, stride):
     assert len(ledger.rows) == cfg.n_steps
 
 
+@pytest.mark.parametrize("boundary", ["periodic", "clamped"])
+@pytest.mark.parametrize("n,steps", [(0.0, 17), (16.0, 17), (64.0, 39)])
+def test_the_scheme_keeps_shatahs_current_exactly(boundary, n, steps):
+    # The penalty force n^2 (|u|^2 - 1) u is parallel to u, so every stepped
+    # cell keeps u^k x (u^{k+1} + u^{k-1}) = dt^2 u^k x Lap_h(u^k), whatever
+    # n is: the leapfrog form of Shatah's conservation law.  Summed over the
+    # periodic box the Laplacian term cancels, so the current
+    # J_k = sum u^k x u^{k+1} h^3 / dt stays J_0 = h^3 sum u^0 x g^0; the
+    # clamped box's faces do not keep it.  The hook reads levels k - 1 and k
+    # in place during read(k + 1), with no copy.
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 16, T_end=0.3, penalty_n=n,
+                       boundary=boundary, store_stride=1)
+    assert cfg.n_steps == steps
+    dt, vol = cfg.dt_effective, cfg.h**3
+    no_penalty = dataclasses.replace(cfg, penalty_n=0.0)
+    stepped = (slice(None),) * 3 if boundary == "periodic" \
+        else (slice(1, -1),) * 3
+    u0, g0 = solver._cauchy_data(off_sphere_data(), cfg)
+    kept, currents, cell_errors = [], [], []
+
+    def read(k, level):
+        if kept:
+            currents.append(np.sum(np.cross(kept[-1], level), axis=(0, 1, 2))
+                            * vol / dt)
+        if len(kept) == 2:
+            u_prev, u = kept
+            lap = _ref_accel(u, no_penalty)
+            err = np.cross(u, level + u_prev) - dt**2 * np.cross(u, lap)
+            cell_errors.append(np.max(np.abs(err[stepped])))
+        kept[:] = kept[-1:] + [level]
+
+    solver._integrate(cfg, u0, g0, read, ledger=False)
+    assert len(currents) == steps and len(cell_errors) == steps - 1
+    assert max(cell_errors) <= 1e-14
+    if boundary == "periodic":
+        j = np.asarray(currents)
+        size = np.linalg.norm(j[0])
+        assert size > 0.01
+        assert np.max(np.abs(j - j[0])) <= 1e-12 * size
+        j0 = np.sum(np.cross(u0, g0), axis=(0, 1, 2)) * vol
+        assert np.max(np.abs(j[0] - j0)) <= 1e-12 * size
+
+
 def _record_threads(monkeypatch):
     """Spy on the block kernel: the threads that ran a block, and those in
     which a block raised."""
@@ -726,6 +769,25 @@ def test_sweep_reading_no_cones_stores_no_slab(monkeypatch):
     assert none.final_slab is None
     assert np.array_equal(none.violations, whole.violations)
     assert np.array_equal(none.pair_distances, whole.pair_distances)
+
+
+def test_a_one_penalty_sweep_compares_no_pair():
+    # one run: no pair distance, one row of violations, and the run's slab
+    # of the read cone's box, as a lone run stores it
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 16, T_end=0.1)
+    cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
+    phi = BoostedHarmonicMap(MapParams(2.0, 0.6))
+    sweep = penalization_sweep((8.0,), phi, cfg, cone, read_cones=[cone])
+    assert sweep.pair_distances.dtype == float
+    assert sweep.pair_distances.shape == (0,)
+    assert sweep.violations.shape == (1, 2)
+    box = solver.cell_box(cfg, [cone])
+    assert max(s.stop - s.start for s in box) < cfg.n_cells
+    whole, _ = run(dataclasses.replace(cfg, penalty_n=8.0), phi)
+    slab = sweep.final_slab
+    assert np.array_equal(slab.data, whole.data[(slice(None),) + box])
+    assert np.array_equal(slab.origin,
+                          cfg.origin + cfg.h * np.array([s.start for s in box]))
 
 
 def test_penalization_sweep_samples_data_once():
