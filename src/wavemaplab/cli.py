@@ -29,8 +29,8 @@ from .fields import (BoostedHarmonicMap, GridField, MapParams, _dot,
                      _slab_corners, s_lambda)
 from .manufactured import (ComposedWithBoost, ConstantMap, GeodesicPlaneWave,
                            QuadraticNullField, TimeSquaredBump)
-from .quadrature import (ProductRule, _disk_nodes, _singular_center,
-                         energy_balance, energy_on_disk)
+from .quadrature import (ProductRule, _disk_integral, energy_balance,
+                         energy_on_disk)
 from .solver import SolverConfig, incone_slice, penalization_sweep, run, trusted_region
 from .spacetime import ConeSpec, DiskSpec, LorentzBoost, SpacetimePoint
 from .stress_energy import (BumpTest, comp_identity_check, recover_point_charge,
@@ -49,6 +49,9 @@ class ConeRequest:
     base_radius: float
     s: float
     t: float
+
+    def __post_init__(self):
+        self.build()  # a malformed cone fails as the config loads
 
     def build(self) -> ConeSpec:
         # truncated at t itself: s + (t - s) can be one ulp off t
@@ -174,9 +177,15 @@ def load_config(path: str | None) -> tuple[ExperimentConfig, str]:
             name, parse = _KEYS[section, key]
             updates[name] = parse(value)
     if parser.has_section("cones"):
-        updates["cones"] = tuple(_parse_cone(v) for _, v in parser.items("cones"))
-        if not updates["cones"]:
+        cones = []
+        for key, value in parser.items("cones"):
+            try:
+                cones.append(_parse_cone(value))
+            except ValueError as exc:  # a malformed line, named by its key
+                raise ConfigError(f"[cones] {key}: {exc}") from None
+        if not cones:
             raise ConfigError("[cones] must list at least one cone")
+        updates["cones"] = tuple(cones)
     return dataclasses.replace(cfg, **updates), raw
 
 
@@ -442,31 +451,29 @@ def _incone_distance(cfg: ExperimentConfig, slab: GridField, params: MapParams,
     """L2 distance between solver output and the analytic map over the
     ``incone_slice`` at t_max, with a discretization estimate: the same
     distance for the analytic map's own grid sampling (interpolation error
-    plus the h-scale core the grid cannot carry)."""
+    plus the h-scale core the grid cannot carry), sampled block by block at
+    only the solver cell centres that the block's nodes read."""
     scfg = cfg.solver_config()
     disk = incone_slice(scfg, cone, cone.t_max)
     fld = BoostedHarmonicMap(params)
-    xs, w = _disk_nodes(disk, cfg.rule(), _singular_center(fld, disk))
-    ts = np.full(len(xs), disk.time)
-    u_vals = slab.jets_at(ts, xs)[0]
-    a_vals = fld.jets_at(ts, xs)[0]
-    dist = float(np.sqrt(_dot(w, np.sum((u_vals - a_vals)**2, axis=1))))
-
-    # estimate: the analytic map against its own sampled-and-interpolated
-    # version on the same grid (pure discretization effect), sampled in one
-    # call at only the corners the nodes read: the solver's cell centres on
-    # the levels t_max - h, t_max, t_max + h.
     levels = np.array([disk.time - cfg.h, disk.time, disk.time + cfg.h])
     c = scfg.cell_centers_1d()
     shape = (3, len(c), len(c), len(c))
-    _, rows, weights = _slab_corners(shape, levels[0], cfg.h, scfg.origin,
-                                     cfg.h, ts, xs)
-    used, inverse = np.unique(rows, return_inverse=True)
-    level, *cell = np.unravel_index(used, shape)
-    samples = fld.jets_at(levels[level], c[np.stack(cell, axis=1)])[0]
-    i_vals = _dot(weights, samples[inverse.reshape(rows.shape)])
-    est = float(np.sqrt(_dot(w, np.sum((i_vals - a_vals)**2, axis=1))))
-    return dist, est
+
+    def density(ts, xs):
+        u_vals = slab.jets_at(ts, xs)[0]
+        a_vals = fld.jets_at(ts, xs)[0]
+        _, rows, weights = _slab_corners(shape, levels[0], cfg.h, scfg.origin,
+                                         cfg.h, ts, xs)
+        used, inverse = np.unique(rows, return_inverse=True)
+        level, *cell = np.unravel_index(used, shape)
+        samples = fld.jets_at(levels[level], c[np.stack(cell, axis=1)])[0]
+        i_vals = _dot(weights, samples[inverse.reshape(rows.shape)])
+        return [np.sum((u_vals - a_vals)**2, axis=1),
+                np.sum((i_vals - a_vals)**2, axis=1)]
+
+    dist, est = _disk_integral(disk, cfg.rule(), density, fld)
+    return float(np.sqrt(dist)), float(np.sqrt(est))
 
 
 def cmd_stationary_demo(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentReport:

@@ -22,8 +22,7 @@ ANALYTIC_EXCLUSION = 1e-8
 
 # Batch kernels work through their nodes in blocks of this many, so that
 # their scratch memory does not grow with the query: harmonic_v_jet_batch,
-# GridField.jets_at, and the disk energies of quadrature, which evaluate a
-# disk block by block.
+# GridField.jets_at and the densities of every quadrature integral.
 _BLOCK = 2048
 
 

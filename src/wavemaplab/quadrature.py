@@ -2,21 +2,18 @@
 report that decides whether the local energy inequality holds.
 
 One resolution, ``ProductRule(n_time, n_radial, n_polar)``, sizes the disks
-and the cone's side; ``_cone_slices`` builds the side's time slices.  Every
-Gauss-Legendre rule on an interval comes from ``_gauss``; only the sphere's
-cos(theta) rule stays on its native [-1, 1].
+and the cone's side.  Every Gauss-Legendre rule on an interval comes from
+``_gauss``; only the sphere's cos(theta) rule stays on [-1, 1].  Every ball
+integral is a density handed to ``_disk_integral``, every side integral one
+handed to ``_side_integral``: a density maps a block of nodes to one row of
+values per integral.  The energy, flux and flux-form densities are batch
+forms on jets (dts (N, 3), grads (N, 3, 3)).
 
-The energy, flux and flux-form densities are batch forms on jets
-(dts (N, 3), grads (N, 3, 3)), one value per row; the disks, the cone's side
-and the cone identity of ``stress_energy`` all integrate these.
-
-Lateral surface measure: parametrizing the side by (tau, omega) with
-x = p + r(tau) omega and |r'| = 1, the pullback metric gives
-dsigma = sqrt(2) r(tau)^2 dtau dOmega.  Combined with the 1/(2 sqrt 2) flux
-normalization this makes the flux equal to
-(1/2) int int |grad u - omega (x) u_t|^2 r(tau)^2 dOmega dtau, so the flux
-forms are normalized per r^2 dtau dOmega: ``flux_density`` is
-(1/2) |grad u - n (x) u_t|^2 and ``flux_form_Q`` its bilinear form.
+Lateral surface measure: with x = p + r(tau) omega and |r'| = 1 the side has
+dsigma = sqrt(2) r(tau)^2 dtau dOmega, which the 1/(2 sqrt 2) flux
+normalization cancels, so the flux forms are per r^2 dtau dOmega:
+``flux_density`` is (1/2) |grad u - n (x) u_t|^2, ``flux_form_Q`` its
+bilinear form.
 """
 
 from __future__ import annotations
@@ -111,8 +108,11 @@ class BalanceReport:
                              error_estimate)
 
 
-def _penalty_density(values: np.ndarray, n: float) -> np.ndarray:
-    return n**2 * 0.25 * (np.sum(values**2, axis=1) - 1.0)**2
+def _penalized(dens0, values, penalties) -> list:
+    """``dens0`` per n of ``penalties``, plus n^2 F(u) where n is not None."""
+    return [dens0 if n is None
+            else dens0 + n**2 * 0.25 * (np.sum(values**2, axis=1) - 1.0)**2
+            for n in penalties]
 
 
 def energy_form(u_dts, u_grads, w_dts, w_grads) -> np.ndarray:
@@ -172,38 +172,8 @@ def _singular_center(field: FieldEvaluator, disk: DiskSpec):
     singular point at the disk's time if it lies strictly inside the disk,
     else None."""
     c = field.singular_point(disk.time)
-    if c is None or np.linalg.norm(c - disk.center) >= disk.radius:
-        return None
-    return c
-
-
-def _disk_energies(field: FieldEvaluator, disk: DiskSpec, rule: ProductRule,
-                   penalties) -> list[float]:
-    """``energy_on_disk`` for each penalty in ``penalties`` (None: no
-    penalty), all from one evaluation of the nodes.
-
-    The nodes are evaluated block by block, one ``jets_at`` call of at most
-    ``fields._BLOCK`` nodes each, so the scratch memory does not grow with
-    the disk.  Each block writes its densities into one (penalties, N) array,
-    and each energy is still one ``fields._dot`` over the whole disk."""
-    xs, w = _disk_nodes(disk, rule, _singular_center(field, disk))
-    dens = np.empty((len(penalties), len(xs)))
-    for lo in range(0, len(xs), fields._BLOCK):
-        part = slice(lo, lo + fields._BLOCK)
-        xb = xs[part]
-        values, dts, grads = field.jets_at(np.full(len(xb), disk.time), xb)
-        dens0 = energy_density(dts, grads)
-        for k, n in enumerate(penalties):
-            dens[k, part] = dens0 if n is None else \
-                dens0 + _penalty_density(values, n)
-    return [float(fields._dot(w, d)) for d in dens]
-
-
-def energy_on_disk(field: FieldEvaluator, disk: DiskSpec, rule: ProductRule,
-                   *, penalty_n: float | None = None) -> float:
-    """(1/2) int (|u_t|^2 + |grad u|^2) over the ball, optionally plus the
-    penalty density n^2 F(u), F = (|u|^2 - 1)^2 / 4."""
-    return _disk_energies(field, disk, rule, (penalty_n,))[0]
+    inside = c is not None and np.linalg.norm(c - disk.center) < disk.radius
+    return c if inside else None
 
 
 def _cone_slices(cone: ConeSpec, rule: ProductRule):
@@ -217,19 +187,56 @@ def _cone_slices(cone: ConeSpec, rule: ProductRule):
         yield tau, wk, r, cone.apex.x[None, :] + r * sph.nodes
 
 
-def _cone_fluxes(field: FieldEvaluator, cone: ConeSpec, rule: ProductRule,
-                 penalties) -> list[float]:
-    """``flux_on_cone`` for each penalty in ``penalties`` (None: no penalty),
-    all from one evaluation of the nodes."""
+def _rows(density, t: float, xs, *args) -> np.ndarray:
+    """``density(ts, xs, *args)`` at time ``t`` as one (rows, N) array, in
+    blocks of at most ``fields._BLOCK`` nodes so that its scratch is bounded."""
+    out = None
+    for lo in range(0, len(xs), fields._BLOCK):
+        part = slice(lo, lo + fields._BLOCK)
+        block = density(np.full(len(xs[part]), t), xs[part],
+                        *(a[part] for a in args))
+        if out is None:
+            out = np.empty((len(block), len(xs)))
+        out[:, part] = block
+    return out
+
+
+def _disk_integral(disk: DiskSpec, rule: ProductRule, density,
+                   field: FieldEvaluator) -> list[float]:
+    """Each row of ``density(ts, xs)`` integrated over ``disk``, graded toward
+    ``field``'s singular point, as one ``fields._dot`` over the whole ball."""
+    xs, w = _disk_nodes(disk, rule, _singular_center(field, disk))
+    return [float(fields._dot(w, row)) for row in _rows(density, disk.time, xs)]
+
+
+def _side_integral(cone: ConeSpec, rule: ProductRule, density) -> list[float]:
+    """Each row of ``density(ts, xs, normals)`` integrated over the cone's
+    side per r^2 dtau dOmega, summed in slice order."""
     sph = rule.sphere
-    totals = [0.0] * len(penalties)
-    for tau, wk, r, xs in _cone_slices(cone, rule):
-        values, dts, grads = field.jets_at(np.full(len(xs), tau), xs)
-        dens0 = flux_density(dts, grads, sph.nodes)
-        for k, n in enumerate(penalties):
-            dens = dens0 if n is None else dens0 + _penalty_density(values, n)
-            totals[k] += wk * r**2 * float(fields._dot(sph.weights, dens))
-    return totals
+    parts = [[wk * r**2 * float(fields._dot(sph.weights, row))
+              for row in _rows(density, tau, xs, sph.nodes)]
+             for tau, wk, r, xs in _cone_slices(cone, rule)]
+    return [sum(col) for col in zip(*parts)]
+
+
+def _energies(field: FieldEvaluator, penalties, ts, xs):
+    """The disk density of ``energy_on_disk`` for each of ``penalties``."""
+    values, dts, grads = field.jets_at(ts, xs)
+    return _penalized(energy_density(dts, grads), values, penalties)
+
+
+def _fluxes(field: FieldEvaluator, penalties, ts, xs, normals):
+    """The side density of ``flux_on_cone`` for each of ``penalties``."""
+    values, dts, grads = field.jets_at(ts, xs)
+    return _penalized(flux_density(dts, grads, normals), values, penalties)
+
+
+def energy_on_disk(field: FieldEvaluator, disk: DiskSpec, rule: ProductRule,
+                   *, penalty_n: float | None = None) -> float:
+    """(1/2) int (|u_t|^2 + |grad u|^2) over the ball, optionally plus the
+    penalty density n^2 F(u), F = (|u|^2 - 1)^2 / 4."""
+    return _disk_integral(disk, rule, functools.partial(
+        _energies, field, (penalty_n,)), field)[0]
 
 
 def flux_on_cone(field: FieldEvaluator, cone: ConeSpec, rule: ProductRule,
@@ -238,7 +245,8 @@ def flux_on_cone(field: FieldEvaluator, cone: ConeSpec, rule: ProductRule,
     between the cone's truncation times t_min and t_max; with a penalty, the
     density 2 n^2 F(u) is added under the same measure so that the penalized
     local balance is exact for solutions of the penalized equation."""
-    return _cone_fluxes(field, cone, rule, (penalty_n,))[0]
+    return _side_integral(cone, rule,
+                          functools.partial(_fluxes, field, (penalty_n,)))[0]
 
 
 def energy_balance(field: FieldEvaluator, cone: ConeSpec, rule: ProductRule,
@@ -252,26 +260,21 @@ def energy_balance(field: FieldEvaluator, cone: ConeSpec, rule: ProductRule,
     ``unpenalized`` field holds the balance without the penalty terms, taken
     from the same evaluation of every node."""
     penalties = (None,) if penalty_n is None else (penalty_n, None)
-
-    def energies(at, r: ProductRule):
-        return _disk_energies(field, DiskSpec(at, cone.apex.x, cone.radius(at)),
-                              r, penalties)
+    energy = functools.partial(_energies, field, penalties)
+    flux = functools.partial(_fluxes, field, penalties)
 
     def compute(r: ProductRule):
         """(e_base, e_top, flux) for each of ``penalties``."""
-        return list(zip(energies(cone.t_min, r), energies(cone.t_max, r),
-                        _cone_fluxes(field, cone, r, penalties)))
+        disks = [DiskSpec(at, cone.apex.x, cone.radius(at))
+                 for at in (cone.t_min, cone.t_max)]
+        return list(zip(*(_disk_integral(d, r, energy, field) for d in disks),
+                        _side_integral(cone, r, flux)))
 
-    coarse = compute(rule)
-    fine = compute(rule.refine())
-    reports = []
-    for c, f in zip(coarse, fine):
-        bal_coarse = c[0] - c[1] - c[2]
-        bal_fine = f[0] - f[1] - f[2]
-        reports.append(BalanceReport.build(*f, abs(bal_fine - bal_coarse)))
-    if penalty_n is None:
-        return reports[0]
-    return dataclasses.replace(reports[0], unpenalized=reports[1])
+    reports = [BalanceReport.build(*f, abs((f[0] - f[1] - f[2])
+                                           - (c[0] - c[1] - c[2])))
+               for c, f in zip(compute(rule), compute(rule.refine()))]
+    return reports[0] if penalty_n is None else \
+        dataclasses.replace(reports[0], unpenalized=reports[1])
 
 
 @functools.cache

@@ -29,11 +29,11 @@ stored levels of the box of cells its caller reads, which ``cell_box`` maps
 from the cones read, in one (n_levels, wx, wy, wz, 3) array, and returns the
 hook that copies the box out of each stored level.  It first checks that
 this box and the run's working grids fit in memory (``_check_memory``, which
-measures the scratch of a ``_Work`` built as the run builds it).  ``run``
-stores the whole grid, sampling u^0 into slot 0 and stepping from it; the
-sweep's strongest run stores the read cones' box, its weaker runs none.  A
-clamped step copies the box faces from the previous level: every level
-shares the faces of u^0.
+counts, allocating nothing, the scratch of a ``_Work`` built as the run
+builds it).  ``run`` stores the whole grid, sampling u^0 into slot 0 and
+stepping from it; the sweep's strongest run stores the read cones' box, its
+weaker runs none.  A clamped step copies the box faces from the previous
+level: every level shares the faces of u^0.
 
 Threads.  ``_Work`` cuts a clamped box into blocks of whole x-planes, each
 ``_BLOCK_BYTES`` (512 KiB) of (planes, N, N, 3) or less but at least one
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import contextvars
 import dataclasses
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -202,19 +203,17 @@ _BLOCK_BYTES = 512 * 1024
 class _Scratch:
     """The scratch of one block, reused by every block its worker steps."""
 
-    def __init__(self, planes: int, n: int):
-        self.accel = np.empty((planes, n, n, 3))
-        self.tmp = np.empty((planes, n, n, 3))
-        self.constraint = np.empty((planes, n, n))  # |u|^2 - 1
-        self.scalar = np.empty((planes, n, n))
+    def __init__(self, shapes):
+        arrays = map(np.empty, shapes)
+        self.accel, self.tmp, self.constraint, self.scalar = arrays
 
 
 class _Work:
     """The x-plane blocks [i0, i1) of a step, one contiguous run of them for
     each of at most ``workers`` workers with one block's ``_Scratch`` each,
-    the pool that runs the runs and whether a step sums its ledger row.  A
-    clamped box is cut into blocks of ``_BLOCK_BYTES``, a periodic one, whose
-    stencil wraps across x, is one.  No array spans more than a block."""
+    made on first use, the pool that runs the runs and whether a step sums
+    its ledger row.  A clamped box is cut into blocks of ``_BLOCK_BYTES``, a
+    periodic one, whose stencil wraps across x, is one."""
 
     def __init__(self, cfg: SolverConfig, pool, workers: int, ledger: bool):
         n = planes = cfg.n_cells
@@ -224,8 +223,13 @@ class _Work:
         k = min(workers, len(self.blocks))
         edges = [len(self.blocks) * w // k for w in range(k + 1)]
         self.runs = [self.blocks[b0:b1] for b0, b1 in zip(edges, edges[1:])]
-        self.scratch = [_Scratch(planes, n) for _ in self.runs]
+        # a _Scratch: accel, tmp, constraint (|u|^2 - 1) and scalar
+        self.shapes = [(planes, n, n, 3)] * 2 + [(planes, n, n)] * 2
         self.pool, self.ledger = pool, ledger
+
+    @functools.cached_property
+    def scratch(self) -> list:
+        return [_Scratch(self.shapes) for _ in self.runs]
 
     def advance(self, u_prev, u, out, cfg: SolverConfig, g0):
         """``_advance`` on every block, each worker's run block after block
@@ -417,13 +421,14 @@ def _check_memory(cfg: SolverConfig, box) -> None:
     """Raises ValueError when the stored slab plus the run's working grids
     would exceed physical memory: the ``box`` of cells (see ``cell_box``) of
     every stored level, five (N, N, N, 3) grids (u0, g0 and three rotating
-    levels) and the scratch of a ``_Work`` built as the run builds it."""
+    levels) and the scratch of a ``_Work`` built as the run builds it,
+    counted from its plan without allocating it."""
     n = cfg.n_cells
     dims = [s.stop - s.start for s in box]
     work = _Work(cfg, None, _cores(), ledger=False)
     slab = cfg.n_levels * int(np.prod(dims)) * 3 * 8
-    grids = 5 * n**3 * 3 * 8 + sum(a.nbytes for s in work.scratch
-                                   for a in vars(s).values())
+    grids = 5 * n**3 * 3 * 8 + len(work.runs) * sum(8 * int(np.prod(s))
+                                                    for s in work.shapes)
     ram = _physical_memory()
     if ram is not None and slab + grids > ram:
         raise ValueError(

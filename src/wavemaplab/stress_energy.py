@@ -1,7 +1,7 @@
 """The stress-energy tensor, its divergence and boost transformation law,
 weak-equation residuals, the point-charge pairing, and the cone
-integration-by-parts identity.  The energy and flux densities they share
-with the disk and cone quadratures are the batch forms of ``quadrature``.
+integration-by-parts identity.  Their ball and side integrals are densities,
+on the batch forms of ``quadrature``, handed to its integrators.
 
 Sign conventions, fixed project-wide: signature (-,+,+,+), so the Lagrangian
 density is d_a u . d^a u = |grad u|^2 - |u_t|^2, the strong equation used
@@ -17,8 +17,9 @@ import numpy as np
 
 from .fields import FieldEvaluator, MapParams, _dot, harmonic_v_jet_batch
 from .manufactured import ComposedWithBoost, bump_profile, bump_profile_ds
-from .quadrature import (ProductRule, _bump_norm, _cone_slices, _disk_nodes,
-                         _gauss, _singular_center, energy_form, flux_form_Q)
+from .quadrature import (ProductRule, _bump_norm, _cone_slices, _disk_integral,
+                         _disk_nodes, _gauss, _rows, _side_integral,
+                         energy_form, flux_form_Q)
 from .spacetime import ETA, ConeSpec, DiskSpec, LorentzBoost, SpacetimePoint
 
 
@@ -116,22 +117,20 @@ def weak_residual(field: FieldEvaluator, test: BumpTest,
     c = test.center.as_vector()
     t0, x0, sigma = c[0], c[1:], test.scale
 
-    res = np.zeros(3)
-    for t, wt in zip(*_gauss(rule.n_time, t0 - sigma, t0 + sigma)):
-        rho = np.sqrt(max(sigma**2 - (t - t0)**2, 0.0))
-        if rho == 0.0:
-            continue
-        disk = DiskSpec(t, x0, rho)
-        xs, w = _disk_nodes(disk, rule, _singular_center(field, disk))
-        weights = wt * w
-        ts = np.full(len(xs), t)
+    def density(ts, xs):
         values, dts, grads = field.jets_at(ts, xs)
         psi, dpsi = test.batch(np.column_stack([ts, xs]))
         lag = np.sum(grads**2, axis=(1, 2)) - np.sum(dts**2, axis=1)
-        integrand = (dts * dpsi[:, 0][:, None]
-                     - np.einsum("nij,ni->nj", grads, dpsi[:, 1:])
-                     + (lag * psi)[:, None] * values)
-        res += _dot(weights, integrand)
+        return (dts * dpsi[:, 0][:, None]
+                - np.einsum("nij,ni->nj", grads, dpsi[:, 1:])
+                + (lag * psi)[:, None] * values).T
+
+    res = np.zeros(3)
+    for t, wt in zip(*_gauss(rule.n_time, t0 - sigma, t0 + sigma)):
+        rho = np.sqrt(max(sigma**2 - (t - t0)**2, 0.0))
+        if rho > 0.0:
+            res += wt * np.array(_disk_integral(DiskSpec(t, x0, rho), rule,
+                                                density, field))
     return res
 
 
@@ -197,42 +196,28 @@ def comp_identity_check(u: FieldEvaluator, w: FieldEvaluator, R: float,
     if not 0.0 < T < R:
         raise ValueError("need 0 < T < R")
     cone = ConeSpec.from_base(np.zeros(3), R, 0.0, T)
-    sph = rule.sphere
 
-    def ball_nodes(radius):
-        return _disk_nodes(DiskSpec(0.0, np.zeros(3), radius), rule)
+    def top(ts, xs):
+        return [energy_form(*u.jets_at(ts, xs)[1:], *w.jets_at(ts, xs)[1:])]
 
-    def ball_integral_dudw(t, radius):
-        xs, weights = ball_nodes(radius)
-        ts = np.full(len(xs), t)
-        _, du_t, du_g = u.jets_at(ts, xs)
-        _, dw_t, dw_g = w.jets_at(ts, xs)
-        return float(_dot(weights, energy_form(du_t, du_g, dw_t, dw_g)))
+    def box_terms(ts, xs):
+        return [np.sum(u.box_at(ts, xs) * w.jets_at(ts, xs)[1], axis=1)
+                + np.sum(w.box_at(ts, xs) * u.jets_at(ts, xs)[1], axis=1)]
 
-    # left side: Du . Dw over the top disk
-    lhs = ball_integral_dudw(T, R - T)
+    def side(ts, xs, normals):
+        return [flux_form_Q(*u.jets_at(ts, xs)[1:], *w.jets_at(ts, xs)[1:],
+                            normals)]
 
-    # right side: bulk term minus lateral flux-form term
-    bulk = 0.0
-    lateral = 0.0
-    for tk, wk, rt, xb in _cone_slices(cone, rule):
-        xs, weights = ball_nodes(rt)
-        ts = np.full(len(xs), tk)
-        _, du_t, _ = u.jets_at(ts, xs)
-        _, dw_t, _ = w.jets_at(ts, xs)
-        dens = (np.sum(u.box_at(ts, xs) * dw_t, axis=1)
-                + np.sum(w.box_at(ts, xs) * du_t, axis=1))
-        bulk += wk * float(_dot(weights, dens))
+    lhs, = _disk_integral(DiskSpec(T, np.zeros(3), R - T), rule, top, u)
+    bulk = sum(wk * _disk_integral(DiskSpec(tk, np.zeros(3), rt), rule,
+                                   box_terms, u)[0]
+               for tk, wk, rt, _ in _cone_slices(cone, rule))
+    lateral, = _side_integral(cone, rule, side)
 
-        tb = np.full(len(xb), tk)
-        _, du_t, du_g = u.jets_at(tb, xb)
-        _, dw_t, dw_g = w.jets_at(tb, xb)
-        q = flux_form_Q(du_t, du_g, dw_t, dw_g, sph.nodes)
-        lateral += wk * rt**2 * float(_dot(sph.weights, q))
-
-    # Dw on the base, sampled
-    xs, _ = ball_nodes(R)
-    _, dw_t, dw_g = w.jets_at(np.zeros(len(xs)), xs)
-    dw0 = float(np.sqrt(np.max(energy_form(dw_t, dw_g, dw_t, dw_g))))
+    # Dw . Dw on the base, sampled at its nodes: a max, not an integral
+    xs, _ = _disk_nodes(DiskSpec(0.0, np.zeros(3), R), rule)
+    dw2 = _rows(lambda ts, xs: [energy_form(*w.jets_at(ts, xs)[1:] * 2)],
+                0.0, xs)
+    dw0 = float(np.sqrt(np.max(dw2)))
 
     return CompIdentityResult(lhs, bulk - lateral, dw0)

@@ -124,6 +124,31 @@ def test_cone_parsing_errors(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_malformed_cone_fails_as_the_config_loads(tmp_path, monkeypatch,
+                                                  capsys):
+    # the second cone is taller than its base radius: every cone is built as
+    # the config loads, so no command reads the first before the second fails
+    path = tmp_path / "bad_cone.ini"
+    path.write_text("[cones]\ngood = 0,0,0 ; 0.5 ; 0,0.2\n"
+                    "bad = 0.3,0.3,0 ; 0.1 ; 0,0.2\n")
+    with pytest.raises(ConfigError, match=r"\[cones\] bad: height must lie"):
+        load_config(str(path))
+    with pytest.raises(ValueError, match="height must lie"):
+        ConeRequest((0.3, 0.3, 0.0), 0.1, 0.0, 0.2)
+
+    def never(*args, **kwargs):
+        raise AssertionError("quadrature or sampling before the cone check")
+
+    for name in ("energy_balance", "penalization_sweep"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(BoostedHarmonicMap, "jets_at", never)
+    for command in ("cone-balance", "nonuniq-demo"):
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "config error: [cones] bad:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_refined_config_scales_resolutions():
     cfg = ExperimentConfig()
     fine = cfg.refined(2)
@@ -718,6 +743,17 @@ def test_refine_below_one_exits_2(k, tmp_path, capsys):
     assert main(["s-table", "--refine", k, "--out", str(tmp_path)]) == 2
     assert f"--refine must be at least 1, got {k}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())  # no report written
+
+
+@pytest.mark.parametrize("command", ["penalized-run", "nonuniq-demo",
+                                     "stationary-demo"])
+def test_oversized_refinement_exits_2_with_the_projection(command, tmp_path,
+                                                          capsys):
+    # 19200^3 cells: the pre-flight refuses the run from its plan, before it
+    # allocates the scratch it counts
+    assert main([command, "--refine", "200", "--out", str(tmp_path)]) == 2
+    assert "GiB" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_ledger_csv_round_trip(tmp_path):

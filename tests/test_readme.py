@@ -11,7 +11,7 @@ import re
 from pathlib import Path
 
 import wavemaplab
-from wavemaplab import cli, fields, solver
+from wavemaplab import cli, fields, quadrature, solver
 from wavemaplab.cli import ExperimentConfig, load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -270,3 +270,17 @@ def test_each_solver_fact_has_one_owner():
     assert _callers("_check_memory") == {("solver", "_slab")}
     assert not hasattr(solver, "_partition")
     assert not hasattr(solver, "_ledger_row")
+
+
+def test_one_integrator_per_domain():
+    # every ball integral is a density handed to quadrature._disk_integral,
+    # which alone grades toward a singular point, and every cone-side one a
+    # density handed to quadrature._side_integral; the cone identity builds
+    # only the base nodes of its max of Dw and the times of its bulk disks
+    assert _callers("_disk_nodes") == {("quadrature", "_disk_integral"),
+                                       ("stress_energy", "comp_identity_check")}
+    assert _callers("_singular_center") == {("quadrature", "_disk_integral")}
+    assert _callers("_cone_slices") == {("quadrature", "_side_integral"),
+                                        ("stress_energy", "comp_identity_check")}
+    assert not hasattr(quadrature, "_disk_energies")
+    assert not hasattr(quadrature, "_cone_fluxes")

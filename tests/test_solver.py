@@ -2,6 +2,7 @@ import dataclasses
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -632,6 +633,21 @@ def test_preflight_counts_what_is_allocated(boundary, cells, cores,
     with pytest.raises(AssertionError, match="sampled"):
         penalization_sweep((4.0, 8.0), CauchyData(never), cfg, cone,
                            read_cones=[cone])
+
+
+def test_preflight_allocates_nothing(monkeypatch):
+    # 2048^3 cells: one worker's one-plane block scratch alone is 256 MiB,
+    # which a refused run counts but never allocates
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 2048, T_end=0.1)
+    monkeypatch.setattr(solver, "_physical_memory", lambda: 2**30)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"GiB .*working grids"):
+            solver._slab(cfg, solver.cell_box(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_memory_is_checked_once_per_run(monkeypatch):

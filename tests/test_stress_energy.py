@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavemaplab.fields import MapParams, s_lambda
+from wavemaplab import fields
+from wavemaplab.fields import FieldEvaluator, MapParams, s_lambda
 from wavemaplab.manufactured import (ConstantMap, GeodesicPlaneWave,
                                      QuadraticNullField, TimeSquaredBump)
 from wavemaplab.quadrature import (ProductRule, SphereRule, energy_density,
@@ -294,6 +295,46 @@ def test_comp_identity_flags_nonzero_base_data():
     u = GeodesicPlaneWave(np.array([1.0, 0.0, 0.0]))
     res = comp_identity_check(u, u, 1.0, 0.5, ProductRule(4, 6, 4))
     assert res.dw0_norm > 0.1
+
+
+class Counted(FieldEvaluator):
+    """A field that records the node count of each jets_at and box_at call."""
+
+    def __init__(self, field):
+        self.field, self.sizes = field, []
+
+    def jets_at(self, ts, xs):
+        self.sizes.append(len(ts))
+        return self.field.jets_at(ts, xs)
+
+    def box_at(self, ts, xs):
+        self.sizes.append(len(ts))
+        return self.field.box_at(ts, xs)
+
+
+def test_identity_and_residual_blocks_join_exactly(monkeypatch):
+    # every disk, side slice and the base of the cone identity is evaluated
+    # in blocks of fields._BLOCK nodes; the seams change no bit
+    u = Counted(TimeSquaredBump(scale=1.2, direction=(1.0, 0.0, 0.0)))
+    w = Counted(TimeSquaredBump(center=(0.2, 0.0, 0.0), scale=0.9,
+                                direction=(1.0, 1.0, 0.0)))
+    pw = Counted(GeodesicPlaneWave(np.array([3.0, 2.0, 1.0])))
+    test = BumpTest(SpacetimePoint(0.1, np.array([0.05, 0.0, -0.05])), 0.5)
+    rule = ProductRule(4, 6, 4)
+
+    def both():
+        for f in (u, w, pw):
+            f.sizes = []
+        return (comp_identity_check(u, w, 1.0, 0.5, rule),
+                weak_residual(pw, test, rule))
+
+    identity, residual = both()
+    assert max(u.sizes + w.sizes + pw.sizes) == 6 * 32
+    monkeypatch.setattr(fields, "_BLOCK", 7)
+    blocked = both()
+    assert blocked[0] == identity
+    assert np.array_equal(blocked[1], residual)
+    assert max(u.sizes + w.sizes + pw.sizes) <= 7
 
 
 def test_comp_identity_validation():
