@@ -609,9 +609,11 @@ def penalization_sweep(schedule, field: FieldEvaluator,
     cfgs = [dataclasses.replace(cfg_template, penalty_n=float(n), dt=dt)
             for n in schedule]
     # the weaker runs store no level, the strongest the box read of it; each
-    # run's memory is checked here, before sampling
+    # run's memory is checked here, before sampling, the strongest's first so
+    # that a refusal names the slab the sweep stores
+    strongest = _slab(cfgs[-1], cell_box(cfg_template, read_cones))
     slabs = [_slab(cfg, cell_box(cfg_template, ())) for cfg in cfgs[:-1]] \
-        + [_slab(cfgs[-1], cell_box(cfg_template, read_cones))]
+        + [strongest]
     t_end = cfg_template.T_end
     mask = _cone_mask(cfg_template, cone, t_end)
     if not mask.any():

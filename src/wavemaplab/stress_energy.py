@@ -1,7 +1,8 @@
 """The stress-energy tensor, its divergence and boost transformation law,
 weak-equation residuals, the point-charge pairing, and the cone
-integration-by-parts identity.  Their ball and side integrals are densities,
-on the batch forms of ``quadrature``, handed to its integrators.
+integration-by-parts identity.  Every ball and side integral, the point
+charge's too, is a density on ``stress_tensor`` or the batch forms of
+``quadrature``, handed to its integrators.
 
 Sign conventions, fixed project-wide: signature (-,+,+,+), so the Lagrangian
 density is d_a u . d^a u = |grad u|^2 - |u_t|^2, the strong equation used
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldEvaluator, MapParams, _dot, harmonic_v_jet_batch
+from .fields import BoostedHarmonicMap, FieldEvaluator, MapParams
 from .manufactured import ComposedWithBoost, bump_profile, bump_profile_ds
 from .quadrature import (ProductRule, _bump_norm, _cone_slices, _disk_integral,
                          _disk_nodes, _gauss, _rows, _side_integral,
@@ -136,39 +137,24 @@ def weak_residual(field: FieldEvaluator, test: BumpTest,
 
 def recover_point_charge(params: MapParams, test: BumpTest,
                          rule: ProductRule) -> np.ndarray:
-    """Distributional divergence of the spatial stress tensor of the dilated
-    hedgehog, paired with a spatial test bump centered at the origin:
+    """Distributional divergence of the spatial stress S, the spatial block
+    of ``stress_tensor``, of ``BoostedHarmonicMap(params)`` at t = 0 paired
+    with a spatial test bump; at nu = 0, the dilated hedgehog,
 
         J_j = - int S_ij d_i(psi) dx  ->  (0, 0, -s(lambda) psi(0) / 2).
 
-    The quadrature excludes a ball of radius rho = 1e-2 around the singular
-    point and Richardson-extrapolates rho -> 0 (the excluded contribution is
-    O(rho^2) because the bump's gradient vanishes at its center).
-    """
+    The ball grades toward the map's singular point, where the rule's r^2
+    weight absorbs the 1/r^2 of S."""
     if test.dim != 3:
         raise ValueError("recover_point_charge needs a spatial bump")
-    rho = 1e-2
-    f1 = _charge_pairing(params, test, rule, rho)
-    f2 = _charge_pairing(params, test, rule, rho / 2.0)
-    return (4.0 * f2 - f1) / 3.0
+    field = BoostedHarmonicMap(params)
 
+    def density(ts, xs):
+        S = stress_tensor(*field.jets_at(ts, xs)[1:])[:, 1:, 1:]
+        return (-np.einsum("nij,ni->nj", S, test.batch(xs)[1])).T
 
-def _charge_pairing(params: MapParams, test: BumpTest, rule: ProductRule,
-                    rho: float) -> np.ndarray:
-    sigma = test.scale
-    sph = rule.sphere
-    r_nodes, r_weights = _gauss(rule.n_radial, rho, sigma)
-
-    xs = (r_nodes[:, None, None] * sph.nodes[None, :, :]).reshape(-1, 3)
-    weights = (r_weights[:, None] * sph.weights[None, :]
-               * r_nodes[:, None]**2).ravel()
-    _, grads = harmonic_v_jet_batch(params, xs)
-    # spatial stress: S_ij = -<d_i v, d_j v> + (1/2) delta_ij |grad v|^2
-    cross = np.einsum("nic,njc->nij", grads, grads)
-    tr = np.einsum("nii->n", cross)
-    S = -cross + 0.5 * tr[:, None, None] * np.eye(3)[None]
-    _, dpsi = test.batch(xs)
-    return -_dot(weights, np.einsum("nij,ni->nj", S, dpsi))
+    return np.array(_disk_integral(DiskSpec(0.0, test.center, test.scale),
+                                   rule, density, field))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import re
 from pathlib import Path
 
 import wavemaplab
-from wavemaplab import cli, fields, quadrature, solver
+from wavemaplab import cli, fields, quadrature, solver, stress_energy
 from wavemaplab.cli import ExperimentConfig, load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -284,3 +284,15 @@ def test_one_integrator_per_domain():
                                         ("stress_energy", "comp_identity_check")}
     assert not hasattr(quadrature, "_disk_energies")
     assert not hasattr(quadrature, "_cone_fluxes")
+    # the point charge too: stress_tensor's spatial block of the boosted
+    # map's jets_at, the hedgehog kernel's only caller, on one graded ball
+    boosted = ("fields", "BoostedHarmonicMap")
+    assert _callers("harmonic_v_jet_batch") == {boosted}
+    charge = ("stress_energy", "recover_point_charge")
+    assert charge in _callers("stress_tensor")
+    assert charge in _callers("_disk_integral")
+    assert _callers("_gauss") == {("quadrature", "_bump_norm"),
+                                  ("quadrature", "_cone_slices"),
+                                  ("quadrature", "_disk_nodes"),
+                                  ("stress_energy", "weak_residual")}
+    assert not hasattr(stress_energy, "_charge_pairing")

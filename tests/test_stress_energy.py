@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavemaplab import fields
-from wavemaplab.fields import FieldEvaluator, MapParams, s_lambda
+from wavemaplab.fields import (BoostedHarmonicMap, FieldEvaluator,
+                               MapParams, s_lambda)
 from wavemaplab.manufactured import (ConstantMap, GeodesicPlaneWave,
                                      QuadraticNullField, TimeSquaredBump)
 from wavemaplab.quadrature import (ProductRule, SphereRule, energy_density,
@@ -243,17 +244,19 @@ def test_recover_point_charge_zero_at_lam1():
     assert np.max(np.abs(J)) / psi0 <= 1e-8
 
 
-def test_recover_point_charge_half_pillbox_law():
+@pytest.mark.parametrize("rule, rel", [(ProductRule(16, 24, 16), 5e-3),
+                                       (ProductRule(32, 48, 32), 5e-10)],
+                         ids=["default", "refined"])
+def test_recover_point_charge_half_pillbox_law(rule, rel):
     # the distributional charge of the spatial stress of the dilated hedgehog:
     # 0-homogeneity kills the radial derivative on spheres around the origin,
     # so the pillbox reduces to +(1/2) * first angular moment of the energy
     # density, i.e. the charge equals -s(lam)/2 in the +e3 direction
     test = BumpTest(np.zeros(3), 0.9)
     psi0 = test.value_at(np.zeros(3))
-    rule = ProductRule(16, 24, 16)
     for lam in (1.5, 2.0, 3.0):
         J = recover_point_charge(MapParams(lam), test, rule)
-        assert J[2] / psi0 == pytest.approx(-s_lambda(lam) / 2.0, rel=5e-3)
+        assert J[2] / psi0 == pytest.approx(-s_lambda(lam) / 2.0, rel=rel)
         assert np.max(np.abs(J[:2])) <= 1e-10  # axisymmetry
 
 
@@ -335,6 +338,26 @@ def test_identity_and_residual_blocks_join_exactly(monkeypatch):
     assert blocked[0] == identity
     assert np.array_equal(blocked[1], residual)
     assert max(u.sizes + w.sizes + pw.sizes) <= 7
+
+
+def test_point_charge_blocks_join_exactly(monkeypatch):
+    # the point charge is one disk integral of the boosted map's jets_at,
+    # evaluated in blocks of fields._BLOCK nodes; the seams change no bit
+    test = BumpTest(np.zeros(3), 0.9)
+    rule = ProductRule(4, 6, 4)
+    whole = recover_point_charge(MapParams(2.0), test, rule)
+    sizes = []
+    jets_at = BoostedHarmonicMap.jets_at
+
+    def spy(self, ts, xs):
+        sizes.append(len(xs))
+        return jets_at(self, ts, xs)
+
+    monkeypatch.setattr(BoostedHarmonicMap, "jets_at", spy)
+    monkeypatch.setattr(fields, "_BLOCK", 7)
+    assert np.array_equal(recover_point_charge(MapParams(2.0), test, rule),
+                          whole)
+    assert sizes and min(sizes) >= 1 and max(sizes) <= 7
 
 
 def test_comp_identity_validation():
