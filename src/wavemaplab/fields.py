@@ -10,8 +10,12 @@ and tangency to the sphere reads ``grad @ value == 0``.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import zipfile
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -367,11 +371,12 @@ class GridField(FieldEvaluator):
 
     def save(self, path):
         """Write the slab and its grid to ``path`` as an uncompressed ``.npz``
-        with the keys data, t0, dt, origin and h.  Written through the open
-        file, since ``np.savez`` appends ``.npz`` to a bare path lacking it."""
-        with open(path, "wb") as fh:
-            np.savez(fh, data=self.data, t0=self.t0, dt=self.dt,
-                     origin=self.origin, h=self.h)
+        with the keys data, t0, dt, origin and h (see ``_slab_writer``), at
+        exactly the path given: nothing is appended to it."""
+        with _slab_writer(path, self.data.shape, self.t0, self.dt,
+                         self.origin, self.h) as append:
+            for level in self.data:
+                append(level)
 
     @classmethod
     def load(cls, path) -> "GridField":
@@ -386,3 +391,49 @@ class GridField(FieldEvaluator):
             if missing:
                 raise ValueError(f"{path} lacks the slab keys {missing}")
             return cls(f["t0"], f["dt"], f["origin"], f["h"], f["data"])
+
+
+@contextlib.contextmanager
+def _slab_writer(path, shape, t0: float, dt: float, origin, h: float):
+    """Write a slab of ``shape`` (nt, nx, ny, nz, 3) to ``path`` one level at
+    a time, as the uncompressed ``.npz`` that ``np.savez`` writes, byte for
+    byte, from data=slab, t0, dt, origin and h.  Yields ``append(level)``,
+    which writes the next (nx, ny, nz, 3) level from its own memory; the
+    with block must append all nt of them.  The archive is written to a
+    ``.part`` sibling of ``path`` in its directory, which the writer creates,
+    and moved into place once complete; on any exception, in the block or
+    in the writer, the ``.part`` is removed and ``path`` left as it was."""
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    shape = tuple(int(k) for k in shape)
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+              "fortran_order": False, "shape": shape}
+    written = 0
+
+    def append(level):
+        nonlocal written
+        level = np.ascontiguousarray(level, dtype=float)
+        if written == shape[0] or level.shape != shape[1:]:
+            raise ValueError(f"level {written} of shape {level.shape} does "
+                             f"not fit a slab of shape {shape}")
+        data.write(memoryview(level).cast("B"))
+        written += 1
+
+    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        # np.savez's members, in its order, each forced to zip64 as it does
+        with zipfile.ZipFile(part, "w", zipfile.ZIP_STORED) as zf:
+            with zf.open("data.npy", "w", force_zip64=True) as data:
+                np.lib.format.write_array_header_1_0(data, header)
+                yield append
+                if written != shape[0]:
+                    raise ValueError(f"{written} of the {shape[0]} levels "
+                                     "were written")
+            for name, value in (("t0", t0), ("dt", dt), ("origin", origin),
+                                ("h", h)):
+                with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                    np.lib.format.write_array(fh, np.asanyarray(value))
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise

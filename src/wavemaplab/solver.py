@@ -10,9 +10,10 @@ The grid is cell-centered so data derived from the singular analytic maps are
 never sampled at their singular point; the effective smoothing scale of such
 data is the grid spacing h.
 
-Data.  ``run`` and ``penalization_sweep`` start from any ``FieldEvaluator``:
-its value and time derivative at t = 0 on the cell centres, sampled with one
-``jets_at`` call, are the Cauchy data (u^0, g^0), which no step writes.
+Data.  ``run``, ``run_to_file`` and ``penalization_sweep`` start from any
+``FieldEvaluator``: its value and time derivative at t = 0 on the cell
+centres, sampled with one ``jets_at`` call, are the Cauchy data (u^0, g^0),
+which no step writes.
 
 Buffers.  One in-place kernel, ``_advance``, takes a block of x-planes one
 step: it forms Lap(u) - n^2 (|u|^2 - 1) u there with the arithmetic of the
@@ -32,8 +33,12 @@ this box and the run's working grids fit in memory (``_check_memory``, which
 counts, allocating nothing, the scratch of a ``_Work`` built as the run
 builds it).  ``run`` stores the whole grid, sampling u^0 into slot 0 and
 stepping from it; the sweep's strongest run stores the read cones' box, its
-weaker runs none.  A clamped step copies the box faces from the previous
-level: every level shares the faces of u^0.
+weaker runs none.  ``run_to_file`` holds no slab: its hook appends each
+stored level of the whole grid to an ``.npz`` on disk as it is stepped, so
+it holds only the five working grids (u^0, g^0 and the three buffers) and
+the scratch, which it checks against memory, and first checks the file
+against the free disk (``_check_disk``).  A clamped step copies the box
+faces from the previous level: every level shares the faces of u^0.
 
 Threads.  ``_Work`` cuts a clamped box into blocks of whole x-planes, each
 ``_BLOCK_BYTES`` (512 KiB) of (planes, N, N, 3) or less but at least one
@@ -54,11 +59,13 @@ import contextvars
 import dataclasses
 import functools
 import os
+import shutil
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .fields import FieldEvaluator, GridField, _dot
+from .fields import FieldEvaluator, GridField, _dot, _slab_writer
 from .spacetime import ConeSpec, DiskSpec
 
 
@@ -422,22 +429,53 @@ def _check_memory(cfg: SolverConfig, box) -> None:
     would exceed physical memory: the ``box`` of cells (see ``cell_box``) of
     every stored level, five (N, N, N, 3) grids (u0, g0 and three rotating
     levels) and the scratch of a ``_Work`` built as the run builds it,
-    counted from its plan without allocating it."""
+    counted from its plan without allocating it.  A ``box`` of None is a
+    run that holds no slab and writes its levels to disk (``run_to_file``),
+    whose refusal names the bytes it would write."""
     n = cfg.n_cells
-    dims = [s.stop - s.start for s in box]
     work = _Work(cfg, None, _cores(), ledger=False)
-    slab = cfg.n_levels * int(np.prod(dims)) * 3 * 8
     grids = 5 * n**3 * 3 * 8 + len(work.runs) * sum(8 * int(np.prod(s))
                                                     for s in work.shapes)
+    if box is None:
+        slab, cells = 0, "all"
+    else:
+        dims = [s.stop - s.start for s in box]
+        slab = cfg.n_levels * int(np.prod(dims)) * 3 * 8
+        cells = " x ".join(map(str, dims))
+    plan = (f"{cfg.n_levels} levels of {cells} of the {n}^3 cells, stride "
+            f"{cfg.stride} over {cfg.n_steps} steps")
+    held = (f"no stored slab, writing {_file_bytes(cfg) / 2**30:.1f} GiB to "
+            f"disk ({plan})" if box is None else
+            f"a stored slab of {slab / 2**30:.1f} GiB ({plan})")
     ram = _physical_memory()
     if ram is not None and slab + grids > ram:
         raise ValueError(
-            f"the run would need {(slab + grids) / 2**30:.1f} GiB: a stored "
-            f"slab of {slab / 2**30:.1f} GiB ({cfg.n_levels} levels of "
-            f"{' x '.join(map(str, dims))} of the {n}^3 cells, stride "
-            f"{cfg.stride} over {cfg.n_steps} steps) and "
+            f"the run would need {(slab + grids) / 2**30:.1f} GiB: {held} and "
             f"{grids / 2**30:.1f} GiB of working grids, more than the "
             f"{ram / 2**30:.1f} GiB of physical memory")
+
+
+# bytes of a slab archive beside its levels, at most: its zip and .npy
+# headers and its four scalars, 1,260 bytes at the default grid
+_ARCHIVE_BYTES = 4096
+
+
+def _file_bytes(cfg: SolverConfig) -> int:
+    """Bytes of the ``.npz`` that ``run_to_file`` writes, at most: every
+    stored level of the whole grid, and ``_ARCHIVE_BYTES``."""
+    return cfg.n_levels * cfg.n_cells**3 * 3 * 8 + _ARCHIVE_BYTES
+
+
+def _check_disk(cfg: SolverConfig, path: Path) -> None:
+    """Raises ValueError when the file system of the nearest existing
+    directory on the way to ``path`` has fewer free bytes than
+    ``run_to_file`` would write there."""
+    where = next(p for p in path.parents if p.exists())
+    need, free = _file_bytes(cfg), shutil.disk_usage(where).free
+    if free < need:
+        raise ValueError(
+            f"{path.name} would need {need / 2**30:.2f} GiB on disk, more "
+            f"than the {free / 2**30:.2f} GiB free at {where}")
 
 
 def cell_box(cfg: SolverConfig, cones=None) -> tuple[slice, slice, slice]:
@@ -503,15 +541,37 @@ def run(cfg: SolverConfig, field: FieldEvaluator):
     return slab, _integrate(cfg, u0, g0, store)
 
 
+def run_to_file(cfg: SolverConfig, field: FieldEvaluator, path):
+    """``run``, writing its stored levels of the whole grid to ``path`` as
+    they are stepped, as the ``.npz`` that ``GridField.save`` writes of
+    ``run``'s slab, and holding no slab; returns the energy ledger.  Raises
+    ValueError before sampling when the working grids would not fit in
+    memory or the file on its disk.  ``path``'s directory is created once
+    the data is sampled, and a failed run leaves no file at ``path``."""
+    path = Path(path)
+    _check_memory(cfg, None)
+    _check_disk(cfg, path)
+    u0, g0 = _cauchy_data(field, cfg)
+    shape = (cfg.n_levels,) + (cfg.n_cells,) * 3 + (3,)
+    with _slab_writer(path, shape, 0.0, cfg.stride * cfg.dt_effective,
+                      cfg.origin, cfg.h) as append:
+        def write(k, level):
+            if k % cfg.stride == 0:
+                append(level)
+
+        return _integrate(cfg, u0, g0, write)
+
+
 def _integrate(cfg: SolverConfig, u0: np.ndarray, g0: np.ndarray, read,
                ledger: bool = True):
     """Step from the Cauchy data ``u0``, ``g0``, not written, to T_end in one
-    loop, ``_slab`` having checked the memory: step 0 is the second-order
-    start, step k the leapfrog from levels k - 1 and k into buffer (k + 1) % 3.
-    ``read(k, level)`` sees every level k = 0 ... n_steps in order; a level
-    is unchanged until the ``read`` of the level two after it returns, so
-    ``read(k + 1)`` may use levels k - 1 and k.  Storing a level is the
-    reader's job (``_slab``).  Returns the ledger, None without ``ledger``."""
+    loop, ``_check_memory`` having checked the memory: step 0 is the
+    second-order start, step k the leapfrog from levels k - 1 and k into
+    buffer (k + 1) % 3.  ``read(k, level)`` sees every level k = 0 ...
+    n_steps in order; a level is unchanged until the ``read`` of the level
+    two after it returns, so ``read(k + 1)`` may use levels k - 1 and k.
+    Storing a level is the reader's job (``_slab``, ``run_to_file``).
+    Returns the ledger, None without ``ledger``."""
     # imported here, so that commands which run no solver do not pay the
     # import (and its logging module) in start-up time and memory
     from concurrent.futures import ThreadPoolExecutor

@@ -2,7 +2,9 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -265,6 +267,7 @@ def test_one_penalty_reaches_the_solver(command, tmp_path, monkeypatch):
     path = tmp_path / "one.ini"
     path.write_text("[solver]\npenalties = 64\n")
     monkeypatch.setattr(cli, "run", _reach_run)
+    monkeypatch.setattr(cli, "run_to_file", _reach_run)
     with pytest.raises(_RunReached):
         main([command, "--config", str(path), "--out", str(tmp_path / "out")])
 
@@ -272,7 +275,7 @@ def test_one_penalty_reaches_the_solver(command, tmp_path, monkeypatch):
 def test_empty_time_span_fails_before_sampling(tmp_path, monkeypatch, capsys):
     path = tmp_path / "empty.ini"
     path.write_text("[solver]\nt_end = 0\n")
-    monkeypatch.setattr(cli, "run", _reach_run)
+    monkeypatch.setattr(cli, "run_to_file", _reach_run)
     assert main(["penalized-run", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
     assert "T_end must be finite and positive" in capsys.readouterr().err
@@ -282,7 +285,7 @@ def test_negative_penalty_fails_before_sampling(tmp_path, monkeypatch, capsys):
     # n < 0 would skip the 1/|n| CFL bound while the force still scales as n^2
     path = tmp_path / "negative.ini"
     path.write_text("[solver]\nh = 0.0625\npenalties = -256\n")
-    monkeypatch.setattr(cli, "run", _reach_run)
+    monkeypatch.setattr(cli, "run_to_file", _reach_run)
     assert main(["penalized-run", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
     assert "penalty_n must be >= 0" in capsys.readouterr().err
@@ -339,6 +342,7 @@ def test_descending_penalties_fail_before_sampling(command, penalties,
     with pytest.raises(ConfigError, match="strictly ascend"):
         load_config(str(path))
     monkeypatch.setattr(cli, "run", _reach_run)
+    monkeypatch.setattr(cli, "run_to_file", _reach_run)
     monkeypatch.setattr(cli, "penalization_sweep", _reach_run)
     assert main([command, "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
@@ -754,9 +758,12 @@ def test_oversized_refinement_exits_2_with_the_projection(command, tmp_path,
     assert main([command, "--refine", "200", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "GiB" in err
-    # the sweep's refusal names its strongest run, the one that stores a slab
-    if command == "nonuniq-demo":
-        assert "0 x 0 x 0" not in err
+    # the sweep's refusal names its strongest run, the one that stores a
+    # slab, and penalized-run's the bytes it writes, holding no slab
+    assert "0 x 0 x 0" not in err
+    if command == "penalized-run":
+        assert ("no stored slab, writing 2056640.6 GiB to disk (13 levels "
+                "of all of the 19200^3 cells") in err
     assert not any(tmp_path.iterdir())
 
 
@@ -778,6 +785,62 @@ def test_ledger_csv_round_trip(tmp_path):
     slab, _ = run(cfg.solver_config(penalty_n=cfg.penalties[-1]),
                   BoostedHarmonicMap(cfg.params))
     assert np.array_equal(back.data, slab.data)
+
+
+def test_penalized_run_holds_no_slab(tmp_path):
+    # numpy reports its buffers to tracemalloc: streamed to the archive, the
+    # stored levels are never held together, so the traced peak, sampling
+    # and the working grids included, stays below one slab of them
+    path = tmp_path / "coarse.ini"
+    path.write_text("[solver]\nh = 0.0625\n")
+    cfg, raw = load_config(str(path))
+    scfg = cfg.solver_config(penalty_n=cfg.penalties[-1])
+    tracemalloc.start()
+    try:
+        cli.cmd_penalized_run(cfg, raw, tmp_path / "out")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < scfg.n_levels * scfg.n_cells**3 * 3 * 8
+
+
+def test_failed_penalized_run_leaves_no_slab(tmp_path, monkeypatch):
+    # a blow-up after some levels are written: the partial archive goes
+    path = tmp_path / "coarse.ini"
+    path.write_text("[solver]\nh = 0.0625\n")
+    advance, steps = solver._advance, []
+
+    def blow_up(*args):
+        steps.append(args[0])
+        if len(steps) > 10:
+            raise FloatingPointError("solver blow-up")
+        return advance(*args)
+
+    monkeypatch.setattr(solver, "_advance", blow_up)
+    out = tmp_path / "out"
+    with pytest.raises(FloatingPointError, match="solver blow-up"):
+        main(["penalized-run", "--config", str(path), "--out", str(out)])
+    assert len(steps) > 10
+    assert list(out.iterdir()) == []
+
+
+def test_penalized_run_checks_the_disk_before_sampling(tmp_path, monkeypatch,
+                                                       capsys):
+    # the default run writes 16 levels of 96^3 cells, 0.32 GiB
+    asked = []
+
+    def disk_usage(path):
+        asked.append(Path(path))
+        return SimpleNamespace(total=2**40, used=2**40 - 2**28, free=2**28)
+
+    monkeypatch.setattr(solver.shutil, "disk_usage", disk_usage)
+    monkeypatch.setattr("wavemaplab.solver._cauchy_data", _no_sampling)
+    assert main(["penalized-run", "--out", str(tmp_path / "out" / "a")]) == 2
+    assert asked == [tmp_path]
+    assert ("configuration error: penalized_run.npz would need 0.32 GiB on "
+            f"disk, more than the 0.25 GiB free at {tmp_path}"
+            in capsys.readouterr().err)
+    assert not any(tmp_path.iterdir())
 
 
 def test_constraint_violation_header_names_the_levels_read(tmp_path):

@@ -700,6 +700,39 @@ def test_grid_field_save_is_a_plain_npz(tmp_path):
         assert np.array_equal(f["data"], grid.data)
 
 
+def test_grid_field_save_writes_the_bytes_of_np_savez(tmp_path):
+    # the slab writer streams its levels into the archive np.savez would
+    # write of the whole slab, so a streamed run's file is the saved slab's
+    _, grid = _plane_wave_slab(nt=3, n=9, h=1.0 / 8.0)
+    grid.save(tmp_path / "streamed.npz")
+    with open(tmp_path / "savez.npz", "wb") as fh:
+        np.savez(fh, data=grid.data, t0=grid.t0, dt=grid.dt,
+                 origin=grid.origin, h=grid.h)
+    assert ((tmp_path / "streamed.npz").read_bytes()
+            == (tmp_path / "savez.npz").read_bytes())
+
+
+@pytest.mark.parametrize("failure", [KeyboardInterrupt, OSError, None],
+                         ids=["interrupt", "os-error", "short"])
+def test_failed_slab_write_leaves_the_target_as_it_was(failure, tmp_path):
+    # the archive is written to a .part beside the target and moved into
+    # place only once complete; a failure removes it, whatever it was
+    _, grid = _plane_wave_slab(nt=3, n=9, h=1.0 / 8.0)
+    path = tmp_path / "slab.npz"
+    path.write_text("keep")
+    with pytest.raises(failure or ValueError,
+                       match=None if failure else "2 of the 3 levels"):
+        with fields._slab_writer(path, grid.data.shape, grid.t0, grid.dt,
+                                 grid.origin, grid.h) as append:
+            append(grid.data[0])
+            assert (tmp_path / "slab.npz.part").exists()
+            append(grid.data[1])
+            if failure:
+                raise failure
+    assert [p.name for p in tmp_path.iterdir()] == ["slab.npz"]
+    assert path.read_text() == "keep"
+
+
 def test_grid_field_load_never_unpickles(tmp_path):
     path = tmp_path / "slab.npz"
     np.savez(path, data=np.empty((3, 4, 4, 4, 3), dtype=object), t0=0.0,
