@@ -12,8 +12,9 @@ data is the grid spacing h.
 
 Data.  ``run``, ``run_to_file`` and ``penalization_sweep`` start from any
 ``FieldEvaluator``: its value and time derivative at t = 0 on the cell
-centres, sampled with one ``jets_at`` call, are the Cauchy data (u^0, g^0),
-which no step writes.
+centres, sampled with one ``jets_at`` call per x-plane, are the Cauchy data
+(u^0, g^0), which no step writes.  Sampling holds u^0, g^0 and one plane's
+jets, within the five grids that the pre-flight counts.
 
 Buffers.  One in-place kernel, ``_advance``, takes a block of x-planes one
 step: it forms Lap(u) - n^2 (|u|^2 - 1) u there with the arithmetic of the
@@ -179,26 +180,27 @@ def _step_plan(cfg: SolverConfig) -> tuple[int, int]:
     return -(-n_steps // target) * target, target
 
 
-def _cell_centres(cfg: SolverConfig) -> np.ndarray:
-    """The cell centres of the grid, shape (N**3, 3), in C order of the
-    (N, N, N) cells."""
-    c = cfg.cell_centers_1d()
-    X, Y, Z = np.meshgrid(c, c, c, indexing="ij")
-    return np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
-
-
 def _cauchy_data(field: FieldEvaluator,
                  cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     """The value and time derivative of ``field`` at t = 0 on the cell
-    centres, each of shape (N, N, N, 3), from one ``jets_at`` call.  Raises
-    ValueError, before any step, when either is not finite at some cell."""
+    centres, each of shape (N, N, N, 3), from one ``jets_at`` call per
+    x-plane of N^2 centres written into its plane of both, so that sampling
+    holds the two and one plane's jets, within the five grids that
+    ``_check_memory`` counts.  Raises ValueError, before any step, when
+    either is not finite at some cell."""
     n = cfg.n_cells
-    values, dts, _ = field.jets_at(np.zeros(n**3), _cell_centres(cfg))
-    for name, a in (("value", values), ("time derivative", dts)):
+    c = cfg.cell_centers_1d()
+    u0, g0 = np.empty((n, n, n, 3)), np.empty((n, n, n, 3))
+    yz = np.stack([np.repeat(c, n), np.tile(c, n)], axis=1)
+    for i, x in enumerate(c):
+        xs = np.concatenate([np.full((n * n, 1), x), yz], axis=1)
+        values, dts, _ = field.jets_at(np.zeros(n * n), xs)
+        u0[i], g0[i] = values.reshape(n, n, 3), dts.reshape(n, n, 3)
+    for name, a in (("value", u0), ("time derivative", g0)):
         if not np.all(np.isfinite(a)):
             raise ValueError(
                 f"the Cauchy data's {name} is not finite at some cell centre")
-    return values.reshape(n, n, n, 3), dts.reshape(n, n, n, 3)
+    return u0, g0
 
 
 # bytes of the (planes, N, N, 3) scratch of one x-plane block of a clamped
@@ -428,10 +430,11 @@ def _check_memory(cfg: SolverConfig, box) -> None:
     """Raises ValueError when the stored slab plus the run's working grids
     would exceed physical memory: the ``box`` of cells (see ``cell_box``) of
     every stored level, five (N, N, N, 3) grids (u0, g0 and three rotating
-    levels) and the scratch of a ``_Work`` built as the run builds it,
-    counted from its plan without allocating it.  A ``box`` of None is a
-    run that holds no slab and writes its levels to disk (``run_to_file``),
-    whose refusal names the bytes it would write."""
+    levels), which also bound sampling's u0, g0 and one plane's jets, and
+    the scratch of a ``_Work`` built as the run builds it, counted from its
+    plan without allocating it.  A ``box`` of None is a run that holds no
+    slab and writes its levels to disk (``run_to_file``), whose refusal
+    names the bytes it would write."""
     n = cfg.n_cells
     work = _Work(cfg, None, _cores(), ledger=False)
     grids = 5 * n**3 * 3 * 8 + len(work.runs) * sum(8 * int(np.prod(s))

@@ -429,10 +429,15 @@ def test_initial_data_properties():
                            atol=1e-7)
 
 
-def test_initial_data_samples_f_and_g_with_one_jet_call(monkeypatch):
+def test_initial_data_samples_f_and_g_with_one_jet_call_per_plane(
+        monkeypatch):
+    # one jet call per x-plane of cell centres gives the data, bit for bit,
+    # of one call on all the (N**3, 3) centres in C order of the cells
     phi = BoostedHarmonicMap(MapParams(2.0, 0.6))
     cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.1)
-    xs = solver._cell_centres(cfg)
+    c = cfg.cell_centers_1d()
+    xs = np.stack([a.ravel() for a in np.meshgrid(c, c, c, indexing="ij")],
+                  axis=1)
     values, dts, _ = phi.jets_at(np.zeros(len(xs)), xs)
 
     calls = []
@@ -452,7 +457,7 @@ def test_initial_data_samples_f_and_g_with_one_jet_call(monkeypatch):
     monkeypatch.setattr(fields, "harmonic_v_jet_batch", counting)
     monkeypatch.setattr(solver, "_integrate", spy)
     slab, _ = run(cfg, phi)
-    assert calls == [cfg.n_cells**3]
+    assert calls == [cfg.n_cells**2] * cfg.n_cells
     (u0, g0), = seen
     assert np.array_equal(u0.reshape(-1, 3), values)
     assert np.array_equal(g0.reshape(-1, 3), dts)

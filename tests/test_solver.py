@@ -181,8 +181,16 @@ def test_non_finite_cauchy_data_fails_before_any_step(entry, cell, bad,
     cfg = SolverConfig(box_half_width=0.5, h=1 / 8, T_end=0.1)
     value, dt = np.tile([0.0, 0.0, 1.0], (8, 8, 8, 1)), np.zeros((8, 8, 8, 3))
     (value if component == "value" else dt)[cell] = bad
-    data = CauchyData(lambda xs: value.reshape(-1, 3),
-                      lambda xs: dt.reshape(-1, 3))
+
+    def at(grid):
+        # each queried centre's cell, whatever batch it comes in
+        def sample(xs):
+            cells = np.rint((xs - cfg.origin) / cfg.h).astype(int)
+            return grid[tuple(cells.T)]
+
+        return sample
+
+    data = CauchyData(at(value), at(dt))
     message = re.escape(f"the Cauchy data's {component} is not finite at "
                         "some cell centre")
     with pytest.raises(ValueError, match=message):
@@ -650,6 +658,21 @@ def test_preflight_allocates_nothing(monkeypatch):
     assert peak < 2**20
 
 
+def test_sampling_holds_the_data_and_one_plane_of_jets():
+    # u0 and g0 are two of the five (N, N, N, 3) grids that _check_memory
+    # counts; one x-plane's jets at a time keep the transient near them,
+    # where one call on all N**3 centres peaks above seven grids
+    cfg = SolverConfig(box_half_width=0.5, h=1 / 64, T_end=0.1)
+    phi = BoostedHarmonicMap(MapParams(2.0, 0.6))
+    tracemalloc.start()
+    try:
+        solver._cauchy_data(phi, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * cfg.n_cells**3 * 3 * 8
+
+
 def test_memory_is_checked_once_per_run(monkeypatch):
     calls = []
 
@@ -819,7 +842,8 @@ def test_penalization_sweep_samples_data_once():
     cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
     penalties = (4.0, 8.0, 16.0)
     sweep = penalization_sweep(penalties, Counted(), cfg, cone)
-    assert calls == [cfg.n_cells**3]
+    # one pass over the x-planes for the whole sweep, not one per penalty
+    assert calls == [cfg.n_cells**2] * cfg.n_cells
     # distances equal those of whole slabs from independent runs
     mask = solver._cone_mask(cfg, cone, 0.1)
     last = []
@@ -845,20 +869,24 @@ MASK_CONES = {
 @pytest.mark.parametrize("h", [1 / 48, 1 / 64],
                          ids=["h=1/48", "h=1/64"])
 @pytest.mark.parametrize("name", MASK_CONES)
-def test_cone_mask_matches_the_full_grid_formula(name, h, t, monkeypatch):
+def test_cone_mask_matches_the_full_grid_formula(name, h, t):
     cfg = SolverConfig(box_half_width=0.75, h=h, T_end=0.2)
     center, radius, height = MASK_CONES[name]
     cone = ConeSpec.from_base(np.array(center), radius, 0.0, height)
     # the formula as first written, on the (N**3, 3) array of cell centres
-    d = solver._cell_centres(cfg) - cone.apex.x
+    c = cfg.cell_centers_1d()
+    d = np.stack([a.ravel() for a in np.meshgrid(c, c, c, indexing="ij")],
+                 axis=1) - cone.apex.x
     r = np.sqrt(d[:, 0]**2 + d[:, 1]**2 + d[:, 2]**2)
     want = (r <= cone.radius(t) - 2.0 * cfg.h).reshape((cfg.n_cells,) * 3)
-
-    def no_centres(cfg):
-        raise AssertionError("the mask built the (N**3, 3) cell centres")
-
-    monkeypatch.setattr(solver, "_cell_centres", no_centres)
-    got = solver._cone_mask(cfg, cone, t)
+    # the mask builds no (N**3, 3) array of centres, nor any grid that size
+    tracemalloc.start()
+    try:
+        got = solver._cone_mask(cfg, cone, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cfg.n_cells**3 * 3 * 8
     assert np.array_equal(got, want)
     if name == "control" and h == 1 / 48 and t == 0.2:
         assert not got.any()
