@@ -419,7 +419,8 @@ def cmd_nonuniq_demo(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentRe
     report.add(Verdict.at_most("solver_penalized_balance", abs(pen_rep.balance),
                                tol + pen_rep.error_estimate))
     report.add(Verdict.at_least("solver_energy_inequality", unpen_rep.balance,
-                                -(tol + unpen_rep.error_estimate)))
+                                -(tol + unpen_rep.error_estimate),
+                                note=_inequality_side(unpen_rep.balance)))
 
     # (b) the analytic boosted map on the same cone: nonzero defect
     ana_rep, crossing = analytic_balance(cfg, cone, params)
@@ -431,10 +432,12 @@ def cmd_nonuniq_demo(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentRe
         report.results["defect_quoted_target"] = 2.0 * params.theta * target
         report.add(Verdict.close("analytic_defect_magnitude",
                                  abs(ana_rep.balance), target,
-                                 0.02 * target + ana_rep.error_estimate))
+                                 0.02 * target + ana_rep.error_estimate,
+                                 note=_inequality_side(ana_rep.balance)))
     else:
         report.add(Verdict.at_most("analytic_conserved", abs(ana_rep.balance),
-                                   ana_rep.error_estimate + max(tol, 1e-10)))
+                                   ana_rep.error_estimate + max(tol, 1e-10),
+                                   note=_inequality_side(ana_rep.balance)))
 
     # in-cone L2 distance solver vs analytic at the top of the inner cone
     dist, disc_est = _incone_distance(cfg, slab, params, inner)
@@ -445,6 +448,12 @@ def cmd_nonuniq_demo(cfg: ExperimentConfig, raw: str, out: Path) -> ExperimentRe
     else:
         report.add(Verdict.at_most("solutions_coincide", dist, 10.0 * disc_est))
     return report
+
+
+def _inequality_side(balance: float) -> str:
+    """Which side of the local energy inequality a measured balance is on."""
+    return (f"measured sign {np.sign(balance):+.0f}: E(base) - E(top) - Flux"
+            f" >= 0 {'kept' if balance >= 0.0 else 'violated'}")
 
 
 def _incone_distance(cfg: ExperimentConfig, slab: GridField, params: MapParams,

@@ -26,7 +26,10 @@ ANALYTIC_EXCLUSION = 1e-8
 
 # Batch kernels work through their nodes in blocks of this many, so that
 # their scratch memory does not grow with the query: harmonic_v_jet_batch,
-# GridField.jets_at and the densities of every quadrature integral.
+# GridField.jets_at and the densities of every quadrature integral.  The
+# closed-form kernels compute on 1-D (N,) arrays, one per component, since a
+# broadcast over (N, 3) or (N, 3, 3) runs numpy's innermost loop, over the
+# last axis, once per node; those shapes are only the interface.
 _BLOCK = 2048
 
 
@@ -101,38 +104,36 @@ def harmonic_v_jet_batch(params: MapParams, xs: np.ndarray):
 
 
 def _hedgehog_block(lam: float, xs, values, grads):
-    """``harmonic_v_jet_batch`` on one block, written into values / grads."""
-    r = np.linalg.norm(xs, axis=1)
+    """``harmonic_v_jet_batch`` on one block, written into values / grads;
+    the norm and w^T M add their three terms in order, as np.sum does."""
+    x0, x1, x2 = xs.T
+    r = np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
     safe = r >= ANALYTIC_EXCLUSION
     r_s = np.where(safe, r, 1.0)
-    w = xs / r_s[:, None]
-    d = 1.0 + w[:, 2]
+    w = (x0 / r_s, x1 / r_s, x2 / r_s)
+    d = 1.0 + w[2]
     polar = d <= ANALYTIC_EXCLUSION
     d_s = np.where(polar, 1.0, d)
 
-    z = lam * w[:, :2] / d_s[:, None]
-    s = np.sum(z**2, axis=1)
+    z0, z1 = lam * w[0] / d_s, lam * w[1] / d_s
+    s = z0 * z0 + z1 * z1
     dd = 1.0 + s
+    dd2 = dd**2
 
-    values[:, 0] = 2.0 * z[:, 0] / dd
-    values[:, 1] = 2.0 * z[:, 1] / dd
-    values[:, 2] = (1.0 - s) / dd
+    values.T[:] = 2.0 * z0 / dd, 2.0 * z1 / dd, (1.0 - s) / dd
 
-    J_i = np.empty((len(xs), 2, 3))
-    J_i[:, 0, 0] = 2.0 / dd - 4.0 * z[:, 0]**2 / dd**2
-    J_i[:, 0, 1] = -4.0 * z[:, 0] * z[:, 1] / dd**2
-    J_i[:, 0, 2] = -4.0 * z[:, 0] / dd**2
-    J_i[:, 1, 0] = J_i[:, 0, 1]
-    J_i[:, 1, 1] = 2.0 / dd - 4.0 * z[:, 1]**2 / dd**2
-    J_i[:, 1, 2] = -4.0 * z[:, 1] / dd**2
-
+    # the rows of J_i, and of M with its third row from them
+    j01 = -4.0 * z0 * z1 / dd2
+    J0 = (2.0 / dd - 4.0 * z0**2 / dd2, j01, -4.0 * z0 / dd2)
+    J1 = (j01, 2.0 / dd - 4.0 * z1**2 / dd2, -4.0 * z1 / dd2)
     scale = lam / d_s
-    grads[:, :2, :] = scale[:, None, None] * J_i
-    grads[:, 2, :] = -(scale / d_s)[:, None] * (w[:, 0, None] * J_i[:, 0]
-                                                + w[:, 1, None] * J_i[:, 1])
-    wM = np.einsum("ni,nij->nj", w, grads)
-    grads -= w[:, :, None] * wM[:, None, :]
-    grads /= r_s[:, None, None]
+    tilt = -(scale / d_s)
+    M = ([scale * a for a in J0], [scale * b for b in J1],
+         [tilt * (w[0] * a + w[1] * b) for a, b in zip(J0, J1)])
+    for j in range(3):
+        wM = w[0] * M[0][j] + w[1] * M[1][j] + w[2] * M[2][j]
+        for i in range(3):
+            np.divide(M[i][j] - w[i] * wM, r_s, out=grads[:, i, j])
 
     bad = ~safe | polar
     if np.any(bad):
@@ -178,8 +179,9 @@ class BoostedHarmonicMap(FieldEvaluator):
         xi = xs.copy()
         xi[:, 2] = th * (xs[:, 2] - nu * ts)
         values, grads = harmonic_v_jet_batch(self.params, xi)
-        dts = -th * nu * grads[:, 2, :]
-        grads[:, 2, :] *= th
+        dts = np.stack([-th * nu * g for g in grads[:, 2, :].T], axis=1)
+        for g in grads[:, 2, :].T:
+            g *= th
         return values, dts, grads
 
     def singular_point(self, t):

@@ -36,11 +36,11 @@ class GeodesicPlaneWave(FieldEvaluator):
         xs = np.asarray(xs, dtype=float)
         th = self.omega * ts + _dot(self.k, xs.T) + self.phase
         c, s = np.cos(th), np.sin(th)
-        values = np.stack([c, s, np.zeros_like(c)], axis=1)
-        tangent = np.stack([-s, c, np.zeros_like(c)], axis=1)
-        dts = self.omega * tangent
-        grads = self.k[None, :, None] * tangent[:, None, :]
-        return values, dts, grads
+        tangent = (-s, c, np.zeros_like(c))
+        values = np.stack([c, s, tangent[2]], axis=1)
+        dts = np.stack([self.omega * a for a in tangent], axis=1)
+        grads = np.stack([k * a for k in self.k for a in tangent], axis=1)
+        return values, dts, grads.reshape(-1, 3, 3)
 
     def box_at(self, ts, xs):
         values, _, _ = self.jets_at(ts, xs)
@@ -57,10 +57,10 @@ def bump_profile(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def bump_profile_ds(s: np.ndarray) -> np.ndarray:
-    """d/ds of the profile, elementwise."""
+def bump_profile_ds(s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d/ds of the profile, elementwise, from s and b = bump_profile(s)."""
     s = np.asarray(s, dtype=float)
-    out = bump_profile(s)
+    out = np.array(b, dtype=float)
     m = s < 1.0
     out[m] *= -1.0 / (1.0 - s[m])**2
     return out
@@ -77,18 +77,20 @@ class TimeSquaredBump(FieldEvaluator):
         self.e = np.asarray(direction, dtype=float)
 
     def _bumps(self, xs: np.ndarray):
-        y = np.asarray(xs, float) - self.center
-        s = np.sum(y**2, axis=1) / self.scale**2
-        return y, s, bump_profile(s), bump_profile_ds(s)
+        y = [x - c for x, c in zip(np.asarray(xs, float).T, self.center)]
+        s = (y[0]**2 + y[1]**2 + y[2]**2) / self.scale**2
+        b = bump_profile(s)
+        return y, s, b, bump_profile_ds(s, b)
 
     def jets_at(self, ts, xs):
         ts = np.asarray(ts, dtype=float)
         y, s, b, bs = self._bumps(xs)
-        gb = (2.0 / self.scale**2) * bs[:, None] * y
-        values = (ts**2 * b)[:, None] * self.e[None, :]
-        dts = (2.0 * ts * b)[:, None] * self.e[None, :]
-        grads = (ts**2)[:, None, None] * gb[:, :, None] * self.e[None, None, :]
-        return values, dts, grads
+        t2 = ts**2
+        gb = (2.0 / self.scale**2) * bs
+        cols = [f * ej for f in [t2 * b, 2.0 * ts * b]
+                + [t2 * (gb * yi) for yi in y] for ej in self.e]
+        return (np.stack(cols[:3], axis=1), np.stack(cols[3:6], axis=1),
+                np.stack(cols[6:], axis=1).reshape(-1, 3, 3))
 
     def box_at(self, ts, xs):
         ts = np.asarray(ts, dtype=float)
@@ -98,7 +100,8 @@ class TimeSquaredBump(FieldEvaluator):
         g = 1.0 / (1.0 - s[m])
         b2[m] = b[m] * (g**4 - 2.0 * g**3)
         lap = (6.0 / self.scale**2) * bs + (4.0 * s / self.scale**2) * b2
-        return (2.0 * b - ts**2 * lap)[:, None] * self.e[None, :]
+        f = 2.0 * b - ts**2 * lap
+        return np.stack([f * ej for ej in self.e], axis=1)
 
 
 class QuadraticNullField(FieldEvaluator):

@@ -111,14 +111,28 @@ class BalanceReport:
 def _penalized(dens0, values, penalties) -> list:
     """``dens0`` per n of ``penalties``, plus n^2 F(u) where n is not None."""
     return [dens0 if n is None
-            else dens0 + n**2 * 0.25 * (np.sum(values**2, axis=1) - 1.0)**2
+            else dens0 + n**2 * 0.25 * (_row_dot(values, values) - 1.0)**2
             for n in penalties]
+
+
+def _row_dot(a, b) -> np.ndarray:
+    """a . b per row of two (N, 3) arrays, added in order as np.sum adds."""
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+
+
+def _pair_sum9(a, b) -> np.ndarray:
+    """sum_k a[k] * b[k] over nine (N,) components, in the order in which
+    np.sum(axis=(1, 2)) adds each row of a C-contiguous (N, 3, 3) product p,
+    pairwise: ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7)), then p8."""
+    p0, p1, p2, p3, p4, p5, p6, p7, p8 = (x * y for x, y in zip(a, b))
+    return ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7)) + p8
 
 
 def energy_form(u_dts, u_grads, w_dts, w_grads) -> np.ndarray:
     """Du . Dw per row: the Euclidean dot over all four partials and the
     three target components."""
-    return np.sum(u_dts * w_dts, axis=1) + np.sum(u_grads * w_grads, axis=(1, 2))
+    return _row_dot(u_dts, w_dts) + _pair_sum9(
+        u_grads.reshape(-1, 9).T, w_grads.reshape(-1, 9).T)
 
 
 def energy_density(dts, grads) -> np.ndarray:
@@ -130,9 +144,9 @@ def flux_form_Q(u_dts, u_grads, w_dts, w_grads, normals) -> np.ndarray:
     """(grad u - n (x) u_t) : (grad w - n (x) w_t) per row, n the row's unit
     spatial direction from ``normals`` (N, 3); per r^2 dtau dOmega of a cone's
     side, so Q(u, u) = 2 * flux_density(u)."""
-    pu = u_grads - normals[:, :, None] * u_dts[:, None, :]
-    pw = w_grads - normals[:, :, None] * w_dts[:, None, :]
-    return np.sum(pu * pw, axis=(1, 2))
+    return _pair_sum9(*([g[:, i, j] - normals[:, i] * d[:, j]
+                         for i in range(3) for j in range(3)]
+                        for d, g in ((u_dts, u_grads), (w_dts, w_grads))))
 
 
 def flux_density(dts, grads, normals) -> np.ndarray:
@@ -163,7 +177,9 @@ def _disk_nodes(disk: DiskSpec, rule: ProductRule, singular_center=None):
                                - float(fields._dot(off, off)))
     r = rmax[None, :] * u[:, None]                      # (K, M)
     w = (wu[:, None] * rmax[None, :] * sph.weights[None, :]) * r**2
-    xs = c[None, None, :] + r[:, :, None] * sph.nodes[None, :, :]
+    xs = np.empty(r.shape + (3,))
+    for k, x in enumerate(np.moveaxis(xs, 2, 0)):
+        np.add(np.multiply(r, sph.nodes[:, k], out=x), c[k], out=x)
     return xs.reshape(-1, 3), w.reshape(-1)
 
 

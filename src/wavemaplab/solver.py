@@ -426,19 +426,19 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _check_memory(cfg: SolverConfig, box) -> None:
+def _check_memory(cfg: SolverConfig, box, read_bytes: int = 0) -> None:
     """Raises ValueError when the stored slab plus the run's working grids
     would exceed physical memory: the ``box`` of cells (see ``cell_box``) of
     every stored level, five (N, N, N, 3) grids (u0, g0 and three rotating
-    levels), which also bound sampling's u0, g0 and one plane's jets, and
-    the scratch of a ``_Work`` built as the run builds it, counted from its
-    plan without allocating it.  A ``box`` of None is a run that holds no
-    slab and writes its levels to disk (``run_to_file``), whose refusal
-    names the bytes it would write."""
+    levels), which also bound sampling's u0, g0 and one plane's jets, the
+    scratch of a ``_Work`` built as the run builds it, counted from its plan
+    without allocating it, and the ``read_bytes`` its read hook allocates.
+    A ``box`` of None is a run that holds no slab and writes its levels to
+    disk (``run_to_file``), whose refusal names the bytes it would write."""
     n = cfg.n_cells
     work = _Work(cfg, None, _cores(), ledger=False)
-    grids = 5 * n**3 * 3 * 8 + len(work.runs) * sum(8 * int(np.prod(s))
-                                                    for s in work.shapes)
+    grids = 5 * n**3 * 3 * 8 + read_bytes + len(work.runs) * sum(
+        8 * int(np.prod(s)) for s in work.shapes)
     if box is None:
         slab, cells = 0, "all"
     else:
@@ -508,14 +508,14 @@ def cell_box(cfg: SolverConfig, cones=None) -> tuple[slice, slice, slice]:
     return tuple(slice(int(a), int(max(a, b))) for a, b in zip(lo, hi))
 
 
-def _slab(cfg: SolverConfig, box):
+def _slab(cfg: SolverConfig, box, read_bytes: int = 0):
     """The slab of the ``box`` of cells (see ``cell_box``) of every stored
     level, its origin at the box's first cell, and the ``read`` hook of
     ``_integrate`` that copies the box out of every stride-th level into it;
     None, and a hook that stores nothing, when the box is empty.  Checks
     the memory first (``_check_memory``), so that a caller building it before
     sampling fails on an oversized run before any sampling."""
-    _check_memory(cfg, box)
+    _check_memory(cfg, box, read_bytes)
     dims = tuple(s.stop - s.start for s in box)
     if not all(dims):
         return None, lambda k, level: None
@@ -672,11 +672,12 @@ def penalization_sweep(schedule, field: FieldEvaluator,
     cfgs = [dataclasses.replace(cfg_template, penalty_n=float(n), dt=dt)
             for n in schedule]
     # the weaker runs store no level, the strongest the box read of it; each
-    # run's memory is checked here, before sampling, the strongest's first so
-    # that a refusal names the slab the sweep stores
-    strongest = _slab(cfgs[-1], cell_box(cfg_template, read_cones))
-    slabs = [_slab(cfg, cell_box(cfg_template, ())) for cfg in cfgs[:-1]] \
-        + [strongest]
+    # run's memory and constraint_violation's two (N, N, N) arrays are checked
+    # here, before sampling, the strongest's first: a refusal names its slab
+    violation = 2 * cfg_template.n_cells**3 * 8
+    strongest = _slab(cfgs[-1], cell_box(cfg_template, read_cones), violation)
+    slabs = [_slab(cfg, cell_box(cfg_template, ()), violation)
+             for cfg in cfgs[:-1]] + [strongest]
     t_end = cfg_template.T_end
     mask = _cone_mask(cfg_template, cone, t_end)
     if not mask.any():

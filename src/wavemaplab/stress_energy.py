@@ -19,8 +19,8 @@ import numpy as np
 from .fields import BoostedHarmonicMap, FieldEvaluator, MapParams
 from .manufactured import ComposedWithBoost, bump_profile, bump_profile_ds
 from .quadrature import (ProductRule, _bump_norm, _cone_slices, _disk_integral,
-                         _disk_nodes, _gauss, _rows, _side_integral,
-                         energy_form, flux_form_Q)
+                         _disk_nodes, _gauss, _row_dot, _rows,
+                         _side_integral, energy_form, flux_form_Q)
 from .spacetime import ETA, ConeSpec, DiskSpec, LorentzBoost, SpacetimePoint
 
 
@@ -95,12 +95,11 @@ class BumpTest:
     def batch(self, coords: np.ndarray):
         """Vectorized (psi, D psi) at coords of shape (N, dim)."""
         c, _ = self._split()
-        y = np.asarray(coords, dtype=float) - c
-        s = np.sum(y**2, axis=1) / self.scale**2
-        psi = self.norm_const * bump_profile(s)
-        dpsi = (self.norm_const * 2.0 / self.scale**2) \
-            * bump_profile_ds(s)[:, None] * y
-        return psi, dpsi
+        y = [x - ck for x, ck in zip(np.asarray(coords, dtype=float).T, c)]
+        s = sum(yk**2 for yk in y) / self.scale**2
+        b = bump_profile(s)
+        gb = (self.norm_const * 2.0 / self.scale**2) * bump_profile_ds(s, b)
+        return self.norm_const * b, np.stack([gb * yk for yk in y], axis=1)
 
 
 def weak_residual(field: FieldEvaluator, test: BumpTest,
@@ -187,8 +186,8 @@ def comp_identity_check(u: FieldEvaluator, w: FieldEvaluator, R: float,
         return [energy_form(*u.jets_at(ts, xs)[1:], *w.jets_at(ts, xs)[1:])]
 
     def box_terms(ts, xs):
-        return [np.sum(u.box_at(ts, xs) * w.jets_at(ts, xs)[1], axis=1)
-                + np.sum(w.box_at(ts, xs) * u.jets_at(ts, xs)[1], axis=1)]
+        return [_row_dot(u.box_at(ts, xs), w.jets_at(ts, xs)[1])
+                + _row_dot(w.box_at(ts, xs), u.jets_at(ts, xs)[1])]
 
     def side(ts, xs, normals):
         return [flux_form_Q(*u.jets_at(ts, xs)[1:], *w.jets_at(ts, xs)[1:],

@@ -730,16 +730,32 @@ def test_write_failure_is_an_output_error(tmp_path, capsys):
 
 def test_lam_half_example_shows_the_dichotomy(tmp_path):
     # at lambda = 1/2 the analytic map gains energy on the crossing cone and
-    # violates the local energy inequality; the penalized solutions keep it
+    # violates the local energy inequality; the penalized solutions keep it.
+    # At lambda = 2, on the same grid, the analytic map keeps it too.  The
+    # verdict notes say which side each balance is on.
     example = Path(__file__).resolve().parent.parent / "examples/lam_half.ini"
-    assert main(["nonuniq-demo", "--config", str(example),
-                 "--out", str(tmp_path)]) == 0
-    res = json.loads((tmp_path / "nonuniq_demo_report.json").read_text())[
-        "results"]
+    lam_two = tmp_path / "lam_two.ini"
+    lam_two.write_text(example.read_text().replace("lam = 0.5", "lam = 2.0"))
+    notes = {}
+    for config, lam in ((example, 0.5), (lam_two, 2.0)):
+        out = tmp_path / str(lam)
+        assert main(["nonuniq-demo", "--config", str(config),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "nonuniq_demo_report.json").read_text())
+        assert report["parameters"]["lam"] == lam
+        notes[lam] = {v["name"]: v["note"] for v in report["verdicts"]}
+        if lam == 0.5:
+            res = report["results"]
     tol = res["smoothing_tolerance"]
     ana, unpen = res["analytic"], res["solver_unpenalized"]
     assert ana["balance"] < -(tol + ana["error_estimate"])
     assert unpen["balance"] >= -(tol + unpen["error_estimate"])
+    kept = "measured sign +1: E(base) - E(top) - Flux >= 0 kept"
+    assert notes[0.5]["analytic_defect_magnitude"] == \
+        "measured sign -1: E(base) - E(top) - Flux >= 0 violated"
+    assert notes[2.0]["analytic_defect_magnitude"] == kept
+    assert notes[0.5]["solver_energy_inequality"] == kept
+    assert notes[2.0]["solver_energy_inequality"] == kept
 
 
 @pytest.mark.parametrize("k", ["0", "-3"])

@@ -261,6 +261,75 @@ def test_harmonic_v_jet_batch_matches_matmul_reference(lam):
     assert np.all(values[bad] == [0.0, 0.0, -1.0])
 
 
+# the broadcast (N, 3) and (N, 3, 3) form that the per-component kernel
+# replaced, with the same arithmetic in the same order
+def _hedgehog_broadcast_reference(lam, xs):
+    r = np.linalg.norm(xs, axis=1)
+    safe = r >= ANALYTIC_EXCLUSION
+    r_s = np.where(safe, r, 1.0)
+    w = xs / r_s[:, None]
+    d = 1.0 + w[:, 2]
+    polar = d <= ANALYTIC_EXCLUSION
+    d_s = np.where(polar, 1.0, d)
+
+    z = lam * w[:, :2] / d_s[:, None]
+    s = np.sum(z**2, axis=1)
+    dd = 1.0 + s
+    values = np.stack([2.0 * z[:, 0] / dd, 2.0 * z[:, 1] / dd, (1.0 - s) / dd],
+                      axis=1)
+
+    J_i = np.empty((len(xs), 2, 3))
+    J_i[:, 0, 0] = 2.0 / dd - 4.0 * z[:, 0]**2 / dd**2
+    J_i[:, 0, 1] = -4.0 * z[:, 0] * z[:, 1] / dd**2
+    J_i[:, 0, 2] = -4.0 * z[:, 0] / dd**2
+    J_i[:, 1, 0] = J_i[:, 0, 1]
+    J_i[:, 1, 1] = 2.0 / dd - 4.0 * z[:, 1]**2 / dd**2
+    J_i[:, 1, 2] = -4.0 * z[:, 1] / dd**2
+
+    scale = lam / d_s
+    grads = np.empty((len(xs), 3, 3))
+    grads[:, :2, :] = scale[:, None, None] * J_i
+    grads[:, 2, :] = -(scale / d_s)[:, None] * (w[:, 0, None] * J_i[:, 0]
+                                                + w[:, 1, None] * J_i[:, 1])
+    wM = np.einsum("ni,nij->nj", w, grads)
+    grads -= w[:, :, None] * wM[:, None, :]
+    grads /= r_s[:, None, None]
+
+    bad = ~safe | polar
+    values[bad] = np.array([0.0, 0.0, -1.0])
+    grads[bad] = 0.0
+    return values, grads
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+def test_harmonic_v_jet_batch_bit_identical_to_broadcast_reference(lam):
+    xs = _hedgehog_test_nodes(np.random.default_rng(24), n=20_000)
+    got = harmonic_v_jet_batch(MapParams(lam), xs)
+    want = _hedgehog_broadcast_reference(lam, xs)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def test_boosted_map_jets_bit_identical_to_broadcast_reference():
+    # the hedgehog's test nodes as boosted points xi: near the singular
+    # line, inside its exclusion and on the south-pole ray of xi
+    params = MapParams(2.0, 0.6)
+    th, nu = params.theta, params.nu
+    rng = np.random.default_rng(25)
+    xs = _hedgehog_test_nodes(rng, n=20_000)
+    ts = rng.uniform(-0.5, 0.5, len(xs))
+    xs[:, 2] = xs[:, 2] / th + nu * ts
+    xi = xs.copy()
+    xi[:, 2] = th * (xs[:, 2] - nu * ts)
+    values, grads = _hedgehog_broadcast_reference(params.lam, xi)
+    dts = -th * nu * grads[:, 2, :]
+    grads[:, 2, :] *= th
+    got = BoostedHarmonicMap(params).jets_at(ts, xs)
+    for a, b in zip(got, (values, dts, grads)):
+        assert np.array_equal(a, b)
+    assert np.count_nonzero(np.all(got[2] == 0.0, axis=(1, 2))) >= 500
+
+
 def test_harmonic_v_jet_batch_blocks_join_exactly(monkeypatch):
     # the kernel works through its nodes in blocks; the seams change no bit
     p = MapParams(1.5)

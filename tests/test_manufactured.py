@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from wavemaplab.fields import _dot
 from wavemaplab.manufactured import (ComposedWithBoost, ConstantMap,
                                      GeodesicPlaneWave, QuadraticNullField,
                                      TimeSquaredBump, bump_profile)
 from wavemaplab.spacetime import LorentzBoost, SpacetimePoint
+from wavemaplab.stress_energy import BumpTest
 
 
 def jet_row(field, t, x):
@@ -162,6 +164,92 @@ def test_time_squared_bump_initial_slice_and_box():
         assert np.allclose(dts[k], dt, atol=1e-14)
         assert np.allclose(grads[k], grad, atol=1e-14)
         assert np.allclose(boxes[k], box_row(fld, pt.t, pt.x), atol=1e-12)
+
+
+# The broadcast (N, 3) and (N, 3, 3) forms that the per-component fields
+# replaced, with the same arithmetic in the same order.
+
+
+def _profile_ds_reference(s):
+    out = bump_profile(s)
+    m = s < 1.0
+    out[m] *= -1.0 / (1.0 - s[m])**2
+    return out
+
+
+def _time_squared_bump_reference(fld, ts, xs):
+    y = xs - fld.center
+    s = np.sum(y**2, axis=1) / fld.scale**2
+    b, bs = bump_profile(s), _profile_ds_reference(s)
+    gb = (2.0 / fld.scale**2) * bs[:, None] * y
+    values = (ts**2 * b)[:, None] * fld.e[None, :]
+    dts = (2.0 * ts * b)[:, None] * fld.e[None, :]
+    grads = (ts**2)[:, None, None] * gb[:, :, None] * fld.e[None, None, :]
+    m = s < 1.0
+    b2 = np.zeros_like(s)
+    g = 1.0 / (1.0 - s[m])
+    b2[m] = b[m] * (g**4 - 2.0 * g**3)
+    lap = (6.0 / fld.scale**2) * bs + (4.0 * s / fld.scale**2) * b2
+    box = (2.0 * b - ts**2 * lap)[:, None] * fld.e[None, :]
+    return values, dts, grads, box
+
+
+def _plane_wave_reference(fld, ts, xs):
+    th = fld.omega * ts + _dot(fld.k, xs.T) + fld.phase
+    c, s = np.cos(th), np.sin(th)
+    values = np.stack([c, s, np.zeros_like(c)], axis=1)
+    tangent = np.stack([-s, c, np.zeros_like(c)], axis=1)
+    dts = fld.omega * tangent
+    grads = fld.k[None, :, None] * tangent[:, None, :]
+    box = (float(_dot(fld.k, fld.k)) - fld.omega**2) * values
+    return values, dts, grads, box
+
+
+def _bump_batch_reference(test, coords):
+    c, _ = test._split()
+    y = coords - c
+    s = np.sum(y**2, axis=1) / test.scale**2
+    psi = test.norm_const * bump_profile(s)
+    dpsi = (test.norm_const * 2.0 / test.scale**2) \
+        * _profile_ds_reference(s)[:, None] * y
+    return psi, dpsi
+
+
+def _bump_nodes(rng, center, scale, n=20_000):
+    """Random nodes about ``center``, about 60 % of them outside the
+    support (s >= 1), and one node at s = 1 along each axis."""
+    xs = center + rng.normal(size=(n, 3)) * rng.uniform(0.0, 2.0 * scale,
+                                                        (n, 1))
+    for k in range(3):
+        xs[k, :] = center
+        xs[k, k] += scale
+    return xs, rng.uniform(-1.0, 1.0, n)
+
+
+def test_fields_bit_identical_to_broadcast_reference():
+    rng = np.random.default_rng(41)
+    bump = TimeSquaredBump(center=(0.1, -0.05, 0.02), scale=0.9,
+                           direction=(0.3, -0.7, 0.2))
+    xs, ts = _bump_nodes(rng, bump.center, bump.scale)
+    s = np.sum((xs - bump.center)**2, axis=1) / bump.scale**2
+    assert np.count_nonzero(s >= 1.0) >= 1000
+    wave = GeodesicPlaneWave([1.3, -0.4, 2.1], phase=0.3)
+    for fld, ref in ((bump, _time_squared_bump_reference),
+                     (wave, _plane_wave_reference)):
+        got = (*fld.jets_at(ts, xs), fld.box_at(ts, xs))
+        for a, b in zip(got, ref(fld, ts, xs)):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("center", [(0.1, -0.05, 0.02),
+                                    SpacetimePoint(0.2, (0.1, -0.05, 0.02))])
+def test_bump_test_batch_bit_identical_to_broadcast_reference(center):
+    test = BumpTest(center, 0.8)
+    xs, ts = _bump_nodes(np.random.default_rng(42),
+                         np.array([0.1, -0.05, 0.02]), 0.8)
+    coords = xs if test.dim == 3 else np.column_stack([ts * 0.8 + 0.2, xs])
+    for a, b in zip(test.batch(coords), _bump_batch_reference(test, coords)):
+        assert np.array_equal(a, b)
 
 
 def test_quadratic_null_field_exact():

@@ -10,7 +10,8 @@ from wavemaplab.fields import (BoostedHarmonicMap, FieldEvaluator, GridField,
 from wavemaplab.manufactured import GeodesicPlaneWave, bump_profile
 from wavemaplab.quadrature import (BalanceReport, ProductRule, SphereRule,
                                    _bump_norm, _cone_slices, _disk_nodes,
-                                   _gauss, energy_balance, energy_on_disk,
+                                   _gauss, _penalized, energy_balance,
+                                   energy_form, energy_on_disk, flux_form_Q,
                                    flux_on_cone)
 from wavemaplab.spacetime import ConeSpec, DiskSpec, SpacetimePoint
 
@@ -87,6 +88,105 @@ def test_disk_nodes_reject_exterior_singular_point():
     with pytest.raises(ValueError):
         _disk_nodes(disk, ProductRule(8, 8, 8),
                     singular_center=np.array([0.4, 0, 0]))
+
+
+# The broadcast (N, 3) and (N, 3, 3) forms that the per-component kernels
+# replaced, with the same arithmetic in the same order.
+
+
+def _disk_nodes_reference(disk, rule, singular_center=None):
+    u, wu = _gauss(rule.n_radial, 0.0, 1.0)
+    sph = rule.sphere
+    if singular_center is None:
+        c = np.asarray(disk.center, dtype=float)
+        rmax = np.full(len(sph.nodes), disk.radius)
+    else:
+        c = np.asarray(singular_center, dtype=float)
+        off = c - np.asarray(disk.center, dtype=float)
+        proj = fields._dot(off, sph.nodes.T)
+        rmax = -proj + np.sqrt(proj**2 + disk.radius**2
+                               - float(fields._dot(off, off)))
+    r = rmax[None, :] * u[:, None]
+    w = (wu[:, None] * rmax[None, :] * sph.weights[None, :]) * r**2
+    xs = c[None, None, :] + r[:, :, None] * sph.nodes[None, :, :]
+    return xs.reshape(-1, 3), w.reshape(-1)
+
+
+def _energy_form_reference(u_dts, u_grads, w_dts, w_grads):
+    return np.sum(u_dts * w_dts, axis=1) + np.sum(u_grads * w_grads,
+                                                  axis=(1, 2))
+
+
+def _flux_form_Q_reference(u_dts, u_grads, w_dts, w_grads, normals):
+    pu = u_grads - normals[:, :, None] * u_dts[:, None, :]
+    pw = w_grads - normals[:, :, None] * w_dts[:, None, :]
+    return np.sum(pu * pw, axis=(1, 2))
+
+
+def _penalized_reference(dens0, values, penalties):
+    return [dens0 if n is None
+            else dens0 + n**2 * 0.25 * (np.sum(values**2, axis=1) - 1.0)**2
+            for n in penalties]
+
+
+@pytest.mark.parametrize("center", [None, (0.05, -0.1, 0.12)])
+def test_disk_nodes_bit_identical_to_broadcast_reference(center):
+    disk = DiskSpec(0.3, np.array([0.1, -0.2, 0.05]), 0.7)
+    rule = ProductRule(4, 24, 16)
+    sing = None if center is None else np.array(center)
+    for got, want in zip(_disk_nodes(disk, rule, sing),
+                         _disk_nodes_reference(disk, rule, sing)):
+        assert np.array_equal(got, want)
+
+
+def _two_jets(rng, n=20_000):
+    """Jets of two fields on the same nodes: the boosted map's, with nodes
+    on and near its singular line and zero-gradient excluded nodes, and
+    random ones spread over twelve decades, which show any change in the
+    order of a sum; and unit normals."""
+    xs = rng.normal(size=(n, 3)) * rng.uniform(0.01, 2.0, (n, 1))
+    ts = rng.uniform(-0.5, 0.5, n)
+    # on the singular line (0, 0, 0.6 t), 1e-6 off it, and on the ray below
+    # it, the south-pole ray of the boosted point
+    xs[:300, :2] = rng.uniform(-5e-9, 5e-9, (300, 2))
+    xs[100:200, :2] *= 200.0
+    ts[:200] = xs[:200, 2] / 0.6
+    xs[200:300, 2] = 0.6 * ts[200:300] - rng.uniform(0.01, 1.0, 100)
+    jets = []
+    for lam in (2.0, 0.5):
+        v, d, g = BoostedHarmonicMap(MapParams(lam, 0.6)).jets_at(ts, xs)
+        v2, d2, g2 = (rng.normal(size=a.shape)
+                      * 10.0**rng.uniform(-6.0, 6.0, a.shape)
+                      for a in (v, d, g))
+        jets.append((np.concatenate([v, v2]), np.concatenate([d, d2]),
+                     np.concatenate([g, g2])))
+    normals = rng.normal(size=(2 * n, 3))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    return jets, normals
+
+
+def test_energy_form_bit_identical_to_broadcast_reference():
+    (_, u_d, u_g), (_, w_d, w_g) = _two_jets(np.random.default_rng(31))[0]
+    for args in ((u_d, u_g, w_d, w_g), (u_d, u_g, u_d, u_g)):
+        assert np.array_equal(energy_form(*args),
+                              _energy_form_reference(*args))
+
+
+def test_flux_form_Q_bit_identical_to_broadcast_reference():
+    jets, normals = _two_jets(np.random.default_rng(32))
+    (_, u_d, u_g), (_, w_d, w_g) = jets
+    for args in ((u_d, u_g, w_d, w_g), (u_d, u_g, u_d, u_g)):
+        assert np.array_equal(flux_form_Q(*args, normals),
+                              _flux_form_Q_reference(*args, normals))
+
+
+def test_penalized_bit_identical_to_broadcast_reference():
+    (values, dts, _), _ = _two_jets(np.random.default_rng(33))[0]
+    dens0 = dts[:, 0]**2
+    penalties = (None, 64, 8.5)
+    for got, want in zip(_penalized(dens0, values, penalties),
+                         _penalized_reference(dens0, values, penalties)):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

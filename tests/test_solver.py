@@ -626,12 +626,14 @@ def test_preflight_counts_what_is_allocated(boundary, cells, cores,
     with pytest.raises(AssertionError, match="sampled"):
         run(cfg, CauchyData(never))
     # a windowed sweep: the strongest run stores the cone's cell box, which
-    # is a real window, and the weaker one no level
+    # is a real window, and the weaker one no level; each run's read hook
+    # forms constraint_violation's two (N, N, N) arrays
     cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
     box = [s.stop - s.start for s in solver.cell_box(cfg, [cone])]
     assert max(box) < cells
     strongest = dataclasses.replace(cfg, penalty_n=8.0)
     need = ((strongest.n_levels * int(np.prod(box)) + 5 * cells**3) * 3
+            + 2 * cells**3
             + scratch_planes * cells**2 * (3 + 3 + 1 + 1)) * 8
     monkeypatch.setattr(solver, "_physical_memory", lambda: need - 1)
     with pytest.raises(ValueError, match=r"GiB .*stride.*working grids"):
@@ -639,6 +641,32 @@ def test_preflight_counts_what_is_allocated(boundary, cells, cores,
                            read_cones=[cone])
     monkeypatch.setattr(solver, "_physical_memory", lambda: need)
     with pytest.raises(AssertionError, match="sampled"):
+        penalization_sweep((4.0, 8.0), CauchyData(never), cfg, cone,
+                           read_cones=[cone])
+
+
+def test_sweep_preflight_counts_the_constraint_violation_arrays(monkeypatch):
+    # memory between the projection without and with the two (N, N, N)
+    # arrays that constraint_violation forms in every sweep run's read hook:
+    # the sweep is refused before sampling
+    def never(xs):
+        raise AssertionError("data sampled before the memory check")
+
+    cells = 96
+    cfg = SolverConfig(box_half_width=0.5, h=1 / cells, T_end=0.1)
+    monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0})
+    cone = ConeSpec.from_base(np.zeros(3), 0.3, 0.0, 0.1)
+    box = solver.cell_box(cfg, [cone])
+    strongest = dataclasses.replace(cfg, penalty_n=8.0)
+    # the strongest run's box, five (N, N, N, 3) grids and one worker's
+    # two-plane block scratch, as in test_preflight_counts_what_is_allocated
+    cells_read = int(np.prod([s.stop - s.start for s in box]))
+    without = ((strongest.n_levels * cells_read + 5 * cells**3) * 3
+               + 2 * cells**2 * (3 + 3 + 1 + 1)) * 8
+    ram = without + cells**3 * 8
+    monkeypatch.setattr(solver, "_physical_memory", lambda: ram)
+    solver._check_memory(strongest, box)  # fits without the two arrays
+    with pytest.raises(ValueError, match=r"GiB .*working grids"):
         penalization_sweep((4.0, 8.0), CauchyData(never), cfg, cone,
                            read_cones=[cone])
 
